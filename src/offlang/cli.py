@@ -14,7 +14,10 @@ contract violations (argparse usage errors also exit 2).
 import argparse
 import json
 import sys
+from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
+
+import numpy as np
 
 from . import __version__, manifest
 from .balance import BalancePlan, apply_plan
@@ -94,37 +97,102 @@ def _read_emoji_lexicon(path) -> dict[str, float]:
     return lex
 
 
-def _prep_from_config(cfg: ExperimentConfig) -> PrepConfig:
+@dataclass(frozen=True)
+class Pipeline:
+    """Tweet text to forest input: the preprocessing settings, the lexicons,
+    the feature settings and, once fitted, the vocabulary.
+
+    Its JSON form is the `.meta.json` sidecar written next to a model, from
+    which `predict` rebuilds the featurization the model was trained on.
+    """
+    level: str
+    prep: PrepConfig
+    stopwords: list[str]
+    abusive: list[str]
+    emoji: dict[str, float]
+    min_df: int
+    ngram_max: int
+    vocabulary: Vocabulary | None = None
+
+    def _preprocess(self, text: str):
+        return preprocess(text, self.prep, stoplist=self.stopwords, emoji_lexicon=self.emoji)
+
+    def _matrix(self, tweets) -> np.ndarray:
+        vectors = [featurize(tt, self.vocabulary, self.abusive, self.ngram_max)
+                   for tt in tweets]
+        return feature_matrix(vectors, len(self.vocabulary))
+
+    def fit_transform(self, texts) -> tuple["Pipeline", np.ndarray]:
+        """Fit the vocabulary on texts; returns the fitted pipeline and the
+        feature matrix of texts."""
+        prepped = [self._preprocess(t) for t in texts]
+        vocab = fit_vocabulary((expand_ngrams(list(tt.tokens), self.ngram_max)
+                                for tt in prepped), min_df=self.min_df)
+        fitted = replace(self, vocabulary=vocab)
+        return fitted, fitted._matrix(prepped)
+
+    def transform(self, texts) -> np.ndarray:
+        """Feature matrix of texts; each is preprocessed and featurized before
+        the next, so only its FeatureVector is kept."""
+        return self._matrix(self._preprocess(t) for t in texts)
+
+    def to_jsonable(self) -> dict:
+        return {
+            "level": self.level,
+            "classes": list(classes_for(self.level)),
+            "prep": asdict(self.prep),
+            "features": {"min_df": self.min_df, "ngram_max": self.ngram_max},
+            "lexicons": {"stopwords": self.stopwords, "abusive": self.abusive,
+                         "emoji": self.emoji},
+            "vocabulary": self.vocabulary.to_jsonable(),
+        }
+
+    @classmethod
+    def from_jsonable(cls, meta) -> "Pipeline":
+        """Inverse of to_jsonable; a malformed document raises
+        ValidationError."""
+        try:
+            lexicons = meta["lexicons"]
+            stopwords, abusive, emoji = (lexicons[k] for k in ("stopwords", "abusive", "emoji"))
+            if not (isinstance(stopwords, list) and isinstance(abusive, list)
+                    and all(isinstance(w, str) for w in stopwords + abusive)
+                    and isinstance(emoji, dict)
+                    and all(isinstance(v, (int, float)) for v in emoji.values())):
+                raise TypeError("lexicons must be two word lists and an emoji-to-number map")
+            return cls(level=meta["level"], prep=PrepConfig(**meta["prep"]),
+                       stopwords=stopwords, abusive=abusive, emoji=emoji,
+                       min_df=int(meta["features"]["min_df"]),
+                       ngram_max=int(meta["features"]["ngram_max"]),
+                       vocabulary=Vocabulary.from_jsonable(meta["vocabulary"]))
+        except KeyError as exc:
+            raise ValidationError(f"missing key {exc}") from None
+        except (TypeError, ValueError) as exc:
+            raise ValidationError(str(exc)) from None
+
+
+def _pipeline_from_config(cfg: ExperimentConfig, level: str) -> Pipeline:
+    """The unfitted pipeline a training config describes.  Each PrepConfig
+    field is read from its `prep.<field>` key."""
+    flags = {f.name: cfg.get_bool(f"prep.{f.name}", f.default)
+             for f in fields(PrepConfig) if isinstance(f.default, bool)}
     language = cfg.get("corpus.language", "english")
-    stem_enabled = cfg.get_bool("prep.stem", True)
     stem_language = cfg.get("prep.stem_language")
     if stem_language is None:
         if language in supported_languages():
             stem_language = language
-        elif stem_enabled:
+        elif flags["stem"]:
             raise ValidationError(
                 f"no stemmer for corpus.language={language!r}; set "
                 f"prep.stem_language to one of {', '.join(supported_languages())} "
                 f"or prep.stem=false")
         else:
             stem_language = "identity"
-    return PrepConfig(
-        lowercase=cfg.get_bool("prep.lowercase", True),
-        strip_punct=cfg.get_bool("prep.strip_punct", True),
-        remove_stopwords=cfg.get_bool("prep.remove_stopwords", True),
-        stem=stem_enabled,
-        split_hashtags=cfg.get_bool("prep.split_hashtags", True),
-        reduce_elongation=cfg.get_bool("prep.reduce_elongation", True),
-        emoji_mode=cfg.get("prep.emoji_mode", "remove_and_score"),
-        stem_language=stem_language,
-    )
-
-
-def _lexicons_from_config(cfg: ExperimentConfig):
+    prep = PrepConfig(**flags, emoji_mode=cfg.get("prep.emoji_mode", PrepConfig.emoji_mode),
+                      stem_language=stem_language)
     stop_path = cfg.get("lexicon.stopwords")
     if stop_path:
         stoplist = _read_wordlist(stop_path)
-    elif cfg.get_bool("prep.remove_stopwords", True):
+    elif prep.remove_stopwords:
         # Stopword removal is on by default and needs its word list.
         raise FileNotFoundError(
             "stopword removal is enabled but lexicon.stopwords is not set")
@@ -134,7 +202,9 @@ def _lexicons_from_config(cfg: ExperimentConfig):
         if cfg.get("lexicon.abusive") else []
     emoji = _read_emoji_lexicon(cfg.get("lexicon.emoji")) \
         if cfg.get("lexicon.emoji") else {}
-    return stoplist, abusive, emoji
+    return Pipeline(level=level, prep=prep, stopwords=stoplist, abusive=abusive,
+                    emoji=emoji, min_df=cfg.get_int("features.min_df", 2),
+                    ngram_max=cfg.get_int("features.ngram_max", 1))
 
 
 def _forest_params_from(cfg: ExperimentConfig, seed: int) -> ForestParams:
@@ -169,43 +239,16 @@ _TRAIN_KEYS = {
 _TRAIN_PREFIXES = ("prep.", "forest.", "external.")
 
 
-def _featurize_config(cfg: ExperimentConfig, corpus_key: str, level: str):
-    """Load + preprocess + vectorize the training corpus named by corpus_key."""
-    corpus_path = _require_file(cfg.require(corpus_key))
-    schema = cfg.get("corpus.schema")
-    corpus, schema = _load_corpus_file(corpus_path, schema,
-                                       language=cfg.get("corpus.language", "english"),
-                                       split="train")
+def _training_rows(cfg: ExperimentConfig, level: str):
+    """The training corpus's path, its rows labeled at level, and their labels."""
+    corpus_path = _require_file(cfg.require("corpus.train"))
+    corpus, _ = _load_corpus_file(corpus_path, cfg.get("corpus.schema"),
+                                  language=cfg.get("corpus.language", "english"),
+                                  split="train")
     rows = corpus.labeled_at(level)
     if len(rows) == 0:
         raise ValidationError(f"no rows labeled at level {level} in {corpus_path}")
-    prep = _prep_from_config(cfg)
-    stoplist, abusive, emoji = _lexicons_from_config(cfg)
-    min_df = cfg.get_int("features.min_df", 2)
-    ngram_max = cfg.get_int("features.ngram_max", 1)
-
-    prepped = [preprocess(t.text, prep, stoplist=stoplist, emoji_lexicon=emoji)
-               for t in rows]
-    vocab = fit_vocabulary((expand_ngrams(list(tt.tokens), ngram_max)
-                            for tt in prepped), min_df=min_df)
-    vectors = [featurize(tt, vocab, abusive, ngram_max) for tt in prepped]
-    X = feature_matrix(vectors, len(vocab))
-    y = [t.label_at(level) for t in rows]
-    meta = {
-        "level": level,
-        "classes": list(classes_for(level)),
-        "prep": {
-            "lowercase": prep.lowercase, "strip_punct": prep.strip_punct,
-            "remove_stopwords": prep.remove_stopwords, "stem": prep.stem,
-            "split_hashtags": prep.split_hashtags,
-            "reduce_elongation": prep.reduce_elongation,
-            "emoji_mode": prep.emoji_mode, "stem_language": prep.stem_language,
-        },
-        "features": {"min_df": min_df, "ngram_max": ngram_max},
-        "lexicons": {"stopwords": stoplist, "abusive": abusive, "emoji": emoji},
-        "vocabulary": vocab.to_jsonable(),
-    }
-    return corpus_path, rows, X, y, meta
+    return corpus_path, rows, [t.label_at(level) for t in rows]
 
 
 def _config_inputs(cfg: ExperimentConfig, corpus_path) -> dict:
@@ -298,7 +341,8 @@ def cmd_train(args) -> int:
     seed = cfg.seed()
     level = cfg.get("train.level", "A")
     classes = classes_for(level)
-    corpus_path, rows, X, y, meta = _featurize_config(cfg, "corpus.train", level)
+    corpus_path, rows, y = _training_rows(cfg, level)
+    pipeline, X = _pipeline_from_config(cfg, level).fit_transform(t.text for t in rows)
     params = _forest_params_from(cfg, seed)
     model = train_forest(X, y, params, classes=classes, threads=args.threads)
 
@@ -306,7 +350,7 @@ def cmd_train(args) -> int:
     out_model = Path(cfg.require("out.model"))
     save_model(model, out_model)
     meta_path = Path(str(out_model) + ".meta.json")
-    meta_path.write_text(manifest.canonical_json(meta), encoding="utf-8")
+    meta_path.write_text(manifest.canonical_json(pipeline.to_jsonable()), encoding="utf-8")
 
     payload = manifest.build(
         "train", cfg.values, seed,
@@ -314,7 +358,7 @@ def cmd_train(args) -> int:
         outputs={"model": out_model, "meta": meta_path},
         extra={"training": {
             "rows": len(rows), "level": level,
-            "vocabulary_size": len(meta["vocabulary"]["terms"]),
+            "vocabulary_size": len(pipeline.vocabulary),
             "params": params.to_jsonable(),
             "training_accuracy": train_scores.accuracy,
             "training_macro_f1": train_scores.macro_f1,
@@ -323,7 +367,7 @@ def cmd_train(args) -> int:
     manifest.write(manifest_path, payload)
 
     print(f"trained on {len(rows)} rows at level {level}; "
-          f"vocabulary {len(meta['vocabulary']['terms'])} terms")
+          f"vocabulary {len(pipeline.vocabulary)} terms")
     print(f"training accuracy {train_scores.accuracy:.4f}  "
           f"macro-F1 {train_scores.macro_f1:.4f}")
     print(f"wrote {out_model}, {meta_path} and {manifest_path}")
@@ -336,7 +380,8 @@ def cmd_cv(args) -> int:
     seed = cfg.seed()
     level = cfg.get("train.level", "A")
     classes = classes_for(level)
-    corpus_path, rows, X, y, meta = _featurize_config(cfg, "corpus.train", level)
+    corpus_path, rows, y = _training_rows(cfg, level)
+    _, X = _pipeline_from_config(cfg, level).fit_transform(t.text for t in rows)
     params = _forest_params_from(cfg, seed)
     result = cross_validate(X, y, params, k=args.k, seed=seed, classes=classes,
                             threads=args.threads)
@@ -393,7 +438,8 @@ def cmd_gridsearch(args) -> int:
     seed = cfg.seed()
     level = cfg.get("train.level", "A")
     classes = classes_for(level)
-    corpus_path, rows, X, y, meta = _featurize_config(cfg, "corpus.train", level)
+    corpus_path, rows, y = _training_rows(cfg, level)
+    _, X = _pipeline_from_config(cfg, level).fit_transform(t.text for t in rows)
     grid = _grid_from_config(cfg, seed)
     result = grid_search(grid, X, y, k=args.k, seed=seed, classes=classes,
                          threads=args.threads)
@@ -435,32 +481,19 @@ def cmd_gridsearch(args) -> int:
     return 0
 
 
-def _load_model_bundle(model_path):
-    model = load_model(_require_file(model_path))
-    meta_path = Path(str(model_path) + ".meta.json")
-    if not meta_path.is_file():
-        raise FileNotFoundError(
-            f"model sidecar missing: {meta_path} (produced by `offlang train` "
-            f"next to the model file)")
-    meta = json.loads(meta_path.read_text(encoding="utf-8"))
-    return model, meta
-
-
 def cmd_predict(args) -> int:
-    model, meta = _load_model_bundle(args.model)
+    model = load_model(_require_file(args.model))
+    sidecar = Path(str(args.model) + ".meta.json")
+    if not sidecar.is_file():
+        raise FileNotFoundError(
+            f"model sidecar missing: {sidecar} (produced by `offlang train` "
+            f"next to the model file)")
+    try:
+        pipeline = Pipeline.from_jsonable(json.loads(sidecar.read_text(encoding="utf-8")))
+    except (ValueError, ValidationError) as exc:
+        raise ValidationError(f"malformed model sidecar {sidecar}: {exc}") from None
     corpus, _ = _load_corpus_file(args.corpus, None)
-    prep = PrepConfig(**meta["prep"])
-    vocab = Vocabulary.from_jsonable(meta["vocabulary"])
-    stoplist = meta["lexicons"]["stopwords"]
-    abusive = meta["lexicons"]["abusive"]
-    emoji = meta["lexicons"]["emoji"]
-    ngram_max = int(meta["features"]["ngram_max"])
-
-    vectors = []
-    for t in corpus:
-        tt = preprocess(t.text, prep, stoplist=stoplist, emoji_lexicon=emoji)
-        vectors.append(featurize(tt, vocab, abusive, ngram_max))
-    labels = forest_predict(model, feature_matrix(vectors, len(vocab)))
+    labels = forest_predict(model, pipeline.transform(t.text for t in corpus))
 
     lines = [f"{t.id}\t{label}" for t, label in zip(corpus, labels)]
     body = "\n".join(lines) + "\n"

@@ -46,6 +46,9 @@ class Vocabulary:
     def __post_init__(self):
         if len(self.terms) != len(self.df):
             raise ValidationError("terms and df must align")
+        if not (all(isinstance(t, str) for t in self.terms)
+                and all(1 <= d <= self.n_docs for d in self.df)):
+            raise ValidationError("terms must be strings and each df in 1..n_docs")
 
     def __len__(self) -> int:
         return len(self.terms)
@@ -72,7 +75,7 @@ def expand_ngrams(tokens, ngram_max: int = 1) -> list[str]:
     if ngram_max < 1:
         raise ValidationError(f"ngram_max must be >= 1, got {ngram_max}")
     terms = list(tokens)
-    for n in range(2, ngram_max + 1):
+    for n in range(2, min(ngram_max, len(tokens)) + 1):
         terms.extend(" ".join(tokens[i:i + n]) for i in range(len(tokens) - n + 1))
     return terms
 
@@ -169,13 +172,6 @@ class FeatureVector:
     sparse: tuple[tuple[int, float], ...]
     dense: tuple[float, ...]
 
-    def to_dense(self, vocab_size: int) -> np.ndarray:
-        row = np.zeros(vocab_size + N_SURFACE, dtype=np.float64)
-        for i, w in self.sparse:
-            row[i] = w
-        row[vocab_size:] = self.dense
-        return row
-
 
 def assemble(sparse, dense) -> FeatureVector:
     """Validate and combine the sparse and dense blocks into one vector."""
@@ -211,5 +207,7 @@ def feature_matrix(vectors, vocab_size: int) -> np.ndarray:
     """Stack FeatureVectors into a dense (n, vocab_size + 9) float64 matrix."""
     mat = np.zeros((len(vectors), vocab_size + N_SURFACE), dtype=np.float64)
     for r, fv in enumerate(vectors):
-        mat[r, :] = fv.to_dense(vocab_size)
+        for i, w in fv.sparse:
+            mat[r, i] = w
+        mat[r, vocab_size:] = fv.dense
     return mat

@@ -28,7 +28,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ModelTruncatedError, ModelVersionError, ValidationError
+from .errors import (ModelFormatError, ModelTruncatedError, ModelVersionError,
+                     ValidationError)
 from .corpus import LEVELS
 from .rng import MASK64, TAG_FOLD, TAG_SHUFFLE, TAG_TREE, stream
 
@@ -246,17 +247,6 @@ def train_tree(X, y, params: ForestParams, rng, n_classes: int | None = None) ->
 # Forest
 
 
-def _as_matrix(X) -> np.ndarray:
-    if isinstance(X, np.ndarray):
-        return np.asarray(X, dtype=np.float64)
-    seq = list(X)
-    if seq and hasattr(seq[0], "to_dense"):
-        from .features import N_SURFACE, feature_matrix
-        width = max(max((i for i, _ in fv.sparse), default=-1) for fv in seq) + 1
-        return feature_matrix(seq, width)
-    return np.asarray(seq, dtype=np.float64)
-
-
 def _canonical_classes(labels) -> tuple[str, ...]:
     present = set(labels)
     for classes in LEVELS.values():
@@ -282,7 +272,7 @@ def train_forest(X, y, params: ForestParams, classes=None, threads: int = 1) -> 
     subsets from its own seed-derived stream, so any `threads` value yields
     the identical model.
     """
-    X = _as_matrix(X)
+    X = np.asarray(X, dtype=np.float64)
     y = list(y)
     if len(X) != len(y):
         raise ValidationError("X and y differ in length")
@@ -327,7 +317,7 @@ def _tree_proba(tree: Tree, X: np.ndarray) -> np.ndarray:
 def predict_proba(model: ForestModel, X) -> np.ndarray:
     """Class-frequency estimates: mean of the leaf distributions over trees,
     accumulated in tree order (deterministic)."""
-    X = _as_matrix(X)
+    X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2 or X.shape[1] != model.n_features:
         raise ValidationError(
             f"expected {model.n_features} features, got {X.shape[1] if X.ndim == 2 else 'non-2D'}")
@@ -414,7 +404,7 @@ def cross_validate(X, y, params: ForestParams, k: int = 10, seed: int = 0,
     seed inside `params` is ignored here) so every grid point is scored on
     identical folds.
     """
-    X = _as_matrix(X)
+    X = np.asarray(X, dtype=np.float64)
     y = list(y)
     classes = tuple(classes) if classes is not None else _canonical_classes(y)
     codes = _encode_labels(y, classes)
@@ -486,11 +476,34 @@ def save_model(model: ForestModel, dest) -> None:
         Path(dest).write_bytes(blob)
 
 
+def _check_preorder(tree: Tree, n_features: int, t: int) -> None:
+    """Reject a tree that prediction could not walk: every split's left
+    child follows it, its right child lies after that and inside the tree,
+    so every walk moves forward and ends at a leaf with a nonempty class
+    distribution."""
+    n_nodes = len(tree.feature)
+    split = np.nonzero(tree.feature >= 0)[0]
+    leaf = tree.feature < 0
+    problems = (
+        (n_nodes == 0, "has no nodes"),
+        (np.any(tree.left[split] != split + 1), "has a left link not to the next node"),
+        (np.any((tree.right[split] <= split + 1) | (tree.right[split] >= n_nodes)),
+         "has a right link out of order or out of range"),
+        (np.any(tree.feature[split] >= n_features),
+         f"splits on a feature beyond the model's {n_features}"),
+        (np.any(tree.counts[leaf].sum(axis=1) <= 0), "has a leaf with no class counts"),
+    )
+    for bad, what in problems:
+        if bad:
+            raise ModelFormatError(f"corrupt model: tree {t} {what}")
+
+
 def load_model(source) -> ForestModel:
     """Inverse of save_model.
 
-    Raises ModelVersionError on a bad magic or unsupported version and
-    ModelTruncatedError when the file ends before the declared payload.
+    Raises ModelVersionError on a bad magic or unsupported version,
+    ModelTruncatedError when the file ends before the declared payload and
+    ModelFormatError for a tree that breaks the preorder layout.
     """
     if hasattr(source, "read"):
         blob = source.read()
@@ -545,6 +558,7 @@ def load_model(source) -> ForestModel:
             right=right.astype(np.int32),
             counts=counts.reshape(n_nodes, k).astype(np.int64),
         ))
+        _check_preorder(trees[t], n_features, t)
     if pos != len(view):
         raise ModelVersionError(
             f"{len(view) - pos} unexpected trailing bytes after model payload")

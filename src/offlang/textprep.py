@@ -49,7 +49,6 @@ _EMOJI_BASE_RANGES = (
     (0x2B00, 0x2BFF),    # arrows and stars commonly rendered as emoji
 )
 _ZWJ = "‍"
-_VARIATION_SELECTORS = frozenset({0xFE0E, 0xFE0F})
 _EMOJI_MODIFIER_CODEPOINTS = frozenset(
     {0xFE0E, 0xFE0F, 0x200D, 0x20E3} | set(range(0x1F3FB, 0x1F400)))
 
@@ -193,36 +192,30 @@ def remove_stopwords(tokens, stoplist) -> list[str]:
     return [t for t in tokens if is_placeholder(t) or t.lower() not in stops]
 
 
+# Dropped from a display unit for its second lexicon lookup: variation
+# selectors and skin tones (Fitzpatrick modifiers).
+_LOOKUP_DROPPED = dict.fromkeys([0xFE0E, 0xFE0F, *range(0x1F3FB, 0x1F400)])
+
+
 def extract_emoji_sentiment(text: str, lexicon) -> tuple[str, float]:
     """Remove every emoji unit from text, return the mean lexicon score.
 
-    Longest lexicon entry starting at the position wins; an assembled unit
-    missing from the lexicon contributes 0 but still counts in the mean's
-    denominator.  Variation selectors are ignored for lookup as a fallback.
-    Text without emoji scores 0.0.
+    Each display unit (see emoji_spans) is looked up whole, then, if that
+    misses, with its variation selectors and skin tones dropped; a unit
+    missing both ways contributes 0 but still counts in the mean's
+    denominator.  Stray modifiers with no base are removed unscored.  Text
+    without emoji scores 0.0.
     """
     lexicon = lexicon or {}
-    by_length = sorted(lexicon, key=len, reverse=True)
     out = []
     scores = []
-    i = 0
-    n = len(text)
-    while i < n:
-        ch = text[i]
-        if not _is_emoji_char(ch):
-            out.append(ch)
-            i += 1
-            continue
-        matched = next((k for k in by_length if k and text.startswith(k, i)), None)
-        if matched is not None:
-            scores.append(lexicon[matched])
-            i += len(matched)
-            continue
-        unit, has_base = _consume_emoji_unit(text, i)
+    pos = 0
+    for start, end, unit, has_base in emoji_spans(text):
+        out.append(text[pos:start])
+        pos = end
         if has_base:
-            stripped = "".join(c for c in unit if ord(c) not in _VARIATION_SELECTORS)
-            scores.append(lexicon.get(unit, lexicon.get(stripped, 0.0)))
-        i += len(unit)
+            scores.append(lexicon.get(unit, lexicon.get(unit.translate(_LOOKUP_DROPPED), 0.0)))
+    out.append(text[pos:])
     score = sum(scores) / len(scores) if scores else 0.0
     return "".join(out), score
 
@@ -290,8 +283,9 @@ def preprocess(text: str, cfg: PrepConfig = PrepConfig(),
     if cfg.emoji_mode == "remove_and_score":
         work, emoji_score = extract_emoji_sentiment(work, emoji_lexicon)
 
-    base_tokens = tuple(t.lower() for t in tokenize(work))
-    tokens = tokenize(work) if cfg.strip_punct else work.split()
+    tweet_tokens = tokenize(work)
+    base_tokens = tuple(t.lower() for t in tweet_tokens)
+    tokens = tweet_tokens if cfg.strip_punct else work.split()
     if cfg.lowercase:
         tokens = [t.lower() for t in tokens]
     if cfg.strip_punct:

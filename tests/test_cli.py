@@ -13,6 +13,7 @@ import pytest
 
 from offlang.cli import _grid_from_config, main
 from offlang.config import ExperimentConfig
+from offlang.forest import load_model, save_model
 
 from conftest import DATA_DIR, rows_to_tsv, separable_rows
 
@@ -228,6 +229,59 @@ def test_predict_missing_sidecar_exits_1(env, capsys, tmp_path):
     code, _, err = run(capsys, "predict", str(orphan), str(env / "corpus.tsv"))
     assert code == 1
     assert "sidecar" in err
+
+
+def _sidecar_without(key):
+    return lambda meta: json.dumps({k: v for k, v in meta.items() if k != key})
+
+
+def _sidecar_with(section, field, value):
+    def edit(meta):
+        meta[section][field] = value
+        return json.dumps(meta)
+    return edit
+
+
+@pytest.mark.parametrize("corrupt", [
+    pytest.param(lambda meta: "{not json", id="not-json"),
+    *[pytest.param(_sidecar_without(key), id=f"no-{key}")
+      for key in ("prep", "lexicons", "features", "vocabulary")],
+    pytest.param(_sidecar_with("prep", "shout", True), id="unknown-prep-field"),
+    pytest.param(_sidecar_with("features", "ngram_max", "two"), id="ngram-max-not-int"),
+    pytest.param(_sidecar_with("lexicons", "stopwords", 5), id="stopwords-not-list"),
+    pytest.param(_sidecar_with("lexicons", "emoji", {"x": "high"}), id="emoji-score-text"),
+    pytest.param(_sidecar_with("vocabulary", "n_docs", 0), id="df-above-n-docs"),
+])
+def test_predict_malformed_sidecar_exits_2(env, capsys, tmp_path, corrupt):
+    model = tmp_path / "model.bin"
+    shutil.copyfile(env / "model.bin", model)
+    meta = json.loads((env / "model.bin.meta.json").read_text(encoding="utf-8"))
+    sidecar = tmp_path / "model.bin.meta.json"
+    sidecar.write_text(corrupt(meta), encoding="utf-8")
+    code, out, err = run(capsys, "predict", str(model), str(env / "corpus.tsv"))
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"error: malformed model sidecar {sidecar}: ")
+
+
+@pytest.mark.parametrize("field, value, message", [
+    ("left", 0, "left link"),
+    ("feature", 10**6, "feature beyond"),
+])
+def test_predict_corrupt_tree_exits_2(env, tmp_path, field, value, message):
+    # A cycle in the child links once made predict loop forever, and an
+    # out-of-range feature ended in an IndexError traceback.
+    model = load_model(env / "model.bin")
+    tree = model.trees[0]
+    getattr(tree, field)[tree.feature >= 0] = value
+    save_model(model, tmp_path / "model.bin")
+    shutil.copyfile(env / "model.bin.meta.json", tmp_path / "model.bin.meta.json")
+    proc = subprocess.run([sys.executable, "-m", "offlang.cli", "predict",
+                           str(tmp_path / "model.bin"), str(env / "corpus.tsv")],
+                          capture_output=True, text=True, timeout=30)
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error: corrupt model: tree 0 ")
+    assert message in proc.stderr
 
 
 def test_evaluate_unknown_prediction_id_exits_2(env, capsys, tmp_path):

@@ -66,14 +66,17 @@ def test_vocabulary_index_and_len():
     vocab = Vocabulary(terms=("p", "q"), df=(1, 2), n_docs=2)
     assert len(vocab) == 2
     assert vocab.index == {"p": 0, "q": 1}
-    with pytest.raises(ValidationError):
-        Vocabulary(terms=("p",), df=(1, 2), n_docs=2)
+    for terms, df in ((("p",), (1, 2)), (("p",), (0,)), (("p",), (3,)), ((["p"],), (1,))):
+        with pytest.raises(ValidationError):
+            Vocabulary(terms=terms, df=df, n_docs=2)
 
 
 def test_expand_ngrams():
     assert expand_ngrams(["a", "b", "c"], 1) == ["a", "b", "c"]
     assert expand_ngrams(["a", "b", "c"], 2) == ["a", "b", "c", "a b", "b c"]
     assert expand_ngrams([], 2) == []
+    # An n beyond the token count adds nothing and costs nothing.
+    assert expand_ngrams(["a", "b"], 10**12) == ["a", "b", "a b"]
     with pytest.raises(ValidationError):
         expand_ngrams(["a"], 0)
 
@@ -199,13 +202,11 @@ def test_assemble_rejects_unsorted_or_bad_sparse():
 
 def test_to_dense_and_feature_matrix():
     fv = FeatureVector(sparse=((1, 0.5),), dense=tuple(float(i) for i in range(9)))
-    row = fv.to_dense(3)
-    assert row.shape == (12,)
-    assert row[1] == 0.5 and row[0] == 0.0
-    assert list(row[3:]) == [float(i) for i in range(9)]
     mat = feature_matrix([fv, fv], 3)
-    assert mat.shape == (2, 12)
-    assert np.array_equal(mat[0], mat[1])
+    # The sparse weight at its column, zeros at the other vocabulary columns,
+    # the surface block in the last nine.
+    row = np.array([0.0, 0.5, 0.0] + [float(i) for i in range(9)])
+    assert np.array_equal(mat, np.vstack([row, row]))
 
 
 def test_featurize_surface_block_uses_prefilter_tokens():

@@ -130,6 +130,14 @@ def test_extract_emoji_sentiment_variation_selector_fallback():
     assert score == pytest.approx(0.7)
 
 
+def test_extract_emoji_sentiment_skin_tone_falls_back_to_base():
+    # The tone modifier belongs to its base's display unit: one emoji, not two.
+    assert extract_emoji_sentiment("a 👍🏽 b", {"👍": 0.5}) == ("a  b", 0.5)
+    # A toned entry in the lexicon wins over its base.
+    _, score = extract_emoji_sentiment("a 👍🏽 b", {"👍": 0.5, "👍🏽": 0.9})
+    assert score == pytest.approx(0.9)
+
+
 # ---------------------------------------------------------------------------
 # Stopwords
 
