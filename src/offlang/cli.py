@@ -13,8 +13,10 @@ contract violations (argparse usage errors also exit 2).
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import asdict, dataclass, fields, replace
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -24,7 +26,7 @@ from .balance import BalancePlan, apply_plan
 from .config import ExperimentConfig
 from .corpus import (HEADER_LABELED, HEADER_TEXT_ONLY, classes_for,
                      class_distribution, LEVELS, load_corpus, load_weak_labels,
-                     serialize_corpus)
+                     read_text, serialize_corpus)
 from .emolex import BASES, emotion_counts, emotion_report, load_emotion_lexicon
 from .errors import OfflangError, ParseError, ValidationError
 from .features import (Vocabulary, expand_ngrams, feature_matrix, featurize,
@@ -34,7 +36,7 @@ from .forest import (ForestParams, MAX_FEATURES_CHOICES, cross_validate,
                      save_model, train_forest)
 from .metrics import confusion, render_confusion, scores
 from .stemming import supported_languages
-from .textprep import PrepConfig, preprocess
+from .textprep import PrepConfig, WordSet, preprocess
 
 
 # ---------------------------------------------------------------------------
@@ -49,8 +51,7 @@ def _require_file(path) -> Path:
 
 
 def _sniff_schema(path) -> str:
-    with open(path, encoding="utf-8") as fh:
-        first = fh.readline().rstrip("\n").rstrip("\r")
+    first = read_text(path).partition("\n")[0].rstrip("\r")
     if first == HEADER_LABELED:
         return "olid_labeled"
     if first == HEADER_TEXT_ONLY:
@@ -67,7 +68,7 @@ def _load_corpus_file(path, schema: str | None = None, language: str = "und",
 
 def _read_wordlist(path) -> list[str]:
     words = []
-    for line in _require_file(path).read_text(encoding="utf-8").split("\n"):
+    for line in read_text(_require_file(path)).split("\n"):
         word = line.strip()
         if word and not word.startswith("#"):
             words.append(word)
@@ -77,7 +78,7 @@ def _read_wordlist(path) -> list[str]:
 def _read_emoji_lexicon(path) -> dict[str, float]:
     """CSV rows `emoji,score`; the emoji is the literal character(s)."""
     lex: dict[str, float] = {}
-    lines = _require_file(path).read_text(encoding="utf-8").split("\n")
+    lines = read_text(_require_file(path)).split("\n")
     if lines and lines[-1] == "":
         lines.pop()
     for lineno, raw in enumerate(lines, start=1):
@@ -91,6 +92,8 @@ def _read_emoji_lexicon(path) -> dict[str, float]:
             score = float(score_text)
         except ValueError:
             raise ParseError(f"score must be a number, got {score_text!r}", lineno)
+        if not math.isfinite(score):
+            raise ParseError(f"score must be finite, got {score_text!r}", lineno)
         if emoji in lex:
             raise ParseError(f"duplicate emoji entry {emoji!r}", lineno)
         lex[emoji] = score
@@ -114,11 +117,19 @@ class Pipeline:
     ngram_max: int
     vocabulary: Vocabulary | None = None
 
+    @cached_property
+    def _stop_set(self) -> WordSet:
+        return WordSet(self.stopwords)
+
+    @cached_property
+    def _abusive_set(self) -> WordSet:
+        return WordSet(self.abusive)
+
     def _preprocess(self, text: str):
-        return preprocess(text, self.prep, stoplist=self.stopwords, emoji_lexicon=self.emoji)
+        return preprocess(text, self.prep, stoplist=self._stop_set, emoji_lexicon=self.emoji)
 
     def _matrix(self, tweets) -> np.ndarray:
-        vectors = [featurize(tt, self.vocabulary, self.abusive, self.ngram_max)
+        vectors = [featurize(tt, self.vocabulary, self._abusive_set, self.ngram_max)
                    for tt in tweets]
         return feature_matrix(vectors, len(self.vocabulary))
 
@@ -157,8 +168,9 @@ class Pipeline:
             if not (isinstance(stopwords, list) and isinstance(abusive, list)
                     and all(isinstance(w, str) for w in stopwords + abusive)
                     and isinstance(emoji, dict)
-                    and all(isinstance(v, (int, float)) for v in emoji.values())):
-                raise TypeError("lexicons must be two word lists and an emoji-to-number map")
+                    and all(isinstance(v, (int, float)) and math.isfinite(v)
+                            for v in emoji.values())):
+                raise TypeError("lexicons must be two word lists and an emoji-to-finite-number map")
             return cls(level=meta["level"], prep=PrepConfig(**meta["prep"]),
                        stopwords=stopwords, abusive=abusive, emoji=emoji,
                        min_df=int(meta["features"]["min_df"]),
@@ -512,7 +524,7 @@ def cmd_predict(args) -> int:
 
 
 def _load_predictions(path) -> dict[str, str]:
-    lines = _require_file(path).read_text(encoding="utf-8").split("\n")
+    lines = read_text(_require_file(path)).split("\n")
     if lines and lines[-1] == "":
         lines.pop()
     preds: dict[str, str] = {}

@@ -9,6 +9,7 @@ the failure to exit code 2.
 from dataclasses import dataclass, field
 from pathlib import Path
 
+from .corpus import read_text
 from .errors import ParseError, ValidationError
 
 _TRUE = {"true", "1", "yes", "on"}
@@ -42,7 +43,7 @@ class ExperimentConfig:
     @classmethod
     def from_file(cls, path) -> "ExperimentConfig":
         path = Path(path)
-        return cls.from_text(path.read_text(encoding="utf-8"), path=path)
+        return cls.from_text(read_text(path), path=path)
 
     # -- accessors ----------------------------------------------------------
 

@@ -98,21 +98,26 @@ class WeakLabel:
     std: float         # >= 0
 
 
-def _read_text(source) -> str:
+def read_text(source) -> str:
+    """The text of source (bytes, a path, or a file object), which must be
+    UTF-8; otherwise ParseError, naming the file when source has a name."""
+    name = None
     if isinstance(source, bytes):
         data = source
     elif isinstance(source, (str, Path)):
+        name = source
         data = Path(source).read_bytes()
     elif hasattr(source, "read"):
+        name = getattr(source, "name", None)
         data = source.read()
         if isinstance(data, str):
-            data = data.encode("utf-8")
+            return data
     else:
-        raise TypeError(f"unsupported corpus source {type(source).__name__}")
+        raise TypeError(f"unsupported text source {type(source).__name__}")
     try:
         return data.decode("utf-8")
     except UnicodeDecodeError as exc:
-        raise ParseError(f"not valid UTF-8: {exc}") from None
+        raise ParseError(f"{name or 'input'} is not valid UTF-8: {exc}") from None
 
 
 def _parse_label(raw: str, level: str, line: int) -> str | None:
@@ -136,7 +141,7 @@ def load_corpus(source, schema: str = "olid_labeled",
     """
     if schema not in SCHEMAS:
         raise ValidationError(f"unknown schema {schema!r}, expected one of {', '.join(SCHEMAS)}")
-    text = _read_text(source)
+    text = read_text(source)
     lines = text.split("\n")
     if lines and lines[-1] == "":
         lines.pop()  # canonical files end with a newline
@@ -209,7 +214,7 @@ def load_weak_labels(source) -> dict[str, WeakLabel]:
     Confidence must lie in [0, 1] and std must be >= 0 (ParseError with the
     line number otherwise); duplicate ids raise ValidationError.
     """
-    text = _read_text(source)
+    text = read_text(source)
     lines = text.split("\n")
     if lines and lines[-1] == "":
         lines.pop()

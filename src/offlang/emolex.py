@@ -12,7 +12,7 @@ figures bit-identical.
 import logging
 from dataclasses import dataclass
 
-from .corpus import Corpus, classes_for
+from .corpus import Corpus, classes_for, read_text
 from .errors import ParseError, ValidationError
 from .textprep import PrepConfig, preprocess
 
@@ -38,14 +38,7 @@ def load_emotion_lexicon(source) -> dict[str, frozenset]:
     entries are skipped with a log message.  Words whose flags are all zero
     drop out of the mapping.
     """
-    if isinstance(source, bytes):
-        text = source.decode("utf-8")
-    elif hasattr(source, "read"):
-        data = source.read()
-        text = data.decode("utf-8") if isinstance(data, bytes) else data
-    else:
-        text = open(source, "r", encoding="utf-8").read()
-
+    text = read_text(source)
     seen: dict[tuple[str, str], int] = {}
     active: dict[str, set] = {}
     lines = text.split("\n")

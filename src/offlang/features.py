@@ -24,7 +24,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .errors import ValidationError
-from .textprep import TokenizedTweet, is_placeholder
+from .textprep import TokenizedTweet, WordSet, is_placeholder
 
 SURFACE_FIELDS = (
     "url_count", "mention_count", "char_count", "punct_count", "word_count",
@@ -148,7 +148,7 @@ def surface(raw_text: str, tokens, abusive_lexicon, emoji_score: float) -> Surfa
     `tokens` should be the pre-filter token view (TokenizedTweet.base_tokens)
     so the result does not depend on stopword/stemming settings.
     """
-    abusive = {w.lower() for w in abusive_lexicon}
+    abusive = WordSet(abusive_lexicon)
     words = [t for t in tokens if t.isalpha() and not is_placeholder(t)]
     letters = [ch for ch in raw_text if ch.isalpha()]
     uppers = sum(1 for ch in letters if ch.isupper())

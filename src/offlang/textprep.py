@@ -17,11 +17,23 @@ Conventions used throughout:
   tokens); `tokenize()` called directly always applies the full tweet-aware
   rules (punctuation runs detached, emoji kept as single tokens);
 * only all-alphabetic tokens are stemmed; stemmers emit lowercase output.
+
+Emoji display units follow a subset of the flag, modifier and ZWJ sequences
+of Unicode TS #51, matched greedily from the left:
+
+    unit  = RI RI  |  base mod* (ZWJ base mod*)*     (has a base)
+    stray = (mod | ZWJ)+                             (no base)
+
+RI is a regional indicator (U+1F1E6-1F1FF), tried first; base is
+U+1F000-1FAFF, U+2600-27BF or U+2B00-2BFF; mod is a variation selector
+(U+FE0E, U+FE0F), the combining keycap (U+20E3) or a skin tone
+(U+1F3FB-1F3FF, which also lie in the first base range).  A unit is one
+token and one lexicon lookup; a stray run is removed and never scored.
 """
 
 import re
 import unicodedata
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 from . import stemming
 from .errors import ValidationError
@@ -43,70 +55,21 @@ def _is_punct(ch: str) -> bool:
     return unicodedata.category(ch).startswith("P")
 
 
-_EMOJI_BASE_RANGES = (
-    (0x1F000, 0x1FAFF),  # emoticons, transport, supplemental, extended-A
-    (0x2600, 0x27BF),    # misc symbols and dingbats
-    (0x2B00, 0x2BFF),    # arrows and stars commonly rendered as emoji
-)
-_ZWJ = "‍"
-_EMOJI_MODIFIER_CODEPOINTS = frozenset(
-    {0xFE0E, 0xFE0F, 0x200D, 0x20E3} | set(range(0x1F3FB, 0x1F400)))
-
-
-def _is_emoji_base(ch: str) -> bool:
-    cp = ord(ch)
-    return any(lo <= cp <= hi for lo, hi in _EMOJI_BASE_RANGES)
-
-
-def _is_regional(ch: str) -> bool:
-    return 0x1F1E6 <= ord(ch) <= 0x1F1FF
-
-
-def _is_emoji_modifier(ch: str) -> bool:
-    return ord(ch) in _EMOJI_MODIFIER_CODEPOINTS
-
-
-def _is_emoji_char(ch: str) -> bool:
-    return _is_emoji_base(ch) or _is_emoji_modifier(ch)
-
-
-def _consume_emoji_unit(text: str, i: int) -> tuple[str, bool]:
-    """Consume one display unit starting at i: flag pair, base plus its
-    modifiers plus any ZWJ-joined continuation, or a run of stray modifiers.
-
-    Returns (consumed substring, unit contains a base character).
-    """
-    start = i
-    n = len(text)
-    if _is_regional(text[i]) and i + 1 < n and _is_regional(text[i + 1]):
-        return text[start:i + 2], True
-    if _is_emoji_base(text[i]):
-        i += 1
-        while i < n and _is_emoji_modifier(text[i]) and text[i] != _ZWJ:
-            i += 1
-        while i < n and text[i] == _ZWJ and i + 1 < n and _is_emoji_base(text[i + 1]):
-            i += 2
-            while i < n and _is_emoji_modifier(text[i]) and text[i] != _ZWJ:
-                i += 1
-        return text[start:i], True
-    # Stray modifiers with no base: consume so they never leak into tokens.
-    while i < n and _is_emoji_modifier(text[i]):
-        i += 1
-    return text[start:i], False
+# The emoji unit grammar of the module docstring; group 1 is a unit with a
+# base, the second alternative a stray run.
+_SELECTORS_AND_TONES = "\uFE0E\uFE0F\U0001F3FB-\U0001F3FF"
+_BASE = "\U0001F000-\U0001FAFF\u2600-\u27BF\u2B00-\u2BFF"
+_MOD = _SELECTORS_AND_TONES + "\u20E3"
+_EMOJI_UNIT = re.compile(
+    f"([\U0001F1E6-\U0001F1FF]{{2}}|[{_BASE}][{_MOD}]*(?:\u200D[{_BASE}][{_MOD}]*)*)"
+    f"|[{_MOD}\u200D]+")
+_EMOJI_CHAR = re.compile(f"[{_BASE}{_MOD}\u200D]")
 
 
 def emoji_spans(text: str) -> list[tuple[int, int, str, bool]]:
     """All emoji display units as (start, end, unit, has_base) spans."""
-    spans = []
-    i = 0
-    while i < len(text):
-        if _is_emoji_char(text[i]):
-            unit, has_base = _consume_emoji_unit(text, i)
-            spans.append((i, i + len(unit), unit, has_base))
-            i += len(unit)
-        else:
-            i += 1
-    return spans
+    return [(m.start(), m.end(), m.group(0), m.group(1) is not None)
+            for m in _EMOJI_UNIT.finditer(text)]
 
 
 # ---------------------------------------------------------------------------
@@ -159,12 +122,12 @@ def tokenize(text: str) -> list[str]:
     tokens: list[str] = []
     for chunk in text.split():
         i, j = 0, len(chunk)
-        while i < j and _is_punct(chunk[i]) and not _is_emoji_char(chunk[i]):
+        while i < j and _is_punct(chunk[i]) and not _EMOJI_CHAR.match(chunk[i]):
             i += 1
         # Leave a mention/hashtag sigil attached to its word.
         if 0 < i <= j and chunk[i - 1] in "@#" and i < j and not _is_punct(chunk[i]):
             i -= 1
-        while j > i and _is_punct(chunk[j - 1]) and not _is_emoji_char(chunk[j - 1]):
+        while j > i and _is_punct(chunk[j - 1]) and not _EMOJI_CHAR.match(chunk[j - 1]):
             j -= 1
         if i == j:  # pure punctuation chunk
             tokens.append(chunk)
@@ -186,15 +149,24 @@ def tokenize(text: str) -> list[str]:
     return tokens
 
 
+class WordSet(frozenset):
+    """A word lexicon for case-insensitive lookup, lowercased once when it is
+    built; WordSet of a WordSet is that same set."""
+
+    def __new__(cls, words=()):
+        if isinstance(words, cls):
+            return words
+        return super().__new__(cls, (w.lower() for w in words))
+
+
 def remove_stopwords(tokens, stoplist) -> list[str]:
     """Drop tokens on the stoplist, case-insensitively; placeholders stay."""
-    stops = {s.lower() for s in stoplist}
+    stops = WordSet(stoplist)
     return [t for t in tokens if is_placeholder(t) or t.lower() not in stops]
 
 
-# Dropped from a display unit for its second lexicon lookup: variation
-# selectors and skin tones (Fitzpatrick modifiers).
-_LOOKUP_DROPPED = dict.fromkeys([0xFE0E, 0xFE0F, *range(0x1F3FB, 0x1F400)])
+# Dropped from a display unit for its second lexicon lookup.
+_LOOKUP_DROPPED = re.compile(f"[{_SELECTORS_AND_TONES}]")
 
 
 def extract_emoji_sentiment(text: str, lexicon) -> tuple[str, float]:
@@ -214,7 +186,7 @@ def extract_emoji_sentiment(text: str, lexicon) -> tuple[str, float]:
         out.append(text[pos:start])
         pos = end
         if has_base:
-            scores.append(lexicon.get(unit, lexicon.get(unit.translate(_LOOKUP_DROPPED), 0.0)))
+            scores.append(lexicon.get(unit, lexicon.get(_LOOKUP_DROPPED.sub("", unit), 0.0)))
     out.append(text[pos:])
     score = sum(scores) / len(scores) if scores else 0.0
     return "".join(out), score
@@ -236,6 +208,11 @@ class PrepConfig:
     stem_language: str = "english"
 
     def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if not isinstance(value, type(f.default)):
+                raise ValidationError(
+                    f"{f.name} must be a {type(f.default).__name__}, got {value!r}")
         if self.emoji_mode not in EMOJI_MODES:
             raise ValidationError(
                 f"emoji_mode must be one of {', '.join(EMOJI_MODES)}, "

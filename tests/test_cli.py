@@ -190,6 +190,52 @@ def test_train_bad_emoji_lexicon_exits_2(env, capsys, tmp_path):
     assert "emoji" in err
 
 
+@pytest.mark.parametrize("score", ["nan", "inf", "-inf"])
+def test_train_non_finite_emoji_score_exits_2(env, capsys, tmp_path, score):
+    # A NaN score once reached the sidecar as invalid JSON, and predict then
+    # failed on the dense block without naming the lexicon.
+    bad = tmp_path / "emoji.csv"
+    bad.write_text(f"😂,0.2\n😡,{score}\n", encoding="utf-8")
+    conf = tmp_path / "nanemoji.conf"
+    conf.write_text(
+        (env / "train.conf").read_text(encoding="utf-8").replace(
+            str(DATA_DIR / "emoji_sentiment.csv"), str(bad)),
+        encoding="utf-8")
+    code, _, err = run(capsys, "train", str(conf))
+    assert code == 2
+    assert err == f"error: line 2: score must be finite, got {score!r}\n"
+
+
+def _train_with_lexicon(name):
+    def argv(env, bad, tmp_path):
+        conf = tmp_path / "lexicon.conf"
+        conf.write_text((env / "train.conf").read_text(encoding="utf-8").replace(
+            str(DATA_DIR / name), str(bad)), encoding="utf-8")
+        return ["train", str(conf)]
+    return argv
+
+
+@pytest.mark.parametrize("argv", [
+    pytest.param(lambda env, bad, tmp_path: ["train", str(bad)], id="config"),
+    pytest.param(_train_with_lexicon("stopwords_en.txt"), id="stopwords"),
+    pytest.param(_train_with_lexicon("abusive_en.txt"), id="abusive"),
+    pytest.param(_train_with_lexicon("emoji_sentiment.csv"), id="emoji-lexicon"),
+    pytest.param(lambda env, bad, tmp_path: ["emostats", str(env / "corpus.tsv"), str(bad)],
+                 id="emotion-lexicon"),
+    pytest.param(lambda env, bad, tmp_path: ["evaluate", str(env / "corpus.tsv"), str(bad)],
+                 id="predictions"),
+    pytest.param(lambda env, bad, tmp_path: ["validate", str(bad)], id="sniffed-corpus"),
+])
+def test_non_utf8_input_exits_2_naming_file(env, capsys, tmp_path, argv):
+    # Each of these once ended in a UnicodeDecodeError traceback.
+    bad = tmp_path / "latin1.txt"
+    bad.write_bytes("caf\u00e9\n".encode("latin-1"))
+    code, out, err = run(capsys, *argv(env, bad, tmp_path))
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"error: {bad} is not valid UTF-8: ")
+
+
 # ---------------------------------------------------------------------------
 # predict / evaluate
 
@@ -251,6 +297,8 @@ def _sidecar_with(section, field, value):
     pytest.param(_sidecar_with("lexicons", "stopwords", 5), id="stopwords-not-list"),
     pytest.param(_sidecar_with("lexicons", "emoji", {"x": "high"}), id="emoji-score-text"),
     pytest.param(_sidecar_with("vocabulary", "n_docs", 0), id="df-above-n-docs"),
+    pytest.param(_sidecar_with("lexicons", "emoji", {"😂": float("nan")}), id="emoji-score-nan"),
+    pytest.param(_sidecar_with("prep", "lowercase", "false"), id="prep-flag-string"),
 ])
 def test_predict_malformed_sidecar_exits_2(env, capsys, tmp_path, corrupt):
     model = tmp_path / "model.bin"

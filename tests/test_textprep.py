@@ -2,13 +2,15 @@
 stopwords and the fixed step order inside preprocess()."""
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from offlang.errors import ValidationError
-from offlang.textprep import (PrepConfig, TokenizedTweet, emoji_spans,
-                              extract_emoji_sentiment, is_placeholder,
-                              preprocess, reduce_elongation, remove_stopwords,
-                              split_hashtag, tokenize)
+from offlang.textprep import (_EMOJI_CHAR, PrepConfig, TokenizedTweet,
+                              emoji_spans, extract_emoji_sentiment,
+                              is_placeholder, preprocess, reduce_elongation,
+                              remove_stopwords, split_hashtag, tokenize)
+
+from emoji_oracle import _is_emoji_char, oracle_emoji_spans
 
 
 # ---------------------------------------------------------------------------
@@ -245,3 +247,46 @@ def test_tokenize_preserves_non_space_characters(chunks):
     text = " ".join(chunks)
     tokens = tokenize(text)
     assert "".join(tokens) == "".join(text.split())
+
+
+# ---------------------------------------------------------------------------
+# Emoji display units against the per-character scanner in emoji_oracle.py
+
+
+def test_tokenize_splits_punctuation_emoji_as_emoji():
+    # U+2768-2775 are punctuation and emoji bases at once: they are not
+    # stripped as an edge punctuation run but split off as emoji units.
+    assert tokenize("❨hi❩ wow!!") == ["❨", "hi", "❩", "wow", "!!"]
+
+
+def test_emoji_char_class_matches_oracle_on_every_code_point():
+    disagree = [cp for cp in range(0x110000)
+                if bool(_EMOJI_CHAR.match(chr(cp))) != _is_emoji_char(chr(cp))]
+    assert disagree == []
+
+
+@given(st.text())
+def test_emoji_spans_match_oracle(text):
+    assert emoji_spans(text) == oracle_emoji_spans(text)
+
+
+# Flags, ZWJ, selectors, the keycap, the skin tones and their neighbour,
+# each range end with its outside neighbour, a punctuation base, a keycap
+# sigil, letters and a space.
+_EMOJI_BOUNDARY = [
+    "\U0001F1E5", "\U0001F1E6", "\U0001F1E9", "\U0001F1F0", "\U0001F1FF",
+    "\u200D", "\uFE0E", "\uFE0F", "\u20E3",
+    *map(chr, range(0x1F3FA, 0x1F400)),
+    "\U0001EFFF", "\U0001F000", "\U0001FAFF", "\U0001FB00",
+    "\u25FF", "\u2600", "\u27BF", "\u27C0",
+    "\u2AFF", "\u2B00", "\u2BFF", "\u2C00",
+    "\u2768", "#", "a", "Z", " ",
+]
+
+
+@settings(max_examples=1000)
+@given(st.text(alphabet=st.sampled_from(_EMOJI_BOUNDARY), max_size=30))
+@example("\U0001F468\u200D\U0001F469\u200D\U0001F467\u200D\U0001F466!")
+@example("\U0001F3F3\uFE0F\u200D\U0001F308\U0001F1E9\U0001F1F0\U0001F1EA")
+def test_emoji_spans_match_oracle_on_boundary_text(text):
+    assert emoji_spans(text) == oracle_emoji_spans(text)
