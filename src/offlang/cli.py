@@ -12,6 +12,7 @@ contract violations (argparse usage errors also exit 2).
 """
 
 import argparse
+import itertools
 import json
 import math
 import sys
@@ -23,10 +24,10 @@ import numpy as np
 
 from . import __version__, manifest
 from .balance import BalancePlan, apply_plan
-from .config import ExperimentConfig
+from .config import ExperimentConfig, parse_bool
 from .corpus import (HEADER_LABELED, HEADER_TEXT_ONLY, classes_for,
                      class_distribution, LEVELS, load_corpus, load_weak_labels,
-                     read_text, serialize_corpus)
+                     names_file, read_text, serialize_corpus)
 from .emolex import BASES, emotion_counts, emotion_report, load_emotion_lexicon
 from .errors import OfflangError, ParseError, ValidationError
 from .features import (Vocabulary, expand_ngrams, feature_matrix, featurize,
@@ -50,6 +51,7 @@ def _require_file(path) -> Path:
     return p
 
 
+@names_file
 def _sniff_schema(path) -> str:
     first = read_text(path).partition("\n")[0].rstrip("\r")
     if first == HEADER_LABELED:
@@ -75,6 +77,7 @@ def _read_wordlist(path) -> list[str]:
     return words
 
 
+@names_file
 def _read_emoji_lexicon(path) -> dict[str, float]:
     """CSV rows `emoji,score`; the emoji is the literal character(s)."""
     lex: dict[str, float] = {}
@@ -219,36 +222,45 @@ def _pipeline_from_config(cfg: ExperimentConfig, level: str) -> Pipeline:
                     ngram_max=cfg.get_int("features.ngram_max", 1))
 
 
-def _forest_params_from(cfg: ExperimentConfig, seed: int) -> ForestParams:
-    raw_depth = cfg.get("forest.max_depth")
-    max_depth = None if raw_depth in (None, "", "none") else cfg.get_int("forest.max_depth")
-    raw_mf = cfg.get("forest.max_features", "sqrt")
-    max_features = raw_mf if raw_mf in MAX_FEATURES_CHOICES else _parse_fraction(raw_mf)
-    return ForestParams(
-        n_trees=cfg.get_int("forest.n_trees", 100),
-        max_depth=max_depth,
-        min_samples_leaf=cfg.get_int("forest.min_samples_leaf", 1),
-        max_features=max_features,
-        seed=seed,
-        bootstrap=cfg.get_bool("forest.bootstrap", True),
-    )
+# One parser per settable ForestParams field (all but the seed), with what
+# it accepts; the same one reads `forest.<field>` and each value of a
+# `grid.<field>` list.  bootstrap is not a grid axis.
+_FOREST_PARSERS = {
+    "n_trees": (int, "an integer"),
+    "max_depth": (lambda v: None if v in ("", "none") else int(v), "an integer or none"),
+    "min_samples_leaf": (int, "an integer"),
+    "max_features": (lambda v: v if v in MAX_FEATURES_CHOICES else float(v),
+                     f"{', '.join(MAX_FEATURES_CHOICES)} or a fraction"),
+    "bootstrap": (parse_bool, "a boolean"),
+}
+_FOREST_FIELDS = tuple(f.name for f in fields(ForestParams) if f.name != "seed")
+_GRID_AXES = tuple(name for name in _FOREST_FIELDS if name != "bootstrap")
 
 
-def _parse_fraction(raw: str) -> float:
+def _forest_value(key: str, raw: str):
+    """The value of forest.<field> or grid.<field> text `raw`."""
+    parse, accepted = _FOREST_PARSERS[key.partition(".")[2]]
+    raw = raw.strip()
     try:
-        return float(raw)
+        return parse(raw)
     except ValueError:
-        raise ValidationError(
-            f"max_features must be {', '.join(MAX_FEATURES_CHOICES)} or a fraction, "
-            f"got {raw!r}")
+        raise ValidationError(f"{key} must be {accepted}, got {raw!r}") from None
+
+
+def _forest_params_from(cfg: ExperimentConfig, seed: int) -> ForestParams:
+    return ForestParams(seed=seed, **{
+        name: _forest_value(f"forest.{name}", cfg.values[f"forest.{name}"])
+        for name in _FOREST_FIELDS if f"forest.{name}" in cfg.values})
 
 
 _TRAIN_KEYS = {
     "seed", "corpus.train", "corpus.schema", "corpus.language", "train.level",
     "lexicon.stopwords", "lexicon.abusive", "lexicon.emoji",
     "features.min_df", "features.ngram_max", "out.model", "out.manifest",
+    *(f"prep.{f.name}" for f in fields(PrepConfig)),
+    *(f"forest.{name}" for name in _FOREST_FIELDS),
 }
-_TRAIN_PREFIXES = ("prep.", "forest.", "external.")
+_GRID_KEYS = {"out.best", *(f"grid.{name}" for name in _GRID_AXES)}
 
 
 def _training_rows(cfg: ExperimentConfig, level: str):
@@ -349,7 +361,7 @@ def cmd_balance(args) -> int:
 
 def cmd_train(args) -> int:
     cfg = ExperimentConfig.from_file(_require_file(args.config))
-    cfg.assert_known(_TRAIN_KEYS, _TRAIN_PREFIXES)
+    cfg.assert_known(_TRAIN_KEYS, ("external.",))
     seed = cfg.seed()
     level = cfg.get("train.level", "A")
     classes = classes_for(level)
@@ -388,7 +400,7 @@ def cmd_train(args) -> int:
 
 def cmd_cv(args) -> int:
     cfg = ExperimentConfig.from_file(_require_file(args.config))
-    cfg.assert_known(_TRAIN_KEYS, _TRAIN_PREFIXES)
+    cfg.assert_known(_TRAIN_KEYS, ("external.",))
     seed = cfg.seed()
     level = cfg.get("train.level", "A")
     classes = classes_for(level)
@@ -426,27 +438,18 @@ _DEFAULT_GRID = {"n_trees": "100,300", "max_depth": "none,16",
 def _grid_from_config(cfg: ExperimentConfig, seed: int) -> list[ForestParams]:
     base = _forest_params_from(cfg, seed)
     defaults = {} if any(k.startswith("grid.") for k in cfg.values) else _DEFAULT_GRID
-
-    def axis(name, parse, fallback):
+    axes = []
+    for name in _GRID_AXES:
         raw = cfg.get(f"grid.{name}", defaults.get(name))
-        if raw is None:
-            return [fallback]
-        return [parse(v.strip()) for v in raw.split(",") if v.strip() != ""]
-
-    n_trees = axis("n_trees", int, base.n_trees)
-    depths = axis("max_depth", lambda v: None if v == "none" else int(v), base.max_depth)
-    leaves = axis("min_samples_leaf", int, base.min_samples_leaf)
-    feats = axis("max_features",
-                 lambda v: v if v in MAX_FEATURES_CHOICES else _parse_fraction(v),
-                 base.max_features)
-    return [ForestParams(n_trees=nt, max_depth=md, min_samples_leaf=msl,
-                         max_features=mf, seed=seed, bootstrap=base.bootstrap)
-            for nt in n_trees for md in depths for msl in leaves for mf in feats]
+        axes.append([getattr(base, name)] if raw is None else
+                    [_forest_value(f"grid.{name}", v) for v in raw.split(",") if v.strip()])
+    return [replace(base, **dict(zip(_GRID_AXES, point)))
+            for point in itertools.product(*axes)]
 
 
 def cmd_gridsearch(args) -> int:
     cfg = ExperimentConfig.from_file(_require_file(args.config))
-    cfg.assert_known(_TRAIN_KEYS | {"out.best"}, _TRAIN_PREFIXES + ("grid.",))
+    cfg.assert_known(_TRAIN_KEYS | _GRID_KEYS, ("external.",))
     seed = cfg.seed()
     level = cfg.get("train.level", "A")
     classes = classes_for(level)
@@ -523,6 +526,7 @@ def cmd_predict(args) -> int:
     return 0
 
 
+@names_file
 def _load_predictions(path) -> dict[str, str]:
     lines = read_text(_require_file(path)).split("\n")
     if lines and lines[-1] == "":

@@ -9,11 +9,21 @@ the failure to exit code 2.
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .corpus import read_text
+from .corpus import names_file, read_text
 from .errors import ParseError, ValidationError
 
 _TRUE = {"true", "1", "yes", "on"}
 _FALSE = {"false", "0", "no", "off"}
+
+
+def parse_bool(text: str) -> bool:
+    """true/1/yes/on or false/0/no/off, in any case; else ValueError."""
+    value = text.lower()
+    if value in _TRUE:
+        return True
+    if value in _FALSE:
+        return False
+    raise ValueError(f"not a boolean: {text!r}")
 
 
 @dataclass
@@ -40,10 +50,11 @@ class ExperimentConfig:
             values[key] = value
         return cls(values=values, path=path)
 
-    @classmethod
-    def from_file(cls, path) -> "ExperimentConfig":
+    @staticmethod
+    @names_file
+    def from_file(path) -> "ExperimentConfig":
         path = Path(path)
-        return cls.from_text(read_text(path), path=path)
+        return ExperimentConfig.from_text(read_text(path), path=path)
 
     # -- accessors ----------------------------------------------------------
 
@@ -74,12 +85,10 @@ class ExperimentConfig:
     def get_bool(self, key: str, default: bool) -> bool:
         if key not in self.values:
             return default
-        value = self.values[key].lower()
-        if value in _TRUE:
-            return True
-        if value in _FALSE:
-            return False
-        raise ValidationError(f"{key} must be a boolean, got {self.values[key]!r}")
+        try:
+            return parse_bool(self.values[key])
+        except ValueError:
+            raise ValidationError(f"{key} must be a boolean, got {self.values[key]!r}") from None
 
     def seed(self) -> int:
         """The mandatory experiment seed."""

@@ -12,6 +12,7 @@ Files are UTF-8 TSV with LF line endings; `serialize_corpus` inverts
 never interpreted.
 """
 
+import functools
 import io
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -98,17 +99,36 @@ class WeakLabel:
     std: float         # >= 0
 
 
+def _source_name(source):
+    if isinstance(source, (str, Path)):
+        return source
+    return getattr(source, "name", None) if hasattr(source, "read") else None
+
+
+def names_file(reader):
+    """Decorate reader(source, ...) so that a ParseError it raises at a line
+    names the file, when source has a name: `<path>: line N: ...`."""
+    @functools.wraps(reader)
+    def read(source, *args, **kwargs):
+        try:
+            return reader(source, *args, **kwargs)
+        except ParseError as exc:
+            name = _source_name(source)
+            if exc.line is None or name is None:
+                raise
+            raise ParseError(exc.reason, exc.line, name) from None
+    return read
+
+
 def read_text(source) -> str:
     """The text of source (bytes, a path, or a file object), which must be
     UTF-8; otherwise ParseError, naming the file when source has a name."""
-    name = None
+    name = _source_name(source)
     if isinstance(source, bytes):
         data = source
     elif isinstance(source, (str, Path)):
-        name = source
         data = Path(source).read_bytes()
     elif hasattr(source, "read"):
-        name = getattr(source, "name", None)
         data = source.read()
         if isinstance(data, str):
             return data
@@ -130,6 +150,7 @@ def _parse_label(raw: str, level: str, line: int) -> str | None:
     return raw
 
 
+@names_file
 def load_corpus(source, schema: str = "olid_labeled",
                 language: str = "und", split: str = "unspecified") -> Corpus:
     """Parse a TSV corpus file.
@@ -208,6 +229,7 @@ def serialize_corpus(corpus: Corpus, schema: str = "olid_labeled") -> bytes:
     return out.getvalue().encode("utf-8")
 
 
+@names_file
 def load_weak_labels(source) -> dict[str, WeakLabel]:
     """Parse a headerless TSV of id, confidence, std rows.
 

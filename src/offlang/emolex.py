@@ -12,7 +12,7 @@ figures bit-identical.
 import logging
 from dataclasses import dataclass
 
-from .corpus import Corpus, classes_for, read_text
+from .corpus import Corpus, classes_for, names_file, read_text
 from .errors import ParseError, ValidationError
 from .textprep import PrepConfig, preprocess
 
@@ -30,6 +30,7 @@ BASES = ("per_post", "per_1000_posts", "per_1000_tokens")
 DEFAULT_EMOTION_PREP = PrepConfig(stem=False, remove_stopwords=False)
 
 
+@names_file
 def load_emotion_lexicon(source) -> dict[str, frozenset]:
     """Parse word<TAB>category<TAB>flag lines into word -> active categories.
 

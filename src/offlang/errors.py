@@ -1,7 +1,8 @@
 """Exception types shared across the package.
 
 Two broad families matter to callers: ParseError for malformed input files
-(always carries a 1-based line number when one is known) and ValidationError
+(its message carries a 1-based line number when one is known, and the
+file's path when the reader was given one) and ValidationError
 for well-formed input that breaks a contract (duplicate ids, label hierarchy
 violations, shortfalls, ...).  The CLI maps both to exit code 2.
 """
@@ -14,10 +15,12 @@ class OfflangError(Exception):
 class ParseError(OfflangError):
     """Malformed input file."""
 
-    def __init__(self, message: str, line: int | None = None):
-        self.line = line
+    def __init__(self, message: str, line: int | None = None, path=None):
+        self.reason, self.line = message, line
         if line is not None:
             message = f"line {line}: {message}"
+        if path is not None:
+            message = f"{path}: {message}"
         super().__init__(message)
 
 

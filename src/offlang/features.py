@@ -19,19 +19,13 @@ boundaries so e.g. CURL does not count as URL.
 import math
 import re
 import unicodedata
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .errors import ValidationError
 from .textprep import TokenizedTweet, WordSet, is_placeholder
-
-SURFACE_FIELDS = (
-    "url_count", "mention_count", "char_count", "punct_count", "word_count",
-    "avg_word_len", "capital_pct", "abusive_count", "emoji_score",
-)
-
-N_SURFACE = len(SURFACE_FIELDS)
 
 _URL_RE = re.compile(r"(?<![A-Za-z])URL(?![A-Za-z])")
 _MENTION_RE = re.compile(r"@USER(?![A-Za-z])")
@@ -126,8 +120,7 @@ def tfidf(doc, vocab: Vocabulary) -> list[tuple[int, float]]:
     return [(i, w / norm) for i, w in entries]
 
 
-@dataclass(frozen=True)
-class SurfaceFeatures:
+class SurfaceFeatures(NamedTuple):
     url_count: float
     mention_count: float
     char_count: float
@@ -138,8 +131,9 @@ class SurfaceFeatures:
     abusive_count: float
     emoji_score: float
 
-    def as_tuple(self) -> tuple[float, ...]:
-        return tuple(float(getattr(self, f.name)) for f in fields(self))
+
+SURFACE_FIELDS = SurfaceFeatures._fields
+N_SURFACE = len(SURFACE_FIELDS)
 
 
 def surface(raw_text: str, tokens, abusive_lexicon, emoji_score: float) -> SurfaceFeatures:
@@ -170,37 +164,16 @@ def surface(raw_text: str, tokens, abusive_lexicon, emoji_score: float) -> Surfa
 class FeatureVector:
     """Sparse TF-IDF entries plus the dense 9-field surface block."""
     sparse: tuple[tuple[int, float], ...]
-    dense: tuple[float, ...]
-
-
-def assemble(sparse, dense) -> FeatureVector:
-    """Validate and combine the sparse and dense blocks into one vector."""
-    dense = tuple(float(x) for x in dense)
-    if len(dense) != N_SURFACE:
-        raise ValidationError(
-            f"dense block must have exactly {N_SURFACE} values, got {len(dense)}")
-    prev = -1
-    clean = []
-    for i, w in sparse:
-        i = int(i)
-        w = float(w)
-        if i <= prev:
-            raise ValidationError("sparse indices must be strictly increasing")
-        if i < 0 or not math.isfinite(w):
-            raise ValidationError(f"invalid sparse entry ({i}, {w})")
-        prev = i
-        clean.append((i, w))
-    if any(not math.isfinite(x) for x in dense):
-        raise ValidationError("dense block contains a non-finite value")
-    return FeatureVector(sparse=tuple(clean), dense=dense)
+    dense: SurfaceFeatures
 
 
 def featurize(tweet: TokenizedTweet, vocab: Vocabulary, abusive_lexicon,
               ngram_max: int = 1) -> FeatureVector:
     """TF-IDF + surface features for one preprocessed tweet."""
     terms = expand_ngrams(list(tweet.tokens), ngram_max)
-    sf = surface(tweet.raw_text, tweet.base_tokens, abusive_lexicon, tweet.emoji_score)
-    return assemble(tfidf(terms, vocab), sf.as_tuple())
+    return FeatureVector(tuple(tfidf(terms, vocab)),
+                         surface(tweet.raw_text, tweet.base_tokens, abusive_lexicon,
+                                 tweet.emoji_score))
 
 
 def feature_matrix(vectors, vocab_size: int) -> np.ndarray:

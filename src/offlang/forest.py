@@ -173,19 +173,26 @@ def _best_split(X, y, idx, feat_ids, n_classes, min_leaf):
     return best
 
 
-def train_tree(X, y, params: ForestParams, rng, n_classes: int | None = None) -> Tree:
-    """Grow one tree on (X, y); y holds class codes 0..k-1.
+def train_tree(X, y, params: ForestParams, rng, n_classes: int | None = None,
+               rows=None) -> Tree:
+    """Grow one tree on the rows of (X, y) listed in `rows` (repeats allowed,
+    default every row); y holds class codes 0..k-1.
 
-    `rng` supplies the per-node feature subsets, consumed in preorder.
-    Bootstrap resampling is the forest's job, not this function's.
+    The tree equals the one grown on the copy (X[rows], y[rows]): a node
+    depends on its rows as a multiset, not on their order.  `rng` supplies
+    the per-node feature subsets, consumed in preorder.  Bootstrap
+    resampling is the forest's job, not this function's.
     """
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.int64)
     if X.ndim != 2 or len(X) != len(y):
         raise ValidationError("X must be 2-D and row-aligned with y")
-    if len(y) == 0:
+    rows = np.arange(len(y), dtype=np.int64) if rows is None else np.asarray(rows, dtype=np.int64)
+    if len(rows) == 0:
         raise ValidationError("cannot train a tree on no rows")
-    k = int(n_classes) if n_classes is not None else int(y.max()) + 1
+    if rows.min() < 0 or rows.max() >= len(y):
+        raise ValidationError(f"row indices must lie in 0..{len(y) - 1}")
+    k = int(n_classes) if n_classes is not None else int(y[rows].max()) + 1
     n_features = X.shape[1]
     m = _n_subset_features(params, n_features)
 
@@ -206,7 +213,7 @@ def train_tree(X, y, params: ForestParams, rng, n_classes: int | None = None) ->
 
     # Nodes are allocated when popped and the right child is pushed first,
     # so indices and RNG draws both follow preorder.
-    stack = [(np.arange(len(y), dtype=np.int64), 0, -1, False)]
+    stack = [(rows, 0, -1, False)]
     while stack:
         idx, depth, parent, is_right = stack.pop()
         node = new_node(idx)
@@ -263,33 +270,35 @@ def _encode_labels(y, classes) -> np.ndarray:
         raise ValidationError(f"label {exc.args[0]!r} not in class list {list(classes)}")
 
 
-def train_forest(X, y, params: ForestParams, classes=None, threads: int = 1) -> ForestModel:
-    """Train a bagged forest of params.n_trees trees.
+def train_forest(X, y, params: ForestParams, classes=None, threads: int = 1,
+                 rows=None) -> ForestModel:
+    """Train a bagged forest of params.n_trees trees on the rows of (X, y)
+    listed in `rows` (default every row).
 
-    `y` holds class labels; `classes` fixes their order (default: the
-    canonical level order when the labels all belong to one annotation
-    level, else sorted).  Each tree draws its bootstrap sample and feature
-    subsets from its own seed-derived stream, so any `threads` value yields
-    the identical model.
+    `y` holds a class label for every row of X; `classes` fixes their order
+    (default: the canonical level order when the labels all belong to one
+    annotation level, else sorted).  Each tree draws its bootstrap sample,
+    as indices into `rows`, and its feature subsets from its own
+    seed-derived stream, so any `threads` value yields the identical model.
+    Trees index X in place; no rows are copied.
     """
     X = np.asarray(X, dtype=np.float64)
     y = list(y)
     if len(X) != len(y):
         raise ValidationError("X and y differ in length")
-    if not y:
+    rows = np.arange(len(y), dtype=np.int64) if rows is None else np.asarray(rows, dtype=np.int64)
+    if len(rows) == 0:
         raise ValidationError("cannot train on an empty dataset")
     classes = tuple(classes) if classes is not None else _canonical_classes(y)
     codes = _encode_labels(y, classes)
-    n = len(y)
+    n = len(rows)
 
     def build(i: int) -> Tree:
         tree_rng = stream(params.seed, TAG_TREE, i)
-        if params.bootstrap:
-            sample = tree_rng.integers(0, n, size=n)
-        else:
-            sample = np.arange(n, dtype=np.int64)
-        return train_tree(X[sample], codes[sample], params, tree_rng,
-                          n_classes=len(classes))
+        draw = tree_rng.integers(0, n, size=n) if params.bootstrap else slice(None)
+        # Ascending rows keep the trees' column gathers in memory order.
+        return train_tree(X, codes, params, tree_rng, n_classes=len(classes),
+                          rows=np.sort(rows[draw]))
 
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
@@ -412,8 +421,8 @@ def cross_validate(X, y, params: ForestParams, k: int = 10, seed: int = 0,
     fold_scores = []
     for i, (train_idx, test_idx) in enumerate(kfold(len(y), k, codes, seed)):
         fold_params = replace(params, seed=_fold_seed(seed, i))
-        model = train_forest(X[train_idx], [y[j] for j in train_idx], fold_params,
-                             classes=classes, threads=threads)
+        model = train_forest(X, y, fold_params, classes=classes, threads=threads,
+                             rows=train_idx)
         pred = predict(model, X[test_idx])
         gold = [y[j] for j in test_idx]
         fold_scores.append(compute_scores(confusion(gold, pred, classes), classes).macro_f1)

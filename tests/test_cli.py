@@ -152,12 +152,43 @@ def test_train_stopwords_off_needs_no_list(env, capsys, tmp_path):
 
 
 def test_train_unknown_key_exits_2(env, capsys, tmp_path):
-    conf = tmp_path / "typo.conf"
+    # Misspelt keys under a known prefix were once ignored, so the run used
+    # the default; a misspelt grid axis also dropped the default grid.
+    for command, key, value in (("train", "froest.n_trees", "5"),
+                                ("train", "forest.n_tress", "300"),
+                                ("cv", "prep.lowercse", "false"),
+                                ("gridsearch", "grid.n_tree", "1,2")):
+        conf = tmp_path / "typo.conf"
+        conf.write_text((env / "train.conf").read_text(encoding="utf-8")
+                        + f"{key}={value}\n", encoding="utf-8")
+        code, out, err = run(capsys, command, str(conf))
+        assert code == 2, key
+        assert out == ""
+        assert err == f"error: unknown config keys: {key}\n"
+
+
+@pytest.mark.parametrize("command, key, value, accepted", [
+    ("train", "forest.max_depth", "abc", "an integer or none"),
+    ("train", "forest.max_features", "most", "sqrt, all or a fraction"),
+    ("train", "forest.bootstrap", "maybe", "a boolean"),
+    ("gridsearch", "grid.n_trees", "1,x", "an integer"),
+    ("gridsearch", "grid.max_depth", "abc", "an integer or none"),
+    ("gridsearch", "grid.min_samples_leaf", "1, 2.5", "an integer"),
+    ("gridsearch", "grid.max_features", "sqrt,most", "sqrt, all or a fraction"),
+])
+def test_bad_forest_or_grid_value_exits_2_naming_key(env, capsys, tmp_path, command,
+                                                     key, value, accepted):
+    # A bad grid value once ended in a ValueError traceback with exit 1.
+    conf = tmp_path / "badvalue.conf"
     conf.write_text((env / "train.conf").read_text(encoding="utf-8")
-                    + "froest.n_trees=5\n", encoding="utf-8")
-    code, _, err = run(capsys, "train", str(conf))
+                    .replace("forest.n_trees=20", "forest.n_trees=2")
+                    + f"{key}={value}\n", encoding="utf-8")
+    argv = [command, str(conf)] + ([] if command == "train" else ["--k", "2"])
+    code, out, err = run(capsys, *argv)
     assert code == 2
-    assert "unknown config keys: froest.n_trees" in err
+    assert out == ""
+    bad = value.split(",")[-1].strip()
+    assert err == f"error: {key} must be {accepted}, got {bad!r}\n"
 
 
 def test_train_missing_seed_exits_2(env, capsys, tmp_path):
@@ -203,7 +234,7 @@ def test_train_non_finite_emoji_score_exits_2(env, capsys, tmp_path, score):
         encoding="utf-8")
     code, _, err = run(capsys, "train", str(conf))
     assert code == 2
-    assert err == f"error: line 2: score must be finite, got {score!r}\n"
+    assert err == f"error: {bad}: line 2: score must be finite, got {score!r}\n"
 
 
 def _train_with_lexicon(name):
@@ -234,6 +265,44 @@ def test_non_utf8_input_exits_2_naming_file(env, capsys, tmp_path, argv):
     assert code == 2
     assert out == ""
     assert err.startswith(f"error: {bad} is not valid UTF-8: ")
+
+
+def _balance_with_weak_labels(env, bad, tmp_path):
+    conf = tmp_path / "balance.conf"
+    conf.write_text("\n".join([
+        "seed=1", f"corpus.base={env / 'corpus.tsv'}", f"corpus.pool={env / 'corpus.tsv'}",
+        f"corpus.weak_labels={bad}", f"out.corpus={tmp_path / 'out.tsv'}"]) + "\n",
+        encoding="utf-8")
+    return ["balance", str(conf)]
+
+
+@pytest.mark.parametrize("argv, text, where", [
+    pytest.param(lambda env, bad, tmp_path: ["train", str(bad)],
+                 "seed=1\nno equals sign\n", "line 2: expected key=value", id="config"),
+    pytest.param(lambda env, bad, tmp_path: ["validate", str(bad)],
+                 "id\ttweet\n1\ta\tb\n", "line 2: expected 2 tab-separated fields, got 3",
+                 id="corpus"),
+    pytest.param(lambda env, bad, tmp_path: ["validate", str(bad)],
+                 "completely wrong\n", "line 1: unrecognized corpus header", id="sniffed-corpus"),
+    pytest.param(_balance_with_weak_labels, "p0\t2\t0\n", "line 1: confidence 2.0 outside",
+                 id="weak-labels"),
+    pytest.param(_train_with_lexicon("emoji_sentiment.csv"), "😂,0.2\n😡;0.1\n",
+                 "line 2: expected emoji,score", id="emoji-lexicon"),
+    pytest.param(lambda env, bad, tmp_path: ["emostats", str(env / "corpus.tsv"), str(bad)],
+                 "word\tanger\n", "line 1: expected 3 tab-separated fields, got 2",
+                 id="emotion-lexicon"),
+    pytest.param(lambda env, bad, tmp_path: ["evaluate", str(env / "corpus.tsv"), str(bad)],
+                 "t0 OFF\n", "line 1: expected id<TAB>label", id="predictions"),
+])
+def test_parse_error_names_file_and_line(env, capsys, tmp_path, argv, text, where):
+    # These errors once gave the line but not the file, though most
+    # commands read several files.
+    bad = tmp_path / "bad.txt"
+    bad.write_text(text, encoding="utf-8")
+    code, out, err = run(capsys, *argv(env, bad, tmp_path))
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"error: {bad}: {where}")
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,7 @@ from hypothesis import given, strategies as st
 
 from offlang.errors import ValidationError
 from offlang.features import (FeatureVector, N_SURFACE, SURFACE_FIELDS,
-                              Vocabulary, assemble, expand_ngrams,
+                              SurfaceFeatures, Vocabulary, expand_ngrams,
                               feature_matrix, featurize, fit_vocabulary,
                               surface, tfidf)
 from offlang.textprep import PrepConfig, TokenizedTweet, preprocess
@@ -172,32 +172,11 @@ def test_surface_abusive_match_is_case_insensitive():
 
 def test_surface_field_order_matches_declared_tuple():
     sf = surface("Hi!", ["hi"], set(), 0.5)
-    as_tuple = sf.as_tuple()
-    assert len(as_tuple) == N_SURFACE == 9
-    assert as_tuple[SURFACE_FIELDS.index("emoji_score")] == 0.5
-    assert as_tuple[SURFACE_FIELDS.index("char_count")] == 3.0
-
-
-# ---------------------------------------------------------------------------
-# Assembly
-
-
-def test_assemble_validates_dense_width():
-    with pytest.raises(ValidationError):
-        assemble([], [1.0] * 8)
-    fv = assemble([(0, 0.5)], [0.0] * 9)
-    assert fv.sparse == ((0, 0.5),)
-
-
-def test_assemble_rejects_unsorted_or_bad_sparse():
-    with pytest.raises(ValidationError):
-        assemble([(1, 0.5), (1, 0.5)], [0.0] * 9)
-    with pytest.raises(ValidationError):
-        assemble([(2, 0.5), (0, 0.5)], [0.0] * 9)
-    with pytest.raises(ValidationError):
-        assemble([(0, float("nan"))], [0.0] * 9)
-    with pytest.raises(ValidationError):
-        assemble([], [float("inf")] + [0.0] * 8)
+    assert SURFACE_FIELDS == SurfaceFeatures._fields
+    assert len(sf) == N_SURFACE == 9
+    assert sf[SURFACE_FIELDS.index("emoji_score")] == 0.5
+    assert sf[SURFACE_FIELDS.index("char_count")] == 3.0
+    assert all(type(x) is float for x in sf)
 
 
 def test_to_dense_and_feature_matrix():

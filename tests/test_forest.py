@@ -186,6 +186,49 @@ def test_tree_input_validation():
     with pytest.raises(ValidationError):
         train_tree(np.zeros((0, 2)), np.array([], dtype=np.int64), params,
                    stream(0, TAG_TREE, 0))
+    for rows in ([], [2], [-1, 0]):
+        with pytest.raises(ValidationError):
+            train_tree(np.zeros((2, 2)), np.array([0, 1]), params,
+                       stream(0, TAG_TREE, 0), rows=rows)
+
+
+def _row_draw(data, n):
+    """Row indices into n rows, with repeats, in any order."""
+    return np.asarray(data.draw(st.lists(st.integers(0, n - 1), min_size=1,
+                                         max_size=2 * n)), dtype=np.int64)
+
+
+@settings(deadline=None, max_examples=80)
+@given(st.data())
+def test_tree_on_rows_equals_tree_on_their_copy(data):
+    seed = data.draw(st.integers(0, 2**32 - 1))
+    X, y = make_dataset(np.random.default_rng(seed), max_rows=12, max_cols=4)
+    rows = _row_draw(data, len(y))
+    params = ForestParams(
+        n_trees=1, max_features=data.draw(st.sampled_from(["sqrt", "all", 0.5])),
+        min_samples_leaf=data.draw(st.integers(1, 3)),
+        max_depth=data.draw(st.sampled_from([None, 1, 3])))
+    k = data.draw(st.sampled_from([None, 3]))
+    tree = train_tree(X, y, params, stream(seed, TAG_TREE, 0), k, rows=rows)
+    copy = train_tree(X[rows], y[rows], params, stream(seed, TAG_TREE, 0), k)
+    for name in ("feature", "threshold", "left", "right", "counts"):
+        got, want = getattr(tree, name), getattr(copy, name)
+        assert got.dtype == want.dtype and np.array_equal(got, want), name
+
+
+@settings(deadline=None, max_examples=30)
+@given(st.data())
+def test_forest_on_rows_saves_the_bytes_of_forest_on_their_copy(data):
+    seed = data.draw(st.integers(0, 2**32 - 1))
+    X, codes = make_dataset(np.random.default_rng(seed), max_rows=12, max_cols=4)
+    y = [("IND", "GRP", "OTH")[c] for c in codes]
+    rows = _row_draw(data, len(y))
+    params = ForestParams(n_trees=3, seed=seed, bootstrap=data.draw(st.booleans()),
+                          max_features=data.draw(st.sampled_from(["sqrt", "all"])))
+    on_rows, on_copy = io.BytesIO(), io.BytesIO()
+    save_model(train_forest(X, y, params, rows=rows), on_rows)
+    save_model(train_forest(X[rows], [y[i] for i in rows], params), on_copy)
+    assert on_rows.getvalue() == on_copy.getvalue()
 
 
 # ---------------------------------------------------------------------------
