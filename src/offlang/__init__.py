@@ -21,7 +21,7 @@ from .forest import (CVResult, ForestModel, ForestParams, cross_validate, gini,
                      grid_search, kfold, load_model, predict, predict_proba,
                      save_model, train_forest, train_tree)
 from .metrics import confusion, majority_baseline, render_confusion, scores
-from .stemming import register_stemmer, stem
+from .stemming import stem
 from .textprep import (PrepConfig, TokenizedTweet, extract_emoji_sentiment,
                        preprocess, reduce_elongation, split_hashtag, tokenize)
 

@@ -61,11 +61,10 @@ def _sniff_schema(path) -> str:
     raise ParseError(f"unrecognized corpus header {first!r}", 1)
 
 
-def _load_corpus_file(path, schema: str | None = None, language: str = "und",
-                      split: str = "unspecified"):
+def _load_corpus_file(path, schema: str | None = None):
     p = _require_file(path)
     schema = schema or _sniff_schema(p)
-    return load_corpus(p, schema=schema, language=language, split=split), schema
+    return load_corpus(p, schema=schema), schema
 
 
 def _read_wordlist(path) -> list[str]:
@@ -266,9 +265,7 @@ _GRID_KEYS = {"out.best", *(f"grid.{name}" for name in _GRID_AXES)}
 def _training_rows(cfg: ExperimentConfig, level: str):
     """The training corpus's path, its rows labeled at level, and their labels."""
     corpus_path = _require_file(cfg.require("corpus.train"))
-    corpus, _ = _load_corpus_file(corpus_path, cfg.get("corpus.schema"),
-                                  language=cfg.get("corpus.language", "english"),
-                                  split="train")
+    corpus, _ = _load_corpus_file(corpus_path, cfg.get("corpus.schema"))
     rows = corpus.labeled_at(level)
     if len(rows) == 0:
         raise ValidationError(f"no rows labeled at level {level} in {corpus_path}")
@@ -319,10 +316,8 @@ def cmd_balance(args) -> int:
         ("balance.add.", "external."))
     seed = cfg.seed()
     level = cfg.get("balance.level", "C")
-    base, _ = _load_corpus_file(cfg.require("corpus.base"), "olid_labeled",
-                                split="train")
-    pool, _ = _load_corpus_file(cfg.require("corpus.pool"), "olid_labeled",
-                                split="pool")
+    base, _ = _load_corpus_file(cfg.require("corpus.base"), "olid_labeled")
+    pool, _ = _load_corpus_file(cfg.require("corpus.pool"), "olid_labeled")
     weak = load_weak_labels(_require_file(cfg.require("corpus.weak_labels")))
     additions = {}
     for key, value in cfg.values.items():
@@ -374,7 +369,8 @@ def cmd_train(args) -> int:
     out_model = Path(cfg.require("out.model"))
     save_model(model, out_model)
     meta_path = Path(str(out_model) + ".meta.json")
-    meta_path.write_text(manifest.canonical_json(pipeline.to_jsonable()), encoding="utf-8")
+    meta = {**pipeline.to_jsonable(), "model_sha256": manifest.file_digest(out_model)}
+    meta_path.write_text(manifest.canonical_json(meta), encoding="utf-8")
 
     payload = manifest.build(
         "train", cfg.values, seed,
@@ -471,14 +467,9 @@ def cmd_gridsearch(args) -> int:
 
     out_best = Path(cfg.get("out.best") or str(cfg.path) + ".best.conf")
     best = result.best
-    best_lines = [
-        f"forest.n_trees={best.n_trees}",
-        f"forest.max_depth={'none' if best.max_depth is None else best.max_depth}",
-        f"forest.min_samples_leaf={best.min_samples_leaf}",
-        f"forest.max_features={best.max_features}",
-        f"forest.bootstrap={'true' if best.bootstrap else 'false'}",
-    ]
-    out_best.write_text("\n".join(best_lines) + "\n", encoding="utf-8")
+    # str() lowercased writes None and the booleans as none, true and false.
+    out_best.write_text("".join(f"forest.{name}={str(getattr(best, name)).lower()}\n"
+                                for name in _FOREST_FIELDS), encoding="utf-8")
     payload = manifest.build(
         "gridsearch", cfg.values, seed, inputs=_config_inputs(cfg, corpus_path),
         outputs={"best": out_best},
@@ -497,24 +488,29 @@ def cmd_gridsearch(args) -> int:
 
 
 def cmd_predict(args) -> int:
-    model = load_model(_require_file(args.model))
+    model_path = _require_file(args.model)
+    model = load_model(model_path)
     sidecar = Path(str(args.model) + ".meta.json")
     if not sidecar.is_file():
         raise FileNotFoundError(
             f"model sidecar missing: {sidecar} (produced by `offlang train` "
             f"next to the model file)")
     try:
-        pipeline = Pipeline.from_jsonable(json.loads(sidecar.read_text(encoding="utf-8")))
+        meta = json.loads(sidecar.read_text(encoding="utf-8"))
+        pipeline = Pipeline.from_jsonable(meta)
+        # A sidecar from another run can fit this model's width and still
+        # featurize differently, so it must name this model's bytes.
+        if meta.get("model_sha256") != manifest.file_digest(model_path):
+            raise ValidationError(f"model_sha256 is missing or is not the sha256 of {model_path}")
     except (ValueError, ValidationError) as exc:
         raise ValidationError(f"malformed model sidecar {sidecar}: {exc}") from None
     corpus, _ = _load_corpus_file(args.corpus, None)
     labels = forest_predict(model, pipeline.transform(t.text for t in corpus))
 
-    lines = [f"{t.id}\t{label}" for t, label in zip(corpus, labels)]
-    body = "\n".join(lines) + "\n"
+    body = "".join(f"{t.id}\t{label}\n" for t, label in zip(corpus, labels))
     if args.out:
         Path(args.out).write_text(body, encoding="utf-8")
-        print(f"wrote {len(lines)} predictions to {args.out}")
+        print(f"wrote {len(corpus)} predictions to {args.out}")
     else:
         sys.stdout.write(body)
     if args.manifest:
@@ -549,8 +545,6 @@ def cmd_evaluate(args) -> int:
     gold_corpus, schema = _load_corpus_file(args.gold, None)
     if schema != "olid_labeled":
         raise ValidationError("gold corpus must use the labeled schema")
-    if gold_corpus.split == "pool":
-        raise ValidationError("the pool split is never evaluated")
     level = args.level
     rows = gold_corpus.labeled_at(level)
     if len(rows) == 0:
@@ -598,7 +592,7 @@ def cmd_emostats(args) -> int:
     if schema != "olid_labeled":
         raise ValidationError("emotion profiling needs the labeled schema")
     lexicon = load_emotion_lexicon(str(_require_file(args.lexicon)))
-    profiles = emotion_counts(corpus, lexicon, level="A", basis=args.basis)
+    profiles = emotion_counts(corpus, lexicon, basis=args.basis)
     report = emotion_report(profiles)
     if args.out:
         Path(args.out).write_text(report + "\n", encoding="utf-8")

@@ -74,14 +74,6 @@ class ExperimentConfig:
         except ValueError:
             raise ValidationError(f"{key} must be an integer, got {self.values[key]!r}")
 
-    def get_float(self, key: str, default: float | None = None) -> float | None:
-        if key not in self.values:
-            return default
-        try:
-            return float(self.values[key])
-        except ValueError:
-            raise ValidationError(f"{key} must be a number, got {self.values[key]!r}")
-
     def get_bool(self, key: str, default: bool) -> bool:
         if key not in self.values:
             return default

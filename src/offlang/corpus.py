@@ -14,7 +14,7 @@ never interpreted.
 
 import functools
 import io
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 
 from .errors import ParseError, ValidationError
@@ -71,8 +71,6 @@ class Tweet:
 @dataclass(frozen=True)
 class Corpus:
     tweets: tuple[Tweet, ...]
-    language: str = "und"
-    split: str = "unspecified"
 
     def __len__(self) -> int:
         return len(self.tweets)
@@ -84,7 +82,7 @@ class Corpus:
         return [t.id for t in self.tweets]
 
     def with_tweets(self, tweets) -> "Corpus":
-        return replace(self, tweets=tuple(tweets))
+        return Corpus(tuple(tweets))
 
     def labeled_at(self, level: str) -> "Corpus":
         """Sub-corpus of tweets carrying a label at the given level."""
@@ -151,8 +149,7 @@ def _parse_label(raw: str, level: str, line: int) -> str | None:
 
 
 @names_file
-def load_corpus(source, schema: str = "olid_labeled",
-                language: str = "und", split: str = "unspecified") -> Corpus:
+def load_corpus(source, schema: str = "olid_labeled") -> Corpus:
     """Parse a TSV corpus file.
 
     `source` may be bytes, a path, or a binary file object.  Raises
@@ -208,7 +205,7 @@ def load_corpus(source, schema: str = "olid_labeled",
         raise ValidationError(
             "label hierarchy violations (level B requires OFF, level C requires TIN)", bad)
 
-    return Corpus(tweets=tuple(tweets), language=language, split=split)
+    return Corpus(tuple(tweets))
 
 
 def serialize_corpus(corpus: Corpus, schema: str = "olid_labeled") -> bytes:

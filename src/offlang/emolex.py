@@ -27,7 +27,7 @@ BASES = ("per_post", "per_1000_posts", "per_1000_tokens")
 
 # Lexicon words are full surface forms, so the profiling tokenizer must not
 # stem; stopwords are left in because they never carry emotion flags.
-DEFAULT_EMOTION_PREP = PrepConfig(stem=False, remove_stopwords=False)
+EMOTION_PREP = PrepConfig(stem=False, remove_stopwords=False)
 
 
 @names_file
@@ -90,26 +90,22 @@ def _normalize(raw: int, basis: str, n_posts: int, n_tokens: int) -> float:
 
 
 def emotion_counts(corpus: Corpus, lexicon: dict[str, frozenset],
-                   level: str = "A", basis: str = "per_1000_posts",
-                   prep: PrepConfig = DEFAULT_EMOTION_PREP,
-                   stoplist=frozenset()) -> list[EmotionProfile]:
-    """One EmotionProfile per class of the level, in canonical class order.
+                   basis: str = "per_1000_posts") -> list[EmotionProfile]:
+    """One EmotionProfile per level-A class, in canonical class order.
 
-    Tweets without a label at the level are excluded.  Token occurrences
-    count, not types: a word appearing twice contributes twice.
+    Tweets without a level-A label are excluded.  Token occurrences count,
+    not types: a word appearing twice contributes twice.
     """
     if basis not in BASES:
         raise ValidationError(f"basis must be one of {', '.join(BASES)}, got {basis!r}")
-    if level != "A":
-        raise ValidationError(f"emotion profiling supports level A only, got {level!r}")
     buckets = {c: {"posts": 0, "tokens": 0, "raw": {cat: 0 for cat in CATEGORIES}}
-               for c in classes_for(level)}
+               for c in classes_for("A")}
     for tweet in corpus:
-        label = tweet.label_at(level)
+        label = tweet.label_a
         if label is None:
             continue
         bucket = buckets[label]
-        tokens = preprocess(tweet.text, prep, stoplist=stoplist).tokens
+        tokens = preprocess(tweet.text, EMOTION_PREP).tokens
         bucket["posts"] += 1
         bucket["tokens"] += len(tokens)
         for token in tokens:

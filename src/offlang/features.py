@@ -20,6 +20,7 @@ import math
 import re
 import unicodedata
 from dataclasses import dataclass
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -47,13 +48,9 @@ class Vocabulary:
     def __len__(self) -> int:
         return len(self.terms)
 
-    @property
+    @cached_property
     def index(self) -> dict[str, int]:
-        cached = self.__dict__.get("_index")
-        if cached is None:
-            cached = {t: i for i, t in enumerate(self.terms)}
-            object.__setattr__(self, "_index", cached)
-        return cached
+        return {t: i for i, t in enumerate(self.terms)}
 
     def to_jsonable(self) -> dict:
         return {"terms": list(self.terms), "df": list(self.df), "n_docs": self.n_docs}

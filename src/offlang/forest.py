@@ -22,7 +22,7 @@ the subset is every feature).
 import json
 import struct
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -75,10 +75,7 @@ class ForestParams:
             raise ValidationError(f"max_features fraction must be in (0, 1], got {mf!r}")
 
     def to_jsonable(self) -> dict:
-        return {"n_trees": self.n_trees, "max_depth": self.max_depth,
-                "min_samples_leaf": self.min_samples_leaf,
-                "max_features": self.max_features, "seed": self.seed,
-                "bootstrap": self.bootstrap}
+        return asdict(self)
 
 
 @dataclass
@@ -346,51 +343,34 @@ def predict(model: ForestModel, X) -> list[str]:
 # Cross-validation and grid search
 
 
-def kfold(n: int, k: int, y=None, seed: int = 0, stratified: bool = True):
-    """Deterministic k-fold split of range(n).
+def kfold(n: int, k: int, y, seed: int = 0):
+    """Deterministic stratified k-fold split of range(n) by the labels y.
 
     Returns k (train_indices, test_indices) pairs of sorted int64 arrays.
-    Fold sizes differ by at most one overall; with stratification the
-    per-class fold counts also differ by at most one (extras rotate across
-    folds so both guarantees hold at once).
+    Fold sizes differ by at most one overall, and so do the per-class fold
+    counts: each class's remainder rows go to the folds after the previous
+    class's, so both guarantees hold at once.
     """
     if k < 2:
         raise ValidationError(f"k must be >= 2, got {k}")
     if k > n:
         raise ValidationError(f"k={k} exceeds the {n} available rows")
+    y = np.asarray(y)
+    if y.shape != (n,):
+        raise ValidationError("labels must align with n")
     rng = stream(seed, TAG_SHUFFLE)
-    folds: list[list[int]] = [[] for _ in range(k)]
-    if not stratified:
-        perm = rng.permutation(n)
-        sizes = [n // k + (1 if i < n % k else 0) for i in range(k)]
-        start = 0
-        for i, size in enumerate(sizes):
-            folds[i] = list(perm[start:start + size])
-            start += size
-    else:
-        if y is None:
-            raise ValidationError("stratified k-fold needs labels")
-        y = np.asarray(y)
-        if len(y) != n:
-            raise ValidationError("labels must align with n")
-        offset = 0
-        for value in np.unique(y):
-            members = rng.permutation(np.nonzero(y == value)[0])
-            base, extra = divmod(len(members), k)
-            start = 0
-            for j in range(k):
-                fold = (offset + j) % k
-                size = base + (1 if j < extra else 0)
-                folds[fold].extend(members[start:start + size])
-                start += size
-            offset = (offset + extra) % k
-    out = []
-    everything = set(range(n))
-    for fold in folds:
-        test = np.asarray(sorted(fold), dtype=np.int64)
-        train = np.asarray(sorted(everything - set(fold)), dtype=np.int64)
-        out.append((train, test))
-    return out
+    fold_of = np.empty(n, dtype=np.int64)
+    offset = 0
+    for value in np.unique(y):
+        members = rng.permutation(np.nonzero(y == value)[0])
+        base, extra = divmod(len(members), k)
+        # Chunk j of the shuffled members, base + (j < extra) rows long,
+        # goes to fold (offset + j) % k.
+        j = np.arange(k)
+        fold_of[members] = np.repeat((offset + j) % k, base + (j < extra))
+        offset = (offset + extra) % k
+    return [(np.nonzero(fold_of != f)[0], np.nonzero(fold_of == f)[0])
+            for f in range(k)]
 
 
 @dataclass(frozen=True)

@@ -1,4 +1,4 @@
-"""Suffix-stripping stemmers behind a pluggable registry.
+"""Suffix-stripping stemmers, looked up by language name.
 
 Ships two hand-implemented algorithmic stemmers plus an identity stemmer:
 
@@ -11,8 +11,7 @@ Ships two hand-implemented algorithmic stemmers plus an identity stemmer:
   without a registered algorithm).
 
 `stem()` lowercases its input first, so it is deterministic and idempotent
-regardless of the caller's casing.  Additional stemmers can be registered at
-runtime with `register_stemmer`.
+regardless of the caller's casing.
 """
 
 from collections.abc import Callable
@@ -260,11 +259,6 @@ _REGISTRY: dict[str, Callable[[str], str]] = {
 
 def supported_languages() -> tuple[str, ...]:
     return tuple(sorted(_REGISTRY))
-
-
-def register_stemmer(language: str, fn: Callable[[str], str]) -> None:
-    """Add or replace a stemmer under the given language name."""
-    _REGISTRY[language] = fn
 
 
 def stem(token: str, language: str) -> str:

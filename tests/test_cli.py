@@ -11,9 +11,10 @@ import sys
 
 import pytest
 
-from offlang.cli import _grid_from_config, main
+from offlang.cli import _grid_from_config, _load_predictions, main
 from offlang.config import ExperimentConfig
 from offlang.forest import load_model, save_model
+from offlang.manifest import file_digest
 
 from conftest import DATA_DIR, rows_to_tsv, separable_rows
 
@@ -108,6 +109,7 @@ def test_train_outputs(env):
     assert meta["level"] == "A"
     assert meta["classes"] == ["NOT", "OFF"]
     assert meta["vocabulary"]["terms"]
+    assert meta["model_sha256"] == file_digest(env / "model.bin")
     run_manifest = json.loads(
         (env / "model.bin.manifest.json").read_text(encoding="utf-8"))
     assert run_manifest["command"] == "train"
@@ -338,6 +340,20 @@ def test_predict_stdout_and_manifest(env, capsys, tmp_path):
     assert set(payload["inputs"]) == {"model", "corpus"}
 
 
+@pytest.mark.parametrize("n_rows", [0, 2])
+def test_predict_writes_one_line_per_row(env, capsys, tmp_path, n_rows):
+    # A header-only corpus once gave a lone newline, which evaluate rejects.
+    rows = separable_rows(40, seed=99)[:n_rows]
+    corpus = tmp_path / "corpus.tsv"
+    corpus.write_text(rows_to_tsv(rows), encoding="utf-8")
+    preds = tmp_path / "preds.tsv"
+    code, out, _ = run(capsys, "predict", str(env / "model.bin"), str(corpus),
+                       "--out", str(preds))
+    assert code == 0
+    assert f"wrote {n_rows} predictions" in out
+    assert _load_predictions(preds) == {r[0]: r[2] for r in rows}
+
+
 def test_predict_missing_sidecar_exits_1(env, capsys, tmp_path):
     orphan = tmp_path / "orphan.bin"
     shutil.copyfile(env / "model.bin", orphan)
@@ -360,7 +376,7 @@ def _sidecar_with(section, field, value):
 @pytest.mark.parametrize("corrupt", [
     pytest.param(lambda meta: "{not json", id="not-json"),
     *[pytest.param(_sidecar_without(key), id=f"no-{key}")
-      for key in ("prep", "lexicons", "features", "vocabulary")],
+      for key in ("prep", "lexicons", "features", "vocabulary", "model_sha256")],
     pytest.param(_sidecar_with("prep", "shout", True), id="unknown-prep-field"),
     pytest.param(_sidecar_with("features", "ngram_max", "two"), id="ngram-max-not-int"),
     pytest.param(_sidecar_with("lexicons", "stopwords", 5), id="stopwords-not-list"),
@@ -368,6 +384,7 @@ def _sidecar_with(section, field, value):
     pytest.param(_sidecar_with("vocabulary", "n_docs", 0), id="df-above-n-docs"),
     pytest.param(_sidecar_with("lexicons", "emoji", {"😂": float("nan")}), id="emoji-score-nan"),
     pytest.param(_sidecar_with("prep", "lowercase", "false"), id="prep-flag-string"),
+    pytest.param(lambda meta: json.dumps({**meta, "model_sha256": "0" * 64}), id="other-model"),
 ])
 def test_predict_malformed_sidecar_exits_2(env, capsys, tmp_path, corrupt):
     model = tmp_path / "model.bin"
@@ -493,6 +510,9 @@ def test_gridsearch_ranks_and_writes_best(env, capsys, tmp_path):
     best = ExperimentConfig.from_file(tmp_path / "best.conf")
     assert best.get("forest.n_trees") in ("3", "6")
     assert best.get("forest.max_features") == "sqrt"
+    assert (tmp_path / "best.conf").read_text(encoding="utf-8") == (
+        f"forest.n_trees={best.get('forest.n_trees')}\nforest.max_depth=none\n"
+        "forest.min_samples_leaf=1\nforest.max_features=sqrt\nforest.bootstrap=true\n")
     assert (tmp_path / "best.conf.manifest.json").is_file()
 
 

@@ -42,12 +42,10 @@ def test_from_file_records_path(tmp_path):
 
 
 def test_typed_accessors():
-    cfg = conf("i=42\nf=0.5\nb1=true\nb2=OFF\nb3=Yes\ns=hello\n")
+    cfg = conf("i=42\nb1=true\nb2=OFF\nb3=Yes\ns=hello\n")
     assert cfg.get_int("i") == 42
     assert cfg.get_int("missing", 9) == 9
     assert cfg.get_int("missing") is None
-    assert cfg.get_float("f") == 0.5
-    assert cfg.get_float("i") == 42.0
     assert cfg.get_bool("b1", False) is True
     assert cfg.get_bool("b2", True) is False
     assert cfg.get_bool("b3", False) is True
@@ -57,11 +55,9 @@ def test_typed_accessors():
 
 
 def test_typed_accessors_reject_bad_values():
-    cfg = conf("i=ten\nf=much\nb=maybe\n")
+    cfg = conf("i=ten\nb=maybe\n")
     with pytest.raises(ValidationError, match="i must be an integer"):
         cfg.get_int("i")
-    with pytest.raises(ValidationError, match="f must be a number"):
-        cfg.get_float("f")
     with pytest.raises(ValidationError, match="b must be a boolean"):
         cfg.get_bool("b", False)
     with pytest.raises(ValidationError, match="missing required key"):

@@ -150,8 +150,6 @@ def test_emotion_counts_validation():
     corpus = Corpus(tweets=(post("1", "x", "OFF"),))
     with pytest.raises(ValidationError):
         emotion_counts(corpus, HATE_LEX, basis="per_week")
-    with pytest.raises(ValidationError):
-        emotion_counts(corpus, HATE_LEX, level="B")
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,8 @@
 """Decision trees, the forest, serialization, k-fold, CV, and grid search.
 
 Tree training is checked node for node against tests/tree_oracle.py, a
-numpy-free exhaustive-search implementation with exact Fraction scoring.
+numpy-free exhaustive-search implementation with exact Fraction scoring, and
+k-fold assignment fold for fold against tests/kfold_oracle.py.
 """
 
 import io
@@ -19,6 +20,7 @@ from offlang.forest import (CVResult, ForestParams, cross_validate, gini,
                             train_tree)
 from offlang.rng import TAG_TREE, stream
 
+from kfold_oracle import oracle_kfold
 from tree_oracle import oracle_node_count, oracle_tree
 
 
@@ -395,7 +397,7 @@ def test_load_rejects_trailing_bytes():
 # k-fold
 
 
-def assert_valid_folds(folds, n, y=None):
+def assert_valid_folds(folds, n, y):
     seen = []
     sizes = []
     for train, test in folds:
@@ -407,16 +409,10 @@ def assert_valid_folds(folds, n, y=None):
         sizes.append(len(test))
     assert sorted(seen) == list(range(n))
     assert max(sizes) - min(sizes) <= 1
-    if y is not None:
-        y = np.asarray(y)
-        for value in np.unique(y):
-            per_fold = [int((y[test] == value).sum()) for _, test in folds]
-            assert max(per_fold) - min(per_fold) <= 1
-
-
-def test_kfold_unstratified_partition():
-    folds = kfold(10, 3, stratified=False, seed=1)
-    assert_valid_folds(folds, 10)
+    y = np.asarray(y)
+    for value in np.unique(y):
+        per_fold = [int((y[test] == value).sum()) for _, test in folds]
+        assert max(per_fold) - min(per_fold) <= 1
 
 
 def test_kfold_stratified_partition():
@@ -445,13 +441,13 @@ def test_kfold_deterministic_and_seed_sensitive():
 
 def test_kfold_validation():
     with pytest.raises(ValidationError):
-        kfold(10, 1, stratified=False)
+        kfold(10, 1, np.zeros(10))
     with pytest.raises(ValidationError):
-        kfold(3, 4, stratified=False)
+        kfold(3, 4, np.zeros(3))
     with pytest.raises(ValidationError):
-        kfold(10, 2)  # stratified needs labels
+        kfold(10, 2, np.zeros(9))
     with pytest.raises(ValidationError):
-        kfold(10, 2, y=np.zeros(9))
+        kfold(10, 2, None)
 
 
 @settings(deadline=None, max_examples=40)
@@ -462,6 +458,20 @@ def test_kfold_properties(labels, seed):
     k = min(4, len(labels))
     folds = kfold(len(labels), k, y, seed=seed)
     assert_valid_folds(folds, len(labels), y)
+
+
+@settings(deadline=None, max_examples=300)
+@given(st.lists(st.integers(0, 3), min_size=2, max_size=300), st.data(),
+       st.integers(0, 2 ** 64 - 1))
+def test_kfold_equals_oracle(labels, data, seed):
+    k = data.draw(st.integers(2, min(12, len(labels))))
+    got = kfold(len(labels), k, labels, seed)
+    want = oracle_kfold(len(labels), k, labels, seed)
+    assert len(got) == len(want) == k
+    for (train, test), (want_train, want_test) in zip(got, want):
+        assert train.dtype == test.dtype == np.int64
+        assert np.array_equal(train, want_train)
+        assert np.array_equal(test, want_test)
 
 
 # ---------------------------------------------------------------------------

@@ -10,8 +10,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from offlang.errors import ValidationError
-from offlang.stemming import (danish_stem, english_stem, identity_stem,
-                              register_stemmer, stem, supported_languages)
+from offlang.stemming import (danish_stem, english_stem, identity_stem, stem,
+                              supported_languages)
 
 # Each pair is (input, full-pipeline output).
 ENGLISH_PAIRS = [
@@ -171,16 +171,6 @@ def test_identity_stemmer():
 def test_unknown_language_rejected():
     with pytest.raises(ValidationError, match="swedish"):
         stem("hus", "swedish")
-
-
-def test_register_stemmer():
-    register_stemmer("reverse", lambda w: w[::-1])
-    try:
-        assert stem("abc", "reverse") == "cba"
-        assert "reverse" in supported_languages()
-    finally:
-        import offlang.stemming as mod
-        del mod._REGISTRY["reverse"]
 
 
 def test_supported_languages_baseline():
