@@ -27,7 +27,7 @@ from .balance import BalancePlan, apply_plan
 from .config import ExperimentConfig, parse_bool
 from .corpus import (HEADER_LABELED, HEADER_TEXT_ONLY, classes_for,
                      class_distribution, LEVELS, load_corpus, load_weak_labels,
-                     names_file, read_text, serialize_corpus)
+                     names_file, read_lines, read_text, serialize_corpus)
 from .emolex import BASES, emotion_counts, emotion_report, load_emotion_lexicon
 from .errors import OfflangError, ParseError, ValidationError
 from .features import (Vocabulary, expand_ngrams, feature_matrix, featurize,
@@ -80,11 +80,7 @@ def _read_wordlist(path) -> list[str]:
 def _read_emoji_lexicon(path) -> dict[str, float]:
     """CSV rows `emoji,score`; the emoji is the literal character(s)."""
     lex: dict[str, float] = {}
-    lines = read_text(_require_file(path)).split("\n")
-    if lines and lines[-1] == "":
-        lines.pop()
-    for lineno, raw in enumerate(lines, start=1):
-        row = raw.rstrip("\r")
+    for lineno, row in enumerate(read_lines(_require_file(path)), start=1):
         if not row or row.startswith("#"):
             continue
         emoji, sep, score_text = row.partition(",")
@@ -524,13 +520,10 @@ def cmd_predict(args) -> int:
 
 @names_file
 def _load_predictions(path) -> dict[str, str]:
-    lines = read_text(_require_file(path)).split("\n")
-    if lines and lines[-1] == "":
-        lines.pop()
     preds: dict[str, str] = {}
     dupes = []
-    for lineno, raw in enumerate(lines, start=1):
-        fields = raw.rstrip("\r").split("\t")
+    for lineno, raw in enumerate(read_lines(_require_file(path)), start=1):
+        fields = raw.split("\t")
         if len(fields) != 2:
             raise ParseError(f"expected id<TAB>label, got {raw!r}", lineno)
         if fields[0] in preds:

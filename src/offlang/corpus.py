@@ -138,6 +138,15 @@ def read_text(source) -> str:
         raise ParseError(f"{name or 'input'} is not valid UTF-8: {exc}") from None
 
 
+def read_lines(source) -> list[str]:
+    """The lines of read_text(source) without their LF or CRLF endings; a
+    final newline ends the last line and starts no empty one."""
+    lines = read_text(source).split("\n")
+    if lines[-1] == "":
+        lines.pop()
+    return [line.rstrip("\r") for line in lines]
+
+
 def _parse_label(raw: str, level: str, line: int) -> str | None:
     if raw == NULL:
         return None
@@ -159,15 +168,12 @@ def load_corpus(source, schema: str = "olid_labeled") -> Corpus:
     """
     if schema not in SCHEMAS:
         raise ValidationError(f"unknown schema {schema!r}, expected one of {', '.join(SCHEMAS)}")
-    text = read_text(source)
-    lines = text.split("\n")
-    if lines and lines[-1] == "":
-        lines.pop()  # canonical files end with a newline
+    lines = read_lines(source)
     if not lines:
         raise ParseError("empty file, expected a header row", 1)
 
     expected_header = HEADER_LABELED if schema == "olid_labeled" else HEADER_TEXT_ONLY
-    header = lines[0].rstrip("\r")
+    header = lines[0]
     if header != expected_header:
         raise ParseError(
             f"bad header for schema {schema!r}: expected {expected_header!r}, got {header!r}", 1)
@@ -175,7 +181,7 @@ def load_corpus(source, schema: str = "olid_labeled") -> Corpus:
 
     tweets = []
     for lineno, raw in enumerate(lines[1:], start=2):
-        fields = raw.rstrip("\r").split("\t")
+        fields = raw.split("\t")
         if len(fields) != n_cols:
             raise ParseError(f"expected {n_cols} tab-separated fields, got {len(fields)}", lineno)
         tid = fields[0]
@@ -233,14 +239,10 @@ def load_weak_labels(source) -> dict[str, WeakLabel]:
     Confidence must lie in [0, 1] and std must be >= 0 (ParseError with the
     line number otherwise); duplicate ids raise ValidationError.
     """
-    text = read_text(source)
-    lines = text.split("\n")
-    if lines and lines[-1] == "":
-        lines.pop()
     labels: dict[str, WeakLabel] = {}
     dupes = []
-    for lineno, raw in enumerate(lines, start=1):
-        fields = raw.rstrip("\r").split("\t")
+    for lineno, raw in enumerate(read_lines(source), start=1):
+        fields = raw.split("\t")
         if len(fields) != 3:
             raise ParseError(f"expected 3 tab-separated fields, got {len(fields)}", lineno)
         tid = fields[0]

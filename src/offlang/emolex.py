@@ -12,7 +12,7 @@ figures bit-identical.
 import logging
 from dataclasses import dataclass
 
-from .corpus import Corpus, classes_for, names_file, read_text
+from .corpus import Corpus, classes_for, names_file, read_lines
 from .errors import ParseError, ValidationError
 from .textprep import PrepConfig, preprocess
 
@@ -39,14 +39,10 @@ def load_emotion_lexicon(source) -> dict[str, frozenset]:
     entries are skipped with a log message.  Words whose flags are all zero
     drop out of the mapping.
     """
-    text = read_text(source)
     seen: dict[tuple[str, str], int] = {}
     active: dict[str, set] = {}
-    lines = text.split("\n")
-    if lines and lines[-1] == "":
-        lines.pop()
-    for lineno, raw in enumerate(lines, start=1):
-        fields = raw.rstrip("\r").split("\t")
+    for lineno, raw in enumerate(read_lines(source), start=1):
+        fields = raw.split("\t")
         if len(fields) != 3:
             raise ParseError(f"expected 3 tab-separated fields, got {len(fields)}", lineno)
         word, category, flag_text = fields

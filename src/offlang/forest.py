@@ -490,7 +490,8 @@ def _check_preorder(tree: Tree, n_features: int, t: int) -> None:
 def load_model(source) -> ForestModel:
     """Inverse of save_model.
 
-    Raises ModelVersionError on a bad magic or unsupported version,
+    Raises ModelVersionError on a bad magic, an unsupported version or a
+    corrupt header (one declaring no trees, say),
     ModelTruncatedError when the file ends before the declared payload and
     ModelFormatError for a tree that breaks the preorder layout.
     """
@@ -526,6 +527,8 @@ def load_model(source) -> ForestModel:
         params = ForestParams(**header["params"])
         n_features = int(header["n_features"])
         n_trees = int(header["n_trees"])
+        if n_trees < 1:
+            raise ValueError(f"n_trees must be >= 1, got {n_trees}")
     except ModelTruncatedError:
         raise
     except Exception as exc:

@@ -6,7 +6,7 @@ Ships two hand-implemented algorithmic stemmers plus an identity stemmer:
   3-letter minimum prefix, a fixed suffix table, consonant-pair trimming,
   final undoubling);
 * "english": the classic 5-step English suffix stripper driven by the
-  consonant/vowel measure m;
+  measure m of the word's consonant/vowel pattern;
 * "identity": returns the token unchanged (useful in tests and for languages
   without a registered algorithm).
 
@@ -97,51 +97,27 @@ def danish_stem(word: str) -> str:
 # English
 
 
-def _en_is_consonant(word: str, i: int) -> bool:
-    c = word[i]
-    if c in "aeiou":
-        return False
-    if c == "y":
-        # y is a consonant at the start and after a vowel, a vowel after a
-        # consonant (toy -> consonant y, happy -> vowel y).
-        return True if i == 0 else not _en_is_consonant(word, i - 1)
-    return True
+def _en_cv(word: str) -> str:
+    """word with each letter written as v (vowel) or c (consonant): a, e, i,
+    o and u are vowels, y is a vowel exactly when the letter before it is a
+    consonant (toy -> consonant y, happy -> vowel y), and every other
+    letter, a leading y included, is a consonant."""
+    cv = []
+    prev = "v"
+    for ch in word:
+        prev = "v" if ch in "aeiou" or (ch == "y" and prev == "c") else "c"
+        cv.append(prev)
+    return "".join(cv)
 
 
 def _en_measure(stem: str) -> int:
     """Number of vowel-consonant alternations: [C](VC)^m[V]."""
-    m = 0
-    i = 0
-    n = len(stem)
-    while i < n and _en_is_consonant(stem, i):
-        i += 1
-    while i < n:
-        while i < n and not _en_is_consonant(stem, i):
-            i += 1
-        if i >= n:
-            break
-        m += 1
-        while i < n and _en_is_consonant(stem, i):
-            i += 1
-    return m
-
-
-def _en_has_vowel(stem: str) -> bool:
-    return any(not _en_is_consonant(stem, i) for i in range(len(stem)))
-
-
-def _en_double_consonant(stem: str) -> bool:
-    return (len(stem) >= 2 and stem[-1] == stem[-2]
-            and _en_is_consonant(stem, len(stem) - 1))
+    return _en_cv(stem).count("vc")
 
 
 def _en_cvc(stem: str) -> bool:
     """Ends consonant-vowel-consonant, final consonant not w, x or y."""
-    return (len(stem) >= 3
-            and _en_is_consonant(stem, len(stem) - 3)
-            and not _en_is_consonant(stem, len(stem) - 2)
-            and _en_is_consonant(stem, len(stem) - 1)
-            and stem[-1] not in "wxy")
+    return _en_cv(stem).endswith("cvc") and stem[-1] not in "wxy"
 
 
 # (suffix, replacement) pairs; within a step only the longest matching suffix
@@ -193,23 +169,20 @@ def english_stem(word: str) -> str:
     if word.endswith("eed"):
         if _en_measure(word[:-3]) > 0:
             word = word[:-1]
-    else:
-        trimmed = None
-        if word.endswith("ed") and _en_has_vowel(word[:-2]):
-            trimmed = word[:-2]
-        elif word.endswith("ing") and _en_has_vowel(word[:-3]):
-            trimmed = word[:-3]
-        if trimmed is not None:
-            word = trimmed
+    elif word.endswith(("ed", "ing")):
+        stem = word[:-2] if word.endswith("ed") else word[:-3]
+        if "v" in _en_cv(stem):
+            word = stem
             if word.endswith(("at", "bl", "iz")):
                 word += "e"
-            elif _en_double_consonant(word) and word[-1] not in "lsz":
+            elif (word[-2:] == word[-1] * 2 and word[-1] not in "lsz"
+                  and _en_cv(word)[-1] == "c"):
                 word = word[:-1]
             elif _en_measure(word) == 1 and _en_cvc(word):
                 word += "e"
 
     # Step 1c: terminal y -> i after a stem containing a vowel.
-    if word.endswith("y") and _en_has_vowel(word[:-1]):
+    if word.endswith("y") and "v" in _en_cv(word[:-1]):
         word = word[:-1] + "i"
 
     # Steps 2 and 3: derivational suffix rewrites, measure > 0.

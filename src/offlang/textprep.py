@@ -1,13 +1,15 @@
 """Tweet preprocessing: hashtag splitting, elongation reduction, emoji
 scoring, tokenization, punctuation/stopword filtering and stemming.
 
-The pipeline order inside `preprocess` is fixed:
+`preprocess` runs the whole-text steps, then one rule per token
+(`_final_token`), each step gated by its PrepConfig flag:
 
     hashtag split -> elongation reduction -> emoji extraction -> tokenize
-    -> lowercase -> punctuation removal -> stopword removal -> stemming
+    -> per token: lowercase, strip punctuation, drop a stopword, stem
 
-with each step gated by its PrepConfig flag.  The placeholders `@USER` and
-`URL` pass through every step untouched apart from lowercasing.
+A token left empty is dropped.  The placeholders `@USER` and `URL` are
+recognised after lowercasing and again after stripping, and pass the later
+steps untouched.
 
 Conventions used throughout:
 
@@ -159,12 +161,6 @@ class WordSet(frozenset):
         return super().__new__(cls, (w.lower() for w in words))
 
 
-def remove_stopwords(tokens, stoplist) -> list[str]:
-    """Drop tokens on the stoplist, case-insensitively; placeholders stay."""
-    stops = WordSet(stoplist)
-    return [t for t in tokens if is_placeholder(t) or t.lower() not in stops]
-
-
 # Dropped from a display unit for its second lexicon lookup.
 _LOOKUP_DROPPED = re.compile(f"[{_SELECTORS_AND_TONES}]")
 
@@ -244,8 +240,19 @@ def _expand_hashtags(text: str) -> str:
     return " ".join(chunks)
 
 
-def _strip_punct_from(token: str) -> str:
-    return "".join(ch for ch in token if not _is_punct(ch))
+def _final_token(token: str, cfg: PrepConfig, stops: WordSet) -> str:
+    """The token as the pipeline emits it, or "" to drop it."""
+    if cfg.lowercase:
+        token = token.lower()
+    if cfg.strip_punct and not is_placeholder(token):
+        token = "".join(ch for ch in token if not _is_punct(ch))
+    if is_placeholder(token):
+        return token
+    if cfg.remove_stopwords and token.lower() in stops:
+        return ""
+    if cfg.stem and token.isalpha():
+        return stemming.stem(token, cfg.stem_language)
+    return token
 
 
 def preprocess(text: str, cfg: PrepConfig = PrepConfig(),
@@ -261,17 +268,9 @@ def preprocess(text: str, cfg: PrepConfig = PrepConfig(),
         work, emoji_score = extract_emoji_sentiment(work, emoji_lexicon)
 
     tweet_tokens = tokenize(work)
-    base_tokens = tuple(t.lower() for t in tweet_tokens)
-    tokens = tweet_tokens if cfg.strip_punct else work.split()
-    if cfg.lowercase:
-        tokens = [t.lower() for t in tokens]
-    if cfg.strip_punct:
-        stripped = (t if is_placeholder(t) else _strip_punct_from(t) for t in tokens)
-        tokens = [t for t in stripped if t]
-    if cfg.remove_stopwords:
-        tokens = remove_stopwords(tokens, stoplist)
-    if cfg.stem:
-        tokens = [t if is_placeholder(t) or not t.isalpha()
-                  else stemming.stem(t, cfg.stem_language) for t in tokens]
-    return TokenizedTweet(tokens=tuple(tokens), emoji_score=emoji_score,
-                          raw_text=text, base_tokens=base_tokens)
+    stops = WordSet(stoplist)
+    pieces = tweet_tokens if cfg.strip_punct else work.split()
+    return TokenizedTweet(
+        tokens=tuple(filter(None, (_final_token(t, cfg, stops) for t in pieces))),
+        emoji_score=emoji_score, raw_text=text,
+        base_tokens=tuple(t.lower() for t in tweet_tokens))

@@ -239,6 +239,25 @@ def test_train_non_finite_emoji_score_exits_2(env, capsys, tmp_path, score):
     assert err == f"error: {bad}: line 2: score must be finite, got {score!r}\n"
 
 
+def test_long_y_run_trains_and_predicts(env, capsys, tmp_path):
+    # The English stemmer's consonant test once recursed once per preceding
+    # y, so an unreduced 1,500-letter y run ended both in a RecursionError.
+    rows = separable_rows(40, seed=99)
+    rows[0] = (rows[0][0], rows[0][1] + " " + "y" * 1500 + "ying", *rows[0][2:])
+    corpus = tmp_path / "corpus.tsv"
+    corpus.write_text(rows_to_tsv(rows), encoding="utf-8")
+    conf = tmp_path / "yrun.conf"
+    conf.write_text(
+        (env / "train.conf").read_text(encoding="utf-8")
+        .replace(str(env / "corpus.tsv"), str(corpus))
+        .replace(str(env / "model.bin"), str(tmp_path / "m.bin"))
+        + "prep.reduce_elongation=false\n", encoding="utf-8")
+    assert run(capsys, "train", str(conf))[0] == 0
+    code, out, _ = run(capsys, "predict", str(tmp_path / "m.bin"), str(corpus))
+    assert code == 0
+    assert len(out.splitlines()) == 40
+
+
 def _train_with_lexicon(name):
     def argv(env, bad, tmp_path):
         conf = tmp_path / "lexicon.conf"

@@ -6,6 +6,7 @@ k-fold assignment fold for fold against tests/kfold_oracle.py.
 """
 
 import io
+import json
 import struct
 
 import numpy as np
@@ -372,9 +373,13 @@ def test_load_rejects_unknown_version():
 
 
 def test_load_rejects_corrupt_header():
-    bad = b"RFMF" + struct.pack("<II", 1, 5) + b"{{{{{"
-    with pytest.raises(ModelVersionError, match="header"):
-        load_model(bad)
+    # A zero-tree model once loaded, and predict then divided by zero trees.
+    no_trees = json.dumps({"classes": ["NOT", "OFF"], "params": ForestParams().to_jsonable(),
+                           "n_features": 4, "n_trees": 0}).encode("utf-8")
+    for header in (b"{{{{{", no_trees):
+        bad = b"RFMF" + struct.pack("<II", 1, len(header)) + header
+        with pytest.raises(ModelVersionError, match="corrupt model header"):
+            load_model(bad)
 
 
 def test_load_rejects_truncation_everywhere():

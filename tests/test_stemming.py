@@ -7,11 +7,13 @@ then strip, so e.g. electriciti ends at electr, not electric).
 """
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from offlang.errors import ValidationError
 from offlang.stemming import (danish_stem, english_stem, identity_stem, stem,
                               supported_languages)
+
+from stem_oracle import _EN_STEP2, _EN_STEP3, _EN_STEP4, oracle_english_stem
 
 # Each pair is (input, full-pipeline output).
 ENGLISH_PAIRS = [
@@ -198,3 +200,31 @@ def test_stemming_handles_arbitrary_letters(word):
     # No crashes on any letter sequence, including non-Latin scripts.
     for language in supported_languages():
         stem(word, language)
+
+
+# ---------------------------------------------------------------------------
+# English against the recursive stemmer in stem_oracle.py
+
+
+# y-heavy letters and every suffix a step tests, so words reach each rule
+# with y runs before it.
+_EN_PIECES = [
+    *"yyyyyyaeioubcdglmnrstwxz",
+    *(sfx for sfx, _ in _EN_STEP2 + _EN_STEP3), *_EN_STEP4,
+    "sses", "ies", "ss", "eed", "ed", "ing", "at", "bl", "iz", "ll",
+]
+
+
+# At most 60 letters keeps the oracle's recursion shallow.
+@settings(max_examples=2000)
+@given(st.lists(st.sampled_from(_EN_PIECES), max_size=20).map(lambda p: "".join(p)[-60:]))
+@example("byyed")
+@example("toying")
+@example("happyness")
+def test_english_stem_matches_oracle(word):
+    assert english_stem(word) == oracle_english_stem(word)
+
+
+def test_english_stem_of_a_long_y_run_returns():
+    # The consonant test once recursed once per preceding y.
+    assert stem("y" * 3000 + "ing", "english") == "y" * 2999 + "i"

@@ -1,6 +1,8 @@
 """Preprocessing pipeline: tokenization, hashtags, elongation, emoji,
 stopwords and the fixed step order inside preprocess()."""
 
+import itertools
+
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
@@ -8,9 +10,10 @@ from offlang.errors import ValidationError
 from offlang.textprep import (_EMOJI_CHAR, PrepConfig, TokenizedTweet,
                               emoji_spans, extract_emoji_sentiment,
                               is_placeholder, preprocess, reduce_elongation,
-                              remove_stopwords, split_hashtag, tokenize)
+                              split_hashtag, tokenize)
 
 from emoji_oracle import _is_emoji_char, oracle_emoji_spans
+from prep_oracle import oracle_preprocess
 
 
 # ---------------------------------------------------------------------------
@@ -145,13 +148,16 @@ def test_extract_emoji_sentiment_skin_tone_falls_back_to_base():
 
 
 def test_remove_stopwords_case_insensitive():
-    assert remove_stopwords(["The", "dog", "IS", "here"], {"the", "is"}) == \
-        ["dog", "here"]
+    cfg = PrepConfig(lowercase=False, stem=False)
+    assert preprocess("The dog IS here", cfg, {"the", "is"}).tokens == ("dog", "here")
 
 
 def test_remove_stopwords_spares_placeholders():
-    assert remove_stopwords(["url", "@user", "thing"], {"url", "thing"}) == \
-        ["url", "@user"]
+    cfg = PrepConfig(stem=False)
+    assert preprocess("url @user thing", cfg, {"url", "thing"}).tokens == ("url", "@user")
+    # Placeholders are recognised after lowercasing and again after stripping.
+    assert preprocess("@User", cfg).tokens == ("@user",)
+    assert preprocess("U.R.L", PrepConfig(lowercase=False), {"url"}).tokens == ("URL",)
 
 
 def test_is_placeholder():
@@ -290,3 +296,50 @@ _EMOJI_BOUNDARY = [
 @example("\U0001F3F3\uFE0F\u200D\U0001F308\U0001F1E9\U0001F1F0\U0001F1EA")
 def test_emoji_spans_match_oracle_on_boundary_text(text):
     assert emoji_spans(text) == oracle_emoji_spans(text)
+
+
+# ---------------------------------------------------------------------------
+# The per-token rule against the list-pass pipeline in prep_oracle.py
+
+
+_FLAGS = ("lowercase", "strip_punct", "remove_stopwords", "stem", "split_hashtags",
+          "reduce_elongation")
+_CONFIGS = [
+    PrepConfig(**dict(zip(_FLAGS, flags)), emoji_mode=mode, stem_language=language)
+    for flags in itertools.product((False, True), repeat=len(_FLAGS))
+    for mode in ("remove_and_score", "keep")
+    for language in ("english", "danish", "identity")]
+_STOPLIST = ["url", "ThE", "thing"]
+_LEXICON = {"😂": 0.25, "👍": -0.5}
+
+# Placeholders in every casing and with punctuation inside, bare sigils,
+# punctuation, emoji (one skin-toned), y runs, stopwords in two casings,
+# words the stemmers change, and a space.
+_PREP_BOUNDARY = [
+    "URL", "@USER", "url", "@user", "U.R.L", "@User", "u.r.l", "#", "@",
+    "!", ".", ",", "'", "-", "😂", "👍🏽", "y", "yyy", "The", "THE", "thing",
+    "Running", "hundene", "Go", "Home", "sooo", "123", " ",
+]
+
+
+def _assert_matches_oracle(text, cfg):
+    assert preprocess(text, cfg, _STOPLIST, _LEXICON) == \
+        oracle_preprocess(text, cfg, _STOPLIST, _LEXICON)
+
+
+@settings(max_examples=500)
+@given(st.text(), st.sampled_from(_CONFIGS))
+def test_preprocess_matches_oracle(text, cfg):
+    _assert_matches_oracle(text, cfg)
+
+
+@settings(max_examples=1000)
+@given(st.lists(st.sampled_from(_PREP_BOUNDARY), max_size=12).map("".join),
+       st.sampled_from(_CONFIGS))
+# Lowercasing comes before the placeholder test: @User becomes @user.
+@example("@User", PrepConfig(stem=False))
+# The test repeats after stripping: U.R.L becomes URL, a placeholder that is
+# neither a stopword nor stemmed.
+@example("U.R.L", PrepConfig(lowercase=False))
+def test_preprocess_matches_oracle_on_boundary_text(text, cfg):
+    _assert_matches_oracle(text, cfg)
