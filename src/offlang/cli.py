@@ -123,11 +123,23 @@ class Pipeline:
     def _abusive_set(self) -> WordSet:
         return WordSet(self.abusive)
 
+    # Chunk memos for preprocess and surface, bounded by the run's input
+    # like the vocabulary; valid because prep and stopwords are fixed.
+    @cached_property
+    def _token_memo(self) -> dict:
+        return {}
+
+    @cached_property
+    def _surface_memo(self) -> dict:
+        return {}
+
     def _preprocess(self, text: str):
-        return preprocess(text, self.prep, stoplist=self._stop_set, emoji_lexicon=self.emoji)
+        return preprocess(text, self.prep, stoplist=self._stop_set, emoji_lexicon=self.emoji,
+                          memo=self._token_memo)
 
     def _matrix(self, tweets) -> np.ndarray:
-        vectors = [featurize(tt, self.vocabulary, self._abusive_set, self.ngram_max)
+        vectors = [featurize(tt, self.vocabulary, self._abusive_set, self.ngram_max,
+                             memo=self._surface_memo)
                    for tt in tweets]
         return feature_matrix(vectors, len(self.vocabulary))
 

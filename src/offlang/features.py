@@ -14,6 +14,14 @@ The dense block has exactly nine fields, in SURFACE_FIELDS order.  Word
 statistics are computed over all-alphabetic tokens excluding the @user/url
 placeholders; placeholder counts are taken from the raw text with letter
 boundaries so e.g. CURL does not count as URL.
+
+The raw-text counts (placeholders, punctuation, letters, capitals) are
+taken once per distinct whitespace chunk through a memo and summed.  That
+is exact: no match of the placeholder patterns contains whitespace and
+their lookarounds test only letters, so a chunk edge acts as the
+whitespace beside it did; no whitespace character is punctuation or a
+letter; and the totals are integer sums.  The counts depend on the chunk
+alone, so one memo serves any settings.
 """
 
 import math
@@ -26,7 +34,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import ValidationError
-from .textprep import TokenizedTweet, WordSet, is_placeholder
+from .textprep import TokenizedTweet, WordSet, chunk_values, is_placeholder
 
 _URL_RE = re.compile(r"(?<![A-Za-z])URL(?![A-Za-z])")
 _MENTION_RE = re.compile(r"@USER(?![A-Za-z])")
@@ -133,25 +141,37 @@ SURFACE_FIELDS = SurfaceFeatures._fields
 N_SURFACE = len(SURFACE_FIELDS)
 
 
-def surface(raw_text: str, tokens, abusive_lexicon, emoji_score: float) -> SurfaceFeatures:
+def _chunk_counts(chunk: str) -> tuple[int, int, int, int, int]:
+    """URL matches, @USER matches, punctuation, letters and upper-case
+    letters in one whitespace chunk of the raw text."""
+    letters = [ch for ch in chunk if ch.isalpha()]
+    return (len(_URL_RE.findall(chunk)), len(_MENTION_RE.findall(chunk)),
+            sum(1 for ch in chunk if unicodedata.category(ch).startswith("P")),
+            len(letters), sum(1 for ch in letters if ch.isupper()))
+
+
+def surface(raw_text: str, tokens, abusive_lexicon, emoji_score: float,
+            memo=None) -> SurfaceFeatures:
     """Nine dense per-tweet statistics.
 
     `tokens` should be the pre-filter token view (TokenizedTweet.base_tokens)
-    so the result does not depend on stopword/stemming settings.
+    so the result does not depend on stopword/stemming settings.  `memo`
+    maps a raw whitespace chunk to its `_chunk_counts` and is filled as
+    chunks are met; None uses a fresh dict.
     """
+    counts = chunk_values(raw_text, {} if memo is None else memo, _chunk_counts)
+    # The zero row keeps a text without chunks at zero counts.
+    urls, mentions, puncts, letters, uppers = map(sum, zip((0,) * 5, *counts))
     abusive = WordSet(abusive_lexicon)
     words = [t for t in tokens if t.isalpha() and not is_placeholder(t)]
-    letters = [ch for ch in raw_text if ch.isalpha()]
-    uppers = sum(1 for ch in letters if ch.isupper())
     return SurfaceFeatures(
-        url_count=float(len(_URL_RE.findall(raw_text))),
-        mention_count=float(len(_MENTION_RE.findall(raw_text))),
+        url_count=float(urls),
+        mention_count=float(mentions),
         char_count=float(len(raw_text)),
-        punct_count=float(sum(1 for ch in raw_text
-                              if unicodedata.category(ch).startswith("P"))),
+        punct_count=float(puncts),
         word_count=float(len(words)),
         avg_word_len=(sum(len(w) for w in words) / len(words)) if words else 0.0,
-        capital_pct=(uppers / len(letters)) if letters else 0.0,
+        capital_pct=(uppers / letters) if letters else 0.0,
         abusive_count=float(sum(1 for t in tokens if t.lower() in abusive)),
         emoji_score=float(emoji_score),
     )
@@ -165,12 +185,13 @@ class FeatureVector:
 
 
 def featurize(tweet: TokenizedTweet, vocab: Vocabulary, abusive_lexicon,
-              ngram_max: int = 1) -> FeatureVector:
-    """TF-IDF + surface features for one preprocessed tweet."""
+              ngram_max: int = 1, memo=None) -> FeatureVector:
+    """TF-IDF + surface features for one preprocessed tweet; `memo` is
+    surface's."""
     terms = expand_ngrams(list(tweet.tokens), ngram_max)
     return FeatureVector(tuple(tfidf(terms, vocab)),
                          surface(tweet.raw_text, tweet.base_tokens, abusive_lexicon,
-                                 tweet.emoji_score))
+                                 tweet.emoji_score, memo))
 
 
 def feature_matrix(vectors, vocab_size: int) -> np.ndarray:

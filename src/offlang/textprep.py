@@ -11,6 +11,13 @@ A token left empty is dropped.  The placeholders `@USER` and `URL` are
 recognised after lowercasing and again after stripping, and pass the later
 steps untouched.
 
+Everything after emoji extraction runs once per distinct whitespace chunk
+of the text, through a memo from chunk to (base tokens, final tokens).
+That is exact: `tokenize` treats each `str.split` chunk on its own, so the
+text's pieces are the concatenation of its chunks' pieces, and
+`_final_token` sees one piece at a time with nothing but the PrepConfig and
+the stoplist, which is why a memo is valid for one such pair only.
+
 Conventions used throughout:
 
 * punctuation means Unicode general category P*;
@@ -213,6 +220,10 @@ class PrepConfig:
             raise ValidationError(
                 f"emoji_mode must be one of {', '.join(EMOJI_MODES)}, "
                 f"got {self.emoji_mode!r}")
+        if self.stem_language not in stemming.supported_languages():
+            raise ValidationError(
+                f"stem_language must be one of {', '.join(stemming.supported_languages())}, "
+                f"got {self.stem_language!r}")
 
 
 @dataclass(frozen=True)
@@ -255,9 +266,35 @@ def _final_token(token: str, cfg: PrepConfig, stops: WordSet) -> str:
     return token
 
 
+def chunk_values(text: str, memo: dict, compute) -> list:
+    """[compute(chunk) for chunk in text.split()], with each distinct chunk
+    computed once: memo holds the values computed so far and gains the new
+    ones."""
+    values = []
+    for chunk in text.split():
+        value = memo.get(chunk)
+        if value is None:
+            value = memo[chunk] = compute(chunk)
+        values.append(value)
+    return values
+
+
+def _chunk_tokens(chunk: str, cfg: PrepConfig, stops: WordSet):
+    """(base tokens, final tokens) of one whitespace chunk."""
+    pieces = tokenize(chunk)
+    kept = (_final_token(t, cfg, stops) for t in (pieces if cfg.strip_punct else (chunk,)))
+    return tuple(t.lower() for t in pieces), tuple(filter(None, kept))
+
+
 def preprocess(text: str, cfg: PrepConfig = PrepConfig(),
-               stoplist=frozenset(), emoji_lexicon=None) -> TokenizedTweet:
-    """Run the full preprocessing pipeline on one tweet."""
+               stoplist=frozenset(), emoji_lexicon=None, memo=None) -> TokenizedTweet:
+    """Run the full preprocessing pipeline on one tweet.
+
+    `memo` maps a whitespace chunk to its (base tokens, final tokens) and
+    is filled as chunks are met.  It is valid for one (cfg, stoplist) pair
+    only: pass the same dict only to calls with that pair, as
+    `cli.Pipeline` does.  None uses a fresh dict.
+    """
     work = text
     if cfg.split_hashtags:
         work = _expand_hashtags(work)
@@ -267,10 +304,11 @@ def preprocess(text: str, cfg: PrepConfig = PrepConfig(),
     if cfg.emoji_mode == "remove_and_score":
         work, emoji_score = extract_emoji_sentiment(work, emoji_lexicon)
 
-    tweet_tokens = tokenize(work)
     stops = WordSet(stoplist)
-    pieces = tweet_tokens if cfg.strip_punct else work.split()
-    return TokenizedTweet(
-        tokens=tuple(filter(None, (_final_token(t, cfg, stops) for t in pieces))),
-        emoji_score=emoji_score, raw_text=text,
-        base_tokens=tuple(t.lower() for t in tweet_tokens))
+    base, final = [], []
+    for chunk_base, chunk_final in chunk_values(work, {} if memo is None else memo,
+                                                lambda chunk: _chunk_tokens(chunk, cfg, stops)):
+        base += chunk_base
+        final += chunk_final
+    return TokenizedTweet(tokens=tuple(final), emoji_score=emoji_score,
+                          raw_text=text, base_tokens=tuple(base))

@@ -13,6 +13,10 @@ import pytest
 
 DATA_DIR = Path(__file__).resolve().parent.parent / "data"
 
+# Whitespace that str.split splits on beyond the space: a tab, an
+# information separator, NEL, the line separator and the ideographic space.
+SPLIT_WHITESPACE = ["\t", "\x1c", "\x85", "\u2028", "\u3000"]
+
 _CRITERION = re.compile(r"test_acceptance\.py::test_criterion_(\d+)")
 _results: dict[int, str] = {}
 

@@ -193,6 +193,22 @@ def test_bad_forest_or_grid_value_exits_2_naming_key(env, capsys, tmp_path, comm
     assert err == f"error: {key} must be {accepted}, got {bad!r}\n"
 
 
+@pytest.mark.parametrize("command", ["train", "cv", "gridsearch"])
+@pytest.mark.parametrize("stem", ["true", "false"])
+def test_unknown_stem_language_exits_2_naming_key(env, capsys, tmp_path, command, stem):
+    # An unknown name once trained with exit 0 and reached the sidecar when
+    # stemming was off, and failed only at the first stemmed token when on.
+    conf = tmp_path / "klingon.conf"
+    conf.write_text((env / "train.conf").read_text(encoding="utf-8")
+                    + f"prep.stem={stem}\nprep.stem_language=klingon\n", encoding="utf-8")
+    argv = [command, str(conf)] + ([] if command == "train" else ["--k", "2"])
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err == ("error: stem_language must be one of danish, english, identity, "
+                   "got 'klingon'\n")
+
+
 def test_train_missing_seed_exits_2(env, capsys, tmp_path):
     conf = tmp_path / "noseed.conf"
     conf.write_text(f"corpus.train={env / 'corpus.tsv'}\n"
@@ -403,6 +419,7 @@ def _sidecar_with(section, field, value):
     pytest.param(_sidecar_with("vocabulary", "n_docs", 0), id="df-above-n-docs"),
     pytest.param(_sidecar_with("lexicons", "emoji", {"😂": float("nan")}), id="emoji-score-nan"),
     pytest.param(_sidecar_with("prep", "lowercase", "false"), id="prep-flag-string"),
+    pytest.param(_sidecar_with("prep", "stem_language", "klingon"), id="unknown-stem-language"),
     pytest.param(lambda meta: json.dumps({**meta, "model_sha256": "0" * 64}), id="other-model"),
 ])
 def test_predict_malformed_sidecar_exits_2(env, capsys, tmp_path, corrupt):

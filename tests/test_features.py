@@ -10,14 +10,17 @@ from collections import Counter
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from offlang.errors import ValidationError
 from offlang.features import (FeatureVector, N_SURFACE, SURFACE_FIELDS,
                               SurfaceFeatures, Vocabulary, expand_ngrams,
                               feature_matrix, featurize, fit_vocabulary,
                               surface, tfidf)
-from offlang.textprep import PrepConfig, TokenizedTweet, preprocess
+from offlang.textprep import PrepConfig, TokenizedTweet, preprocess, tokenize
+
+from conftest import SPLIT_WHITESPACE
+from surface_oracle import oracle_surface
 
 
 def oracle_tfidf(doc, vocab):
@@ -177,6 +180,35 @@ def test_surface_field_order_matches_declared_tuple():
     assert sf[SURFACE_FIELDS.index("emoji_score")] == 0.5
     assert sf[SURFACE_FIELDS.index("char_count")] == 3.0
     assert all(type(x) is float for x in sf)
+
+
+# Placeholders with and without letters beside them, punctuation, capitals,
+# emoji and every kind of whitespace str.split splits on.
+_SURFACE_BOUNDARY = ["URL", "xURL", "URLx", "url", "@USER", "@USERx", "@user", "@", "!",
+                     "'", "#", "A", "a", "b", "É", "ß", "😂", "👍🏽", "idiot", " ",
+                     *SPLIT_WHITESPACE]
+
+
+def _assert_surface_matches_oracle(texts):
+    memo = {}
+    for text in texts:
+        tokens = [t.lower() for t in tokenize(text)]
+        assert surface(text, tokens, {"idiot", "url"}, 0.5, memo) == \
+            oracle_surface(text, tokens, {"idiot", "url"}, 0.5)
+
+
+@settings(max_examples=300)
+@given(st.lists(st.lists(st.sampled_from(_SURFACE_BOUNDARY), max_size=12).map("".join),
+                max_size=8))
+# Chunks that differ only in case have their own entries.
+@example(["URL url", "Aa\taA"])
+def test_surface_with_shared_memo_matches_oracle(texts):
+    _assert_surface_matches_oracle(texts)
+
+
+@given(st.lists(st.text(), max_size=8))
+def test_surface_with_shared_memo_matches_oracle_on_any_text(texts):
+    _assert_surface_matches_oracle(texts)
 
 
 def test_to_dense_and_feature_matrix():

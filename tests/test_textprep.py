@@ -3,15 +3,19 @@ stopwords and the fixed step order inside preprocess()."""
 
 import itertools
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from offlang.cli import Pipeline
 from offlang.errors import ValidationError
+from offlang.features import expand_ngrams, feature_matrix, featurize, fit_vocabulary
 from offlang.textprep import (_EMOJI_CHAR, PrepConfig, TokenizedTweet,
                               emoji_spans, extract_emoji_sentiment,
                               is_placeholder, preprocess, reduce_elongation,
                               split_hashtag, tokenize)
 
+from conftest import SPLIT_WHITESPACE
 from emoji_oracle import _is_emoji_char, oracle_emoji_spans
 from prep_oracle import oracle_preprocess
 
@@ -174,6 +178,12 @@ def test_prep_config_rejects_bad_emoji_mode():
         PrepConfig(emoji_mode="ignore")
 
 
+def test_prep_config_rejects_unknown_stem_language():
+    # Checked even with stemming off, since the name reaches the sidecar.
+    with pytest.raises(ValidationError, match="stem_language must be one of"):
+        PrepConfig(stem=False, stem_language="klingon")
+
+
 def test_preprocess_default_pipeline_end_to_end():
     tt = preprocess(
         "@USER you are sooo STUPID!!! #GoHome 😂 URL",
@@ -314,12 +324,14 @@ _LEXICON = {"😂": 0.25, "👍": -0.5}
 
 # Placeholders in every casing and with punctuation inside, bare sigils,
 # punctuation, emoji (one skin-toned), y runs, stopwords in two casings,
-# words the stemmers change, and a space.
+# words the stemmers change, a space and the other whitespace str.split
+# splits on.
 _PREP_BOUNDARY = [
     "URL", "@USER", "url", "@user", "U.R.L", "@User", "u.r.l", "#", "@",
     "!", ".", ",", "'", "-", "😂", "👍🏽", "y", "yyy", "The", "THE", "thing",
-    "Running", "hundene", "Go", "Home", "sooo", "123", " ",
+    "Running", "hundene", "Go", "Home", "sooo", "123", " ", *SPLIT_WHITESPACE,
 ]
+_BOUNDARY_TEXT = st.lists(st.sampled_from(_PREP_BOUNDARY), max_size=12).map("".join)
 
 
 def _assert_matches_oracle(text, cfg):
@@ -334,8 +346,7 @@ def test_preprocess_matches_oracle(text, cfg):
 
 
 @settings(max_examples=1000)
-@given(st.lists(st.sampled_from(_PREP_BOUNDARY), max_size=12).map("".join),
-       st.sampled_from(_CONFIGS))
+@given(_BOUNDARY_TEXT, st.sampled_from(_CONFIGS))
 # Lowercasing comes before the placeholder test: @User becomes @user.
 @example("@User", PrepConfig(stem=False))
 # The test repeats after stripping: U.R.L becomes URL, a placeholder that is
@@ -343,3 +354,57 @@ def test_preprocess_matches_oracle(text, cfg):
 @example("U.R.L", PrepConfig(lowercase=False))
 def test_preprocess_matches_oracle_on_boundary_text(text, cfg):
     _assert_matches_oracle(text, cfg)
+
+
+# ---------------------------------------------------------------------------
+# The chunk memo: one dict shared by many calls with one configuration
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(_BOUNDARY_TEXT, max_size=6))
+# Chunks that differ only in case have their own entries.
+@example(["URL url", "The\tTHE"])
+def test_preprocess_with_shared_memo_matches_oracle(texts):
+    for cfg in _CONFIGS:
+        memo = {}
+        for text in texts:
+            assert preprocess(text, cfg, _STOPLIST, _LEXICON, memo=memo) == \
+                oracle_preprocess(text, cfg, _STOPLIST, _LEXICON), (text, cfg)
+
+
+def _pipeline(lowercase: bool) -> Pipeline:
+    return Pipeline(level="A", prep=PrepConfig(lowercase=lowercase, stem=False),
+                    stopwords=_STOPLIST, abusive=["thing"], emoji=_LEXICON,
+                    min_df=1, ngram_max=2)
+
+
+def _oracle_matrix(pipe: Pipeline, texts):
+    prepped = [oracle_preprocess(t, pipe.prep, _STOPLIST, _LEXICON) for t in texts]
+    vocab = pipe.vocabulary
+    if vocab is None:
+        vocab = fit_vocabulary((expand_ngrams(tt.tokens, pipe.ngram_max) for tt in prepped),
+                               min_df=pipe.min_df)
+    return vocab, feature_matrix([featurize(tt, vocab, pipe.abusive, pipe.ngram_max)
+                                  for tt in prepped], len(vocab))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(_BOUNDARY_TEXT, min_size=1, max_size=6))
+@example(["URL url", "The\tTHE"])
+def test_pipelines_used_in_alternation_match_the_oracle(texts):
+    # Two pipelines that differ in lowercasing, each with its own memo, fit
+    # one after the other and then transform the texts in turn, one text at
+    # a time; every matrix is the one memo-free code gives.
+    fitted = []
+    for lowercase in (False, True):
+        pipe, mat = _pipeline(lowercase).fit_transform(texts)
+        vocab, expected = _oracle_matrix(_pipeline(lowercase), texts)
+        assert pipe.vocabulary == vocab
+        assert np.array_equal(mat, expected)
+        fitted.append(pipe)
+    rows = [[], []]
+    for text in texts:
+        for pipe, out in zip(fitted, rows):
+            out.append(pipe.transform([text]))
+    for pipe, out in zip(fitted, rows):
+        assert np.array_equal(np.vstack(out), _oracle_matrix(pipe, texts)[1])
