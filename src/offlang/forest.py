@@ -1,6 +1,26 @@
 """From-scratch random forest over Gini-impurity decision trees, plus
 stratified k-fold cross-validation and grid search.
 
+Trees read the feature matrix as compressed sparse columns (`Columns`):
+each feature's nonzero entries as ascending row numbers and their values,
+built once per fit from the nonzeros of X.  The TF-IDF features are over
+99 % zeros, so a node's split search sorts only its nonzeros.  At a node,
+the entries of the sampled columns that fall on the node's rows are
+weighted by each row's multiplicity (bootstrap repeats rows), and each
+feature gets one zero block at value 0.0 holding the node's class totals
+minus that feature's nonzero class counts.  Everything is ordered by
+(feature, value), equal (feature, value) runs are summed, and class
+counts are accumulated within each feature.  The zero block sorts by its
+value like any run, so negative values (emoji scores) come before it.
+
+This is exact.  For every distinct value of every feature it gives the
+class counts of the rows at or below that value, which is all the dense
+sort-and-cumsum of the node's column gives at its boundaries.  The float
+score is then computed from the same integers by the same operations.
+Stored values are nonzero: -0.0 counts as zero, and no threshold depends
+on a zero's sign.  Non-finite values are rejected, so equal values group
+exactly.
+
 Split selection is exact: a vectorized float64 scan finds the near-minimal
 weighted-Gini candidates, then every candidate within a small margin of the
 float minimum is re-scored with exact integer/Fraction arithmetic.  The
@@ -25,6 +45,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, replace
 from fractions import Fraction
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -115,58 +136,127 @@ def _exact_q(left_counts, total_counts, n_left, n_right) -> Fraction:
     return Fraction(sl, n_left) + Fraction(sr, n_right)
 
 
-def _best_split(X, y, idx, feat_ids, n_classes, min_leaf):
-    """Exact-minimum weighted-Gini split over the given features.
+class Columns(NamedTuple):
+    """A feature matrix as compressed sparse columns: column f's nonzero
+    entries sit at rows[indptr[f]:indptr[f + 1]] (ascending) with values
+    values[indptr[f]:indptr[f + 1]]."""
+    indptr: np.ndarray  # int64, n_features + 1
+    rows: np.ndarray    # int64
+    values: np.ndarray  # float64, finite and nonzero
+    n_rows: int
+
+    @property
+    def n_features(self) -> int:
+        return len(self.indptr) - 1
+
+
+def _columns(X) -> Columns:
+    """The Columns of dense X.
+
+    The nonzeros are found 2**20 cells at a time, so no dense temporary is
+    made beyond a 1 MiB comparison mask; np.nonzero on the float matrix
+    itself is several times slower.
+    """
+    X = np.asarray(X, dtype=np.float64)
+    if X.ndim != 2:
+        raise ValidationError("X must be 2-D")
+    n_rows, n_features = X.shape
+    flat = X.reshape(-1)
+    step = 1 << 20
+    at = np.concatenate([np.flatnonzero(flat[s:s + step] != 0) + s
+                         for s in range(0, max(flat.size, 1), step)])
+    rows, feats = np.divmod(at, max(n_features, 1))
+    order = np.argsort(feats, kind="stable")
+    values = flat[at[order]]
+    if not np.isfinite(values).all():
+        raise ValidationError("X holds a non-finite value")
+    indptr = np.zeros(n_features + 1, dtype=np.int64)
+    np.cumsum(np.bincount(feats, minlength=n_features), out=indptr[1:])
+    return Columns(indptr, rows[order], values, n_rows)
+
+
+def _goes_left(cols: Columns, f: int, t: float, idx) -> np.ndarray:
+    """Whether column f's value is <= t at each of the rows idx."""
+    lo, hi = cols.indptr[f], cols.indptr[f + 1]
+    left = np.full(cols.n_rows, 0.0 <= t)
+    left[cols.rows[lo:hi]] = cols.values[lo:hi] <= t
+    return left[idx]
+
+
+def _best_split(cols: Columns, y, idx, feat_ids, n_classes, min_leaf):
+    """Exact-minimum weighted-Gini split of the rows idx over the features
+    in the ascending array feat_ids.
 
     Returns (feature, threshold) or None.  Two passes: a float64 scan for
     the near-minimal score, then exact re-scoring of every candidate within
     the float margin.
     """
     n = len(idx)
-    onehot_rows = np.eye(n_classes, dtype=np.int64)[y[idx]]
-    total = onehot_rows.sum(axis=0)
+    m = len(feat_ids)
+    total = np.bincount(y[idx], minlength=n_classes)
+    weight = np.bincount(idx, minlength=cols.n_rows)
 
-    per_feature = []
-    fmin = np.inf
-    for f in feat_ids:
-        x = X[idx, f]
-        order = np.argsort(x, kind="stable")
-        xs = x[order]
-        if xs[0] == xs[-1]:
-            continue
-        cum = onehot_rows[order].cumsum(axis=0)
-        pos = np.nonzero(xs[1:] > xs[:-1])[0] + 1
-        pos = pos[(pos >= min_leaf) & (n - pos >= min_leaf)]
-        if pos.size == 0:
-            continue
-        left_counts = cum[pos - 1]
-        n_left = pos.astype(np.float64)
-        n_right = n - n_left
-        sl = np.square(left_counts).sum(axis=1).astype(np.float64)
-        sr = np.square(total[np.newaxis, :] - left_counts).sum(axis=1).astype(np.float64)
-        score = (n_left - sl / n_left) + (n_right - sr / n_right)  # n * weighted Gini
-        per_feature.append((int(f), xs, pos, left_counts, score))
-        fmin = min(fmin, float(score.min()))
+    # The sampled columns' entries on the node's rows, tagged 0..m-1 by
+    # feature and weighted by row multiplicity.
+    start = cols.indptr[feat_ids]
+    length = cols.indptr[feat_ids + 1] - start
+    end = np.cumsum(length)
+    entry = np.arange(length.sum()) + np.repeat(start - (end - length), length)
+    feat = np.repeat(np.arange(m), length)
+    w = weight[cols.rows[entry]]
+    on = np.nonzero(w)[0]
+    entry, feat, w = entry[on], feat[on], w[on]
+    label = y[cols.rows[entry]]
+    counts = np.zeros((len(on), n_classes), dtype=np.int64)
+    counts[np.arange(len(on)), label] = w
 
-    if not per_feature:
+    # One zero block per feature that has zeros in the node.
+    nonzero = np.bincount(feat * n_classes + label, weights=w, minlength=m * n_classes)
+    zero = total - nonzero.astype(np.int64).reshape(m, n_classes)
+    zf = np.nonzero(zero.any(axis=1))[0]
+    feat = np.concatenate((feat, zf))
+    value = np.concatenate((cols.values[entry], np.zeros(len(zf))))
+    counts = np.concatenate((counts, zero[zf]))
+
+    order = np.lexsort((value, feat))
+    feat, value, counts = feat[order], value[order], counts[order]
+    run = np.ones(len(feat), dtype=bool)
+    run[1:] = (feat[1:] != feat[:-1]) | (value[1:] != value[:-1])
+    run = np.nonzero(run)[0]
+    feat, value = feat[run], value[run]
+    # Every feature's runs sum to `total`, so subtracting the totals of the
+    # features before it leaves counts cumulative within the feature.
+    cum = np.add.reduceat(counts, run, axis=0).cumsum(axis=0) - feat[:, None] * total
+
+    # A boundary follows every value but the last of its feature.
+    g = np.nonzero(feat[:-1] == feat[1:])[0]
+    left_counts = cum[g]
+    pos = left_counts.sum(axis=1)
+    ok = (pos >= min_leaf) & (n - pos >= min_leaf)
+    g, left_counts, pos = g[ok], left_counts[ok], pos[ok]
+    if g.size == 0:
         return None
+    n_left = pos.astype(np.float64)
+    n_right = n - n_left
+    sl = np.square(left_counts).sum(axis=1).astype(np.float64)
+    sr = np.square(total[np.newaxis, :] - left_counts).sum(axis=1).astype(np.float64)
+    score = (n_left - sl / n_left) + (n_right - sr / n_right)  # n * weighted Gini
 
-    margin = fmin + 1e-9 * max(1.0, float(n))
+    margin = float(score.min()) + 1e-9 * max(1.0, float(n))
     best_q = None
     best = None
-    for f, xs, pos, left_counts, score in per_feature:
-        for j in np.nonzero(score <= margin)[0]:
-            p = int(pos[j])
-            lo = float(xs[p - 1])
-            hi = float(xs[p])
-            t = (lo + hi) / 2.0
-            if t >= hi:
-                t = lo
-            q = _exact_q(left_counts[j], total, p, n - p)
-            # Strict improvement keeps the lowest feature, lowest threshold.
-            if best_q is None or q > best_q:
-                best_q = q
-                best = (f, t)
+    for j in np.nonzero(score <= margin)[0]:
+        p = int(pos[j])
+        lo = float(value[g[j]])
+        hi = float(value[g[j] + 1])
+        t = (lo + hi) / 2.0
+        if t >= hi:
+            t = lo
+        q = _exact_q(left_counts[j], total, p, n - p)
+        # Strict improvement keeps the lowest feature, lowest threshold.
+        if best_q is None or q > best_q:
+            best_q = q
+            best = (int(feat_ids[feat[g[j]]]), t)
     return best
 
 
@@ -175,22 +265,26 @@ def train_tree(X, y, params: ForestParams, rng, n_classes: int | None = None,
     """Grow one tree on the rows of (X, y) listed in `rows` (repeats allowed,
     default every row); y holds class codes 0..k-1.
 
+    X is a dense 2-D array or its Columns, as train_forest passes them.
     The tree equals the one grown on the copy (X[rows], y[rows]): a node
     depends on its rows as a multiset, not on their order.  `rng` supplies
     the per-node feature subsets, consumed in preorder.  Bootstrap
     resampling is the forest's job, not this function's.
     """
-    X = np.asarray(X, dtype=np.float64)
+    cols = X if isinstance(X, Columns) else _columns(X)
     y = np.asarray(y, dtype=np.int64)
-    if X.ndim != 2 or len(X) != len(y):
+    if y.ndim != 1 or cols.n_rows != len(y):
         raise ValidationError("X must be 2-D and row-aligned with y")
     rows = np.arange(len(y), dtype=np.int64) if rows is None else np.asarray(rows, dtype=np.int64)
     if len(rows) == 0:
         raise ValidationError("cannot train a tree on no rows")
     if rows.min() < 0 or rows.max() >= len(y):
         raise ValidationError(f"row indices must lie in 0..{len(y) - 1}")
-    k = int(n_classes) if n_classes is not None else int(y[rows].max()) + 1
-    n_features = X.shape[1]
+    labels = y[rows]
+    k = int(n_classes) if n_classes is not None else int(labels.max()) + 1
+    if labels.min() < 0 or labels.max() >= k:
+        raise ValidationError(f"class codes must lie in 0..{k - 1}")
+    n_features = cols.n_features
     m = _n_subset_features(params, n_features)
 
     feature: list[int] = []
@@ -228,11 +322,11 @@ def train_tree(X, y, params: ForestParams, rng, n_classes: int | None = None,
             feats = np.sort(rng.choice(n_features, size=m, replace=False))
         else:
             feats = np.arange(n_features)
-        split = _best_split(X, y, idx, feats, k, params.min_samples_leaf)
+        split = _best_split(cols, y, idx, feats, k, params.min_samples_leaf)
         if split is None:
             continue
         f, t = split
-        go_left = X[idx, f] <= t
+        go_left = _goes_left(cols, f, t, idx)
         feature[node] = f
         threshold[node] = t
         stack.append((idx[~go_left], depth + 1, node, True))
@@ -277,11 +371,12 @@ def train_forest(X, y, params: ForestParams, classes=None, threads: int = 1,
     annotation level, else sorted).  Each tree draws its bootstrap sample,
     as indices into `rows`, and its feature subsets from its own
     seed-derived stream, so any `threads` value yields the identical model.
-    Trees index X in place; no rows are copied.
+    X's Columns are built once and every tree reads them; no rows are
+    copied.
     """
-    X = np.asarray(X, dtype=np.float64)
+    cols = _columns(X)
     y = list(y)
-    if len(X) != len(y):
+    if cols.n_rows != len(y):
         raise ValidationError("X and y differ in length")
     rows = np.arange(len(y), dtype=np.int64) if rows is None else np.asarray(rows, dtype=np.int64)
     if len(rows) == 0:
@@ -293,9 +388,8 @@ def train_forest(X, y, params: ForestParams, classes=None, threads: int = 1,
     def build(i: int) -> Tree:
         tree_rng = stream(params.seed, TAG_TREE, i)
         draw = tree_rng.integers(0, n, size=n) if params.bootstrap else slice(None)
-        # Ascending rows keep the trees' column gathers in memory order.
-        return train_tree(X, codes, params, tree_rng, n_classes=len(classes),
-                          rows=np.sort(rows[draw]))
+        return train_tree(cols, codes, params, tree_rng, n_classes=len(classes),
+                          rows=rows[draw])
 
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
@@ -303,7 +397,7 @@ def train_forest(X, y, params: ForestParams, classes=None, threads: int = 1,
     else:
         trees = [build(i) for i in range(params.n_trees)]
     return ForestModel(classes=classes, params=params,
-                       n_features=X.shape[1], trees=trees)
+                       n_features=cols.n_features, trees=trees)
 
 
 def _tree_proba(tree: Tree, X: np.ndarray) -> np.ndarray:

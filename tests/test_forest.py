@@ -1,8 +1,10 @@
 """Decision trees, the forest, serialization, k-fold, CV, and grid search.
 
 Tree training is checked node for node against tests/tree_oracle.py, a
-numpy-free exhaustive-search implementation with exact Fraction scoring, and
-k-fold assignment fold for fold against tests/kfold_oracle.py.
+numpy-free exhaustive-search implementation with exact Fraction scoring, the
+sparse split search split for split against the dense search kept in
+tests/split_oracle.py, and k-fold assignment fold for fold against
+tests/kfold_oracle.py.
 """
 
 import io
@@ -15,13 +17,14 @@ from hypothesis import given, settings, strategies as st
 
 from offlang.errors import (ModelTruncatedError, ModelVersionError,
                             ValidationError)
-from offlang.forest import (CVResult, ForestParams, cross_validate, gini,
-                            grid_search, kfold, load_model, predict,
-                            predict_proba, save_model, train_forest,
-                            train_tree)
+from offlang.forest import (CVResult, ForestParams, _best_split, _columns,
+                            cross_validate, gini, grid_search, kfold,
+                            load_model, predict, predict_proba, save_model,
+                            train_forest, train_tree)
 from offlang.rng import TAG_TREE, stream
 
 from kfold_oracle import oracle_kfold
+from split_oracle import oracle_best_split
 from tree_oracle import oracle_node_count, oracle_tree
 
 
@@ -182,6 +185,15 @@ def test_tree_constant_features_make_a_leaf():
     assert tree.counts.tolist() == [[2, 3]]
 
 
+def test_tree_and_forest_without_features_make_leaves():
+    tree = train_tree(np.zeros((3, 0)), np.array([0, 1, 0]),
+                      ForestParams(n_trees=1), stream(0, TAG_TREE, 0))
+    assert tree.feature.tolist() == [-1]
+    assert tree.counts.tolist() == [[2, 1]]
+    model = train_forest(np.zeros((3, 0)), ["NOT", "OFF", "NOT"], ForestParams(n_trees=2))
+    assert predict(model, np.zeros((2, 0))) == ["NOT", "NOT"]
+
+
 def test_tree_input_validation():
     params = ForestParams(n_trees=1)
     with pytest.raises(ValidationError):
@@ -193,6 +205,75 @@ def test_tree_input_validation():
         with pytest.raises(ValidationError):
             train_tree(np.zeros((2, 2)), np.array([0, 1]), params,
                        stream(0, TAG_TREE, 0), rows=rows)
+
+
+def test_tree_and_forest_reject_non_finite_features():
+    params = ForestParams(n_trees=1)
+    for bad in (np.nan, np.inf, -np.inf):
+        X = np.array([[0.0, 1.0], [bad, 0.0]])
+        with pytest.raises(ValidationError, match="non-finite"):
+            train_tree(X, np.array([0, 1]), params, stream(0, TAG_TREE, 0))
+        with pytest.raises(ValidationError, match="non-finite"):
+            train_forest(X, ["NOT", "OFF"], params)
+
+
+def test_tree_rejects_class_codes_outside_the_classes():
+    # train_forest encodes labels itself; test_forest_rejects_label_outside_class_list.
+    X = np.array([[0.0], [1.0], [2.0]])
+    for y in ([0, 5, 1], [0, -1, 1]):
+        with pytest.raises(ValidationError, match="class codes"):
+            train_tree(X, np.array(y), ForestParams(n_trees=1), stream(0, TAG_TREE, 0),
+                       n_classes=2)
+
+
+# Cell values that stress the sparse search: both zeros, both smallest
+# subnormals, negatives that sort before the zero block, and an odd-mantissa
+# pair whose midpoint clamps down.
+_SPLIT_VALUES = (-2.5, -1.0, -5e-324, -0.0, 0.0, 5e-324, 0.5, 1.0,
+                 float(np.nextafter(1.0, 2.0)), float(np.nextafter(np.nextafter(1.0, 2.0), 2.0)),
+                 2.0)
+
+
+def test_best_split_mirror_tie_goes_to_lower_feature():
+    # Feature 1 mirrors feature 0: both split perfectly, at 0.5 and -0.5.
+    X = np.array([[0.0, 0.0], [1.0, -1.0]])
+    y = np.array([0, 1])
+    idx = np.array([0, 1])
+    assert _best_split(_columns(X), y, idx, np.array([0, 1]), 2, 1) == (0, 0.5)
+    assert oracle_best_split(X, y, idx, np.array([0, 1]), 2, 1) == (0, 0.5)
+
+
+@settings(deadline=None, max_examples=500)
+@given(st.data())
+def test_best_split_equals_dense_oracle(data):
+    n = data.draw(st.integers(1, 10))
+    d = data.draw(st.integers(1, 5))
+    cell = st.sampled_from(_SPLIT_VALUES)
+    X = np.zeros((n, d))
+    for f in range(d):
+        kind = data.draw(st.sampled_from(["dense", "sparse", "negated"]))
+        if kind == "dense":
+            X[:, f] = data.draw(st.lists(cell, min_size=n, max_size=n))
+        elif kind == "sparse":
+            for r, v in data.draw(st.dictionaries(st.integers(0, n - 1), cell, max_size=2)).items():
+                X[r, f] = v
+        elif f > 0:
+            # The mirror of an earlier column ties its best split at a
+            # threshold of the other sign, so ties must go by feature.
+            X[:, f] = -X[:, data.draw(st.integers(0, f - 1))]
+    k = data.draw(st.integers(2, 3))
+    y = np.asarray(data.draw(st.lists(st.integers(0, k - 1), min_size=n, max_size=n)))
+    idx = np.sort(np.asarray(data.draw(st.lists(st.integers(0, n - 1), min_size=1,
+                                                max_size=2 * n)), dtype=np.int64))
+    feats = np.asarray(sorted(data.draw(st.sets(st.integers(0, d - 1), min_size=1))))
+    min_leaf = data.draw(st.integers(1, 3))
+    got = _best_split(_columns(X), y, idx, feats, k, min_leaf)
+    want = oracle_best_split(X, y, idx, feats, k, min_leaf)
+    if want is None:
+        assert got is None
+    else:
+        assert got is not None and got[0] == want[0]
+        assert struct.pack("<d", got[1]) == struct.pack("<d", want[1])
 
 
 def _row_draw(data, n):
