@@ -33,6 +33,11 @@ from typing import NamedTuple
 
 import numpy as np
 
+try:
+    from numpy._core.multiarray import _set_madvise_hugepage
+except ImportError:  # numpy < 2
+    from numpy.core.multiarray import _set_madvise_hugepage
+
 from .errors import ValidationError
 from .textprep import TokenizedTweet, WordSet, chunk_values, is_placeholder
 
@@ -195,8 +200,20 @@ def featurize(tweet: TokenizedTweet, vocab: Vocabulary, abusive_lexicon,
 
 
 def feature_matrix(vectors, vocab_size: int) -> np.ndarray:
-    """Stack FeatureVectors into a dense (n, vocab_size + 9) float64 matrix."""
-    mat = np.zeros((len(vectors), vocab_size + N_SURFACE), dtype=np.float64)
+    """Stack FeatureVectors into a dense (n, vocab_size + 9) float64 matrix.
+
+    The matrix is allocated without numpy's transparent-huge-page advice.
+    It is over 99 % zeros, so in plain 4 KiB pages about three quarters of
+    it is never written and never backed by memory.  With the advice every
+    page is a 2 MiB huge page, and finding free huge pages made the call's
+    cost jump: on the 13,240 x 5,303 matrix of a 0.85 s train, one call in
+    two or three spent 0.15 s more in the kernel than the others.
+    """
+    previous = _set_madvise_hugepage(False)
+    try:
+        mat = np.zeros((len(vectors), vocab_size + N_SURFACE), dtype=np.float64)
+    finally:
+        _set_madvise_hugepage(previous)
     for r, fv in enumerate(vectors):
         for i, w in fv.sparse:
             mat[r, i] = w

@@ -14,9 +14,9 @@ from hypothesis import example, given, settings, strategies as st
 
 from offlang.errors import ValidationError
 from offlang.features import (FeatureVector, N_SURFACE, SURFACE_FIELDS,
-                              SurfaceFeatures, Vocabulary, expand_ngrams,
-                              feature_matrix, featurize, fit_vocabulary,
-                              surface, tfidf)
+                              SurfaceFeatures, Vocabulary, _set_madvise_hugepage,
+                              expand_ngrams, feature_matrix, featurize,
+                              fit_vocabulary, surface, tfidf)
 from offlang.textprep import PrepConfig, TokenizedTweet, preprocess, tokenize
 
 from conftest import SPLIT_WHITESPACE
@@ -218,6 +218,17 @@ def test_to_dense_and_feature_matrix():
     # the surface block in the last nine.
     row = np.array([0.0, 0.5, 0.0] + [float(i) for i in range(9)])
     assert np.array_equal(mat, np.vstack([row, row]))
+
+
+@pytest.mark.parametrize("advise", [True, False])
+def test_feature_matrix_restores_hugepage_advice(advise):
+    fv = FeatureVector(sparse=((1, 0.5),), dense=(0.0,) * 9)
+    original = _set_madvise_hugepage(advise)
+    try:
+        feature_matrix([fv], 3)
+        assert _set_madvise_hugepage(advise) is advise
+    finally:
+        _set_madvise_hugepage(original)
 
 
 def test_featurize_surface_block_uses_prefilter_tokens():
