@@ -30,8 +30,8 @@ from .corpus import (HEADER_LABELED, HEADER_TEXT_ONLY, classes_for,
                      names_file, read_lines, read_text, serialize_corpus)
 from .emolex import BASES, emotion_counts, emotion_report, load_emotion_lexicon
 from .errors import OfflangError, ParseError, ValidationError
-from .features import (Vocabulary, expand_ngrams, feature_matrix, featurize,
-                       fit_vocabulary)
+from .features import (N_SURFACE, Vocabulary, expand_ngrams, feature_matrix,
+                       featurize, fit_vocabulary)
 from .forest import (ForestParams, MAX_FEATURES_CHOICES, cross_validate,
                      grid_search, load_model, predict as forest_predict,
                      save_model, train_forest)
@@ -153,8 +153,9 @@ class Pipeline:
         return fitted, fitted._matrix(prepped)
 
     def transform(self, texts) -> np.ndarray:
-        """Feature matrix of texts; each is preprocessed and featurized before
-        the next, so only its FeatureVector is kept."""
+        """Feature matrix of texts.  Each is preprocessed and featurized
+        before the next, so its TokenizedTweet is dropped at once, but every
+        FeatureVector is kept until the matrix is built."""
         return self._matrix(self._preprocess(t) for t in texts)
 
     def to_jsonable(self) -> dict:
@@ -495,6 +496,11 @@ def cmd_gridsearch(args) -> int:
     return 0
 
 
+# Cells of the dense matrix `predict` builds per block of rows: 8 MiB of
+# float64, so memory is bounded by the block and the model, not the corpus.
+_PREDICT_BLOCK_CELLS = 1 << 20
+
+
 def cmd_predict(args) -> int:
     model_path = _require_file(args.model)
     model = load_model(model_path)
@@ -510,10 +516,21 @@ def cmd_predict(args) -> int:
         # featurize differently, so it must name this model's bytes.
         if meta.get("model_sha256") != manifest.file_digest(model_path):
             raise ValidationError(f"model_sha256 is missing or is not the sha256 of {model_path}")
+        # Checked here because an empty corpus never reaches predict_proba's check.
+        width = len(pipeline.vocabulary) + N_SURFACE
+        if width != model.n_features:
+            raise ValidationError(f"its vocabulary gives {width} features, "
+                                  f"the model has {model.n_features}")
     except (ValueError, ValidationError) as exc:
         raise ValidationError(f"malformed model sidecar {sidecar}: {exc}") from None
     corpus, _ = _load_corpus_file(args.corpus, None)
-    labels = forest_predict(model, pipeline.transform(t.text for t in corpus))
+    # Each block's tweets, vectors and matrix are freed before the next
+    # block; a row's label does not depend on the other rows of its block.
+    block = max(1, _PREDICT_BLOCK_CELLS // model.n_features)
+    labels = []
+    for start in range(0, len(corpus), block):
+        texts = (t.text for t in corpus.tweets[start:start + block])
+        labels += forest_predict(model, pipeline.transform(texts))
 
     body = "".join(f"{t.id}\t{label}\n" for t, label in zip(corpus, labels))
     if args.out:

@@ -376,13 +376,18 @@ def train_forest(X, y, params: ForestParams, classes=None, threads: int = 1,
     """
     cols = _columns(X)
     y = list(y)
-    if cols.n_rows != len(y):
+    classes = tuple(classes) if classes is not None else _canonical_classes(y)
+    return _fit_forest(cols, _encode_labels(y, classes), params, classes, threads, rows)
+
+
+def _fit_forest(cols: Columns, codes, params: ForestParams, classes, threads: int = 1,
+                rows=None) -> ForestModel:
+    """train_forest on X's Columns and its labels' class codes."""
+    if cols.n_rows != len(codes):
         raise ValidationError("X and y differ in length")
-    rows = np.arange(len(y), dtype=np.int64) if rows is None else np.asarray(rows, dtype=np.int64)
+    rows = np.arange(len(codes), dtype=np.int64) if rows is None else np.asarray(rows, dtype=np.int64)
     if len(rows) == 0:
         raise ValidationError("cannot train on an empty dataset")
-    classes = tuple(classes) if classes is not None else _canonical_classes(y)
-    codes = _encode_labels(y, classes)
     n = len(rows)
 
     def build(i: int) -> Tree:
@@ -485,9 +490,11 @@ def cross_validate(X, y, params: ForestParams, k: int = 10, seed: int = 0,
 
     Fold membership and per-fold training seeds derive from `seed` (the
     seed inside `params` is ignored here) so every grid point is scored on
-    identical folds.
+    identical folds.  X's Columns are built once and every fold's forest
+    reads them.
     """
     X = np.asarray(X, dtype=np.float64)
+    cols = _columns(X)
     y = list(y)
     classes = tuple(classes) if classes is not None else _canonical_classes(y)
     codes = _encode_labels(y, classes)
@@ -495,8 +502,7 @@ def cross_validate(X, y, params: ForestParams, k: int = 10, seed: int = 0,
     fold_scores = []
     for i, (train_idx, test_idx) in enumerate(kfold(len(y), k, codes, seed)):
         fold_params = replace(params, seed=_fold_seed(seed, i))
-        model = train_forest(X, y, fold_params, classes=classes, threads=threads,
-                             rows=train_idx)
+        model = _fit_forest(cols, codes, fold_params, classes, threads, rows=train_idx)
         pred = predict(model, X[test_idx])
         gold = [y[j] for j in test_idx]
         fold_scores.append(compute_scores(confusion(gold, pred, classes), classes).macro_f1)

@@ -11,8 +11,10 @@ import sys
 
 import pytest
 
+from offlang import cli
 from offlang.cli import _grid_from_config, _load_predictions, main
 from offlang.config import ExperimentConfig
+from offlang.features import feature_matrix
 from offlang.forest import load_model, save_model
 from offlang.manifest import file_digest
 
@@ -432,6 +434,55 @@ def test_predict_malformed_sidecar_exits_2(env, capsys, tmp_path, corrupt):
     assert code == 2
     assert out == ""
     assert err.startswith(f"error: malformed model sidecar {sidecar}: ")
+
+
+@pytest.mark.parametrize("n_rows", [0, 5])
+def test_predict_sidecar_narrower_than_model_exits_2(env, capsys, tmp_path, n_rows):
+    # The width is checked before the corpus is read: an empty corpus
+    # never reaches predict_proba's own check.
+    model = tmp_path / "model.bin"
+    shutil.copyfile(env / "model.bin", model)
+    meta = json.loads((env / "model.bin.meta.json").read_text(encoding="utf-8"))
+    width = len(meta["vocabulary"]["terms"]) + 9
+    del meta["vocabulary"]["terms"][-1], meta["vocabulary"]["df"][-1]
+    sidecar = tmp_path / "model.bin.meta.json"
+    sidecar.write_text(json.dumps(meta), encoding="utf-8")
+    corpus = tmp_path / "corpus.tsv"
+    corpus.write_text(rows_to_tsv(separable_rows(40, seed=99)[:n_rows]), encoding="utf-8")
+    code, out, err = run(capsys, "predict", str(model), str(corpus))
+    assert code == 2
+    assert out == ""
+    assert err == (f"error: malformed model sidecar {sidecar}: its vocabulary gives "
+                   f"{width - 1} features, the model has {width}\n")
+
+
+@pytest.mark.parametrize("block", [1, 2, 3])
+def test_predict_in_blocks_writes_the_same_bytes(env, capsys, tmp_path, monkeypatch, block):
+    rows = separable_rows(40, seed=3)
+    sizes = sorted({0, 1, block - 1, block, block + 1, 2 * block + 1})
+
+    def predict_bytes(n, tag):
+        corpus = tmp_path / f"corpus{n}.tsv"
+        corpus.write_text(rows_to_tsv(rows[:n]), encoding="utf-8")
+        preds = tmp_path / f"preds{n}.{tag}.tsv"
+        assert run(capsys, "predict", str(env / "model.bin"), str(corpus),
+                   "--out", str(preds))[0] == 0
+        return preds.read_bytes()
+
+    whole = {n: predict_bytes(n, "whole") for n in sizes}
+    seen = []
+
+    def recording(vectors, vocab_size):
+        seen.append(len(vectors))
+        return feature_matrix(vectors, vocab_size)
+
+    n_features = load_model(env / "model.bin").n_features
+    monkeypatch.setattr(cli, "_PREDICT_BLOCK_CELLS", block * n_features)
+    monkeypatch.setattr(cli, "feature_matrix", recording)
+    for n in sizes:
+        assert predict_bytes(n, "blocks") == whole[n], n
+    assert sum(seen) == sum(sizes)
+    assert max(seen) == block
 
 
 @pytest.mark.parametrize("field, value, message", [

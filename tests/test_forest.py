@@ -10,6 +10,7 @@ tests/kfold_oracle.py.
 import io
 import json
 import struct
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -18,9 +19,10 @@ from hypothesis import given, settings, strategies as st
 from offlang.errors import (ModelTruncatedError, ModelVersionError,
                             ValidationError)
 from offlang.forest import (CVResult, ForestParams, _best_split, _columns,
-                            cross_validate, gini, grid_search, kfold,
+                            _fold_seed, cross_validate, gini, grid_search, kfold,
                             load_model, predict, predict_proba, save_model,
                             train_forest, train_tree)
+from offlang.metrics import confusion, scores
 from offlang.rng import TAG_TREE, stream
 
 from kfold_oracle import oracle_kfold
@@ -602,6 +604,28 @@ def test_cross_validate_mean_std_consistency():
     assert cv.mean == pytest.approx(float(arr.mean()))
     assert cv.std == pytest.approx(float(arr.std(ddof=0)))
     assert isinstance(cv, CVResult)
+
+
+def test_cross_validate_equals_fold_by_fold_train_forest():
+    # cross_validate builds X's Columns once for all folds; each fold's
+    # forest must be the one train_forest grows on that fold's rows.
+    rng = np.random.default_rng(4)
+    X = rng.integers(-2, 3, size=(45, 6)) * (rng.random((45, 6)) < 0.4)
+    y = [("IND", "GRP", "OTH")[i % 3] for i in range(45)]
+    X[:, 0] += [i % 3 for i in range(45)] * (rng.random(45) < 0.7)
+    params = ForestParams(n_trees=4, max_depth=3, seed=99)
+    classes = ("IND", "GRP", "OTH")
+    codes = [classes.index(label) for label in y]
+    fold_scores = []
+    for i, (train_idx, test_idx) in enumerate(kfold(len(y), 5, codes, seed=6)):
+        model = train_forest(X, y, replace(params, seed=_fold_seed(6, i)), rows=train_idx)
+        gold = [y[j] for j in test_idx]
+        fold_scores.append(scores(confusion(gold, predict(model, X[test_idx]), classes),
+                                  classes).macro_f1)
+    arr = np.asarray(fold_scores)
+    assert cross_validate(X, y, params, k=5, seed=6) == CVResult(
+        tuple(fold_scores), float(arr.mean()), float(arr.std(ddof=0)))
+    assert len(set(fold_scores)) > 1
 
 
 def test_grid_search_picks_the_better_setting():
