@@ -123,10 +123,15 @@ class Pipeline:
     def _abusive_set(self) -> WordSet:
         return WordSet(self.abusive)
 
-    # Chunk memos for preprocess and surface, bounded by the run's input
-    # like the vocabulary; valid because prep and stopwords are fixed.
+    # Chunk memos for preprocess and surface and preprocess's word -> stem
+    # memo, bounded by the run's input like the vocabulary; valid because
+    # prep and stopwords are fixed.
     @cached_property
     def _token_memo(self) -> dict:
+        return {}
+
+    @cached_property
+    def _stem_memo(self) -> dict:
         return {}
 
     @cached_property
@@ -135,7 +140,7 @@ class Pipeline:
 
     def _preprocess(self, text: str):
         return preprocess(text, self.prep, stoplist=self._stop_set, emoji_lexicon=self.emoji,
-                          memo=self._token_memo)
+                          memo=self._token_memo, stems=self._stem_memo)
 
     def _matrix(self, tweets) -> np.ndarray:
         vectors = [featurize(tt, self.vocabulary, self._abusive_set, self.ngram_max,
@@ -182,10 +187,20 @@ class Pipeline:
                     and all(isinstance(v, (int, float)) and math.isfinite(v)
                             for v in emoji.values())):
                 raise TypeError("lexicons must be two word lists and an emoji-to-finite-number map")
-            return cls(level=meta["level"], prep=PrepConfig(**meta["prep"]),
+            min_df, ngram_max = meta["features"]["min_df"], meta["features"]["ngram_max"]
+            # JSON true is a Python int; it must not pass as 1.
+            if not all(type(v) is int and v >= 1 for v in (min_df, ngram_max)):
+                raise TypeError(f"min_df and ngram_max must be integers >= 1, "
+                                f"got {min_df!r} and {ngram_max!r}")
+            level = meta["level"]
+            if not (isinstance(level, str) and level in LEVELS):
+                raise ValueError(f"level must be one of {', '.join(LEVELS)}, got {level!r}")
+            if meta["classes"] != list(LEVELS[level]):
+                raise ValueError(f"classes must be {list(LEVELS[level])} at level {level}, "
+                                 f"got {meta['classes']!r}")
+            return cls(level=level, prep=PrepConfig(**meta["prep"]),
                        stopwords=stopwords, abusive=abusive, emoji=emoji,
-                       min_df=int(meta["features"]["min_df"]),
-                       ngram_max=int(meta["features"]["ngram_max"]),
+                       min_df=min_df, ngram_max=ngram_max,
                        vocabulary=Vocabulary.from_jsonable(meta["vocabulary"]))
         except KeyError as exc:
             raise ValidationError(f"missing key {exc}") from None
@@ -516,6 +531,9 @@ def cmd_predict(args) -> int:
         # featurize differently, so it must name this model's bytes.
         if meta.get("model_sha256") != manifest.file_digest(model_path):
             raise ValidationError(f"model_sha256 is missing or is not the sha256 of {model_path}")
+        if classes_for(pipeline.level) != model.classes:
+            raise ValidationError(f"its classes {list(classes_for(pipeline.level))} are not "
+                                  f"the model's {list(model.classes)}")
         # Checked here because an empty corpus never reaches predict_proba's check.
         width = len(pipeline.vocabulary) + N_SURFACE
         if width != model.n_features:

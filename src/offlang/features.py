@@ -8,7 +8,9 @@ documents:
 
 and each document vector is L2-normalized.  Out-of-vocabulary terms are
 ignored at transform time.  Vocabulary indices follow first occurrence
-order over the fitting corpus after the min_df cut.
+order over the fitting corpus after the min_df cut.  The IDF factor is
+computed once per vocabulary term (`Vocabulary.idf`) with that same
+expression, so every weight is the float a per-document computation gives.
 
 The dense block has exactly nine fields, in SURFACE_FIELDS order.  Word
 statistics are computed over all-alphabetic tokens excluding the @user/url
@@ -21,12 +23,14 @@ is exact: no match of the placeholder patterns contains whitespace and
 their lookarounds test only letters, so a chunk edge acts as the
 whitespace beside it did; no whitespace character is punctuation or a
 letter; and the totals are integer sums.  The counts depend on the chunk
-alone, so one memo serves any settings.
+alone, so one memo serves any settings.  Punctuation is textprep's
+per-character table, and an alphanumeric chunk, which holds no punctuation,
+is not scanned for it.
 """
 
 import math
 import re
-import unicodedata
+from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple
@@ -39,7 +43,7 @@ except ImportError:  # numpy < 2
     from numpy.core.multiarray import _set_madvise_hugepage
 
 from .errors import ValidationError
-from .textprep import TokenizedTweet, WordSet, chunk_values, is_placeholder
+from .textprep import TokenizedTweet, WordSet, _is_punct, chunk_values, is_placeholder
 
 _URL_RE = re.compile(r"(?<![A-Za-z])URL(?![A-Za-z])")
 _MENTION_RE = re.compile(r"@USER(?![A-Za-z])")
@@ -54,9 +58,10 @@ class Vocabulary:
     def __post_init__(self):
         if len(self.terms) != len(self.df):
             raise ValidationError("terms and df must align")
-        if not (all(isinstance(t, str) for t in self.terms)
-                and all(1 <= d <= self.n_docs for d in self.df)):
-            raise ValidationError("terms must be strings and each df in 1..n_docs")
+        # type() rather than isinstance: a JSON true must not pass as 1.
+        if not (all(isinstance(t, str) for t in self.terms) and type(self.n_docs) is int
+                and all(type(d) is int and 1 <= d <= self.n_docs for d in self.df)):
+            raise ValidationError("terms must be strings and each df an integer in 1..n_docs")
 
     def __len__(self) -> int:
         return len(self.terms)
@@ -65,13 +70,17 @@ class Vocabulary:
     def index(self) -> dict[str, int]:
         return {t: i for i, t in enumerate(self.terms)}
 
+    @cached_property
+    def idf(self) -> tuple[float, ...]:
+        """Smoothed IDF per term, aligned with terms."""
+        return tuple(math.log((1 + self.n_docs) / (1 + df)) + 1.0 for df in self.df)
+
     def to_jsonable(self) -> dict:
         return {"terms": list(self.terms), "df": list(self.df), "n_docs": self.n_docs}
 
     @classmethod
     def from_jsonable(cls, data: dict) -> "Vocabulary":
-        return cls(terms=tuple(data["terms"]), df=tuple(int(x) for x in data["df"]),
-                   n_docs=int(data["n_docs"]))
+        return cls(terms=tuple(data["terms"]), df=tuple(data["df"]), n_docs=data["n_docs"])
 
 
 def expand_ngrams(tokens, ngram_max: int = 1) -> list[str]:
@@ -114,18 +123,12 @@ def tfidf(doc, vocab: Vocabulary) -> list[tuple[int, float]]:
     Unknown terms are skipped; a document with no in-vocabulary terms maps
     to the empty vector.
     """
-    tf: dict[int, int] = {}
-    index = vocab.index
-    for term in doc:
-        i = index.get(term)
-        if i is not None:
-            tf[i] = tf.get(i, 0) + 1
+    tf = Counter(map(vocab.index.get, doc))
+    tf.pop(None, None)
     if not tf:
         return []
-    entries = []
-    for i, count in sorted(tf.items()):
-        idf = math.log((1 + vocab.n_docs) / (1 + vocab.df[i])) + 1.0
-        entries.append((i, count * idf))
+    idf = vocab.idf
+    entries = [(i, count * idf[i]) for i, count in sorted(tf.items())]
     norm = math.sqrt(sum(w * w for _, w in entries))
     return [(i, w / norm) for i, w in entries]
 
@@ -151,7 +154,7 @@ def _chunk_counts(chunk: str) -> tuple[int, int, int, int, int]:
     letters in one whitespace chunk of the raw text."""
     letters = [ch for ch in chunk if ch.isalpha()]
     return (len(_URL_RE.findall(chunk)), len(_MENTION_RE.findall(chunk)),
-            sum(1 for ch in chunk if unicodedata.category(ch).startswith("P")),
+            0 if chunk.isalnum() else sum(map(_is_punct, chunk)),
             len(letters), sum(1 for ch in letters if ch.isupper()))
 
 

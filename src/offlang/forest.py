@@ -183,17 +183,19 @@ def _goes_left(cols: Columns, f: int, t: float, idx) -> np.ndarray:
     return left[idx]
 
 
-def _best_split(cols: Columns, y, idx, feat_ids, n_classes, min_leaf):
+def _best_split(cols: Columns, y, idx, feat_ids, n_classes, min_leaf, total=None):
     """Exact-minimum weighted-Gini split of the rows idx over the features
-    in the ascending array feat_ids.
+    in the ascending array feat_ids; `total` is the rows' class counts, if
+    the caller has them.
 
     Returns (feature, threshold) or None.  Two passes: a float64 scan for
-    the near-minimal score, then exact re-scoring of every candidate within
-    the float margin.
+    the near-minimal score, then exact re-scoring of the candidates within
+    the float margin when there are several.
     """
     n = len(idx)
     m = len(feat_ids)
-    total = np.bincount(y[idx], minlength=n_classes)
+    if total is None:
+        total = np.bincount(y[idx], minlength=n_classes)
     weight = np.bincount(idx, minlength=cols.n_rows)
 
     # The sampled columns' entries on the node's rows, tagged 0..m-1 by
@@ -243,16 +245,17 @@ def _best_split(cols: Columns, y, idx, feat_ids, n_classes, min_leaf):
     score = (n_left - sl / n_left) + (n_right - sr / n_right)  # n * weighted Gini
 
     margin = float(score.min()) + 1e-9 * max(1.0, float(n))
+    candidates = np.nonzero(score <= margin)[0]
     best_q = None
     best = None
-    for j in np.nonzero(score <= margin)[0]:
+    for j in candidates:
         p = int(pos[j])
         lo = float(value[g[j]])
         hi = float(value[g[j] + 1])
         t = (lo + hi) / 2.0
         if t >= hi:
             t = lo
-        q = _exact_q(left_counts[j], total, p, n - p)
+        q = _exact_q(left_counts[j], total, p, n - p) if len(candidates) > 1 else 0
         # Strict improvement keeps the lowest feature, lowest threshold.
         if best_q is None or q > best_q:
             best_q = q
@@ -322,7 +325,7 @@ def train_tree(X, y, params: ForestParams, rng, n_classes: int | None = None,
             feats = np.sort(rng.choice(n_features, size=m, replace=False))
         else:
             feats = np.arange(n_features)
-        split = _best_split(cols, y, idx, feats, k, params.min_samples_leaf)
+        split = _best_split(cols, y, idx, feats, k, params.min_samples_leaf, counts[node])
         if split is None:
             continue
         f, t = split

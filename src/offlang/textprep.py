@@ -18,6 +18,18 @@ text's pieces are the concatenation of its chunks' pieces, and
 `_final_token` sees one piece at a time with nothing but the PrepConfig and
 the stoplist, which is why a memo is valid for one such pair only.
 
+Other repeated work is skipped too, each time with the same output:
+
+* each distinct word is stemmed once, through a word -> stem memo that is
+  valid for one stem_language (`cli.Pipeline` keeps one per pipeline);
+* each character is classified as punctuation once, in a process-wide
+  table that the character set bounds;
+* hashtag splitting is skipped on text without "#", where it would only
+  re-join the chunks with single spaces; the emoji scan is skipped on ASCII
+  text, since every emoji unit is non-ASCII; and the punctuation strip is
+  skipped on an alphanumeric token, since no alphanumeric character is
+  punctuation.
+
 Conventions used throughout:
 
 * punctuation means Unicode general category P*;
@@ -60,8 +72,17 @@ def is_placeholder(token: str) -> bool:
 # Character classes
 
 
-def _is_punct(ch: str) -> bool:
-    return unicodedata.category(ch).startswith("P")
+class _PunctTable(dict):
+    """Character -> whether it is punctuation, each character classified on
+    its first lookup.  Shared by the whole process: it is bounded by the
+    character set, not by the input."""
+
+    def __missing__(self, ch: str) -> bool:
+        value = self[ch] = unicodedata.category(ch).startswith("P")
+        return value
+
+
+_is_punct = _PunctTable().__getitem__
 
 
 # The emoji unit grammar of the module docstring; group 1 is a unit with a
@@ -181,6 +202,8 @@ def extract_emoji_sentiment(text: str, lexicon) -> tuple[str, float]:
     denominator.  Stray modifiers with no base are removed unscored.  Text
     without emoji scores 0.0.
     """
+    if text.isascii():
+        return text, 0.0
     lexicon = lexicon or {}
     out = []
     scores = []
@@ -251,18 +274,22 @@ def _expand_hashtags(text: str) -> str:
     return " ".join(chunks)
 
 
-def _final_token(token: str, cfg: PrepConfig, stops: WordSet) -> str:
-    """The token as the pipeline emits it, or "" to drop it."""
+def _final_token(token: str, cfg: PrepConfig, stops: WordSet, stems: dict) -> str:
+    """The token as the pipeline emits it, or "" to drop it.  `stems` maps
+    a word to its stem under cfg.stem_language and gains the new ones."""
     if cfg.lowercase:
         token = token.lower()
-    if cfg.strip_punct and not is_placeholder(token):
+    if cfg.strip_punct and not token.isalnum() and not is_placeholder(token):
         token = "".join(ch for ch in token if not _is_punct(ch))
     if is_placeholder(token):
         return token
     if cfg.remove_stopwords and token.lower() in stops:
         return ""
     if cfg.stem and token.isalpha():
-        return stemming.stem(token, cfg.stem_language)
+        stem = stems.get(token)
+        if stem is None:
+            stem = stems[token] = stemming.stem(token, cfg.stem_language)
+        return stem
     return token
 
 
@@ -279,24 +306,28 @@ def chunk_values(text: str, memo: dict, compute) -> list:
     return values
 
 
-def _chunk_tokens(chunk: str, cfg: PrepConfig, stops: WordSet):
+def _chunk_tokens(chunk: str, cfg: PrepConfig, stops: WordSet, stems: dict):
     """(base tokens, final tokens) of one whitespace chunk."""
     pieces = tokenize(chunk)
-    kept = (_final_token(t, cfg, stops) for t in (pieces if cfg.strip_punct else (chunk,)))
+    kept = (_final_token(t, cfg, stops, stems)
+            for t in (pieces if cfg.strip_punct else (chunk,)))
     return tuple(t.lower() for t in pieces), tuple(filter(None, kept))
 
 
 def preprocess(text: str, cfg: PrepConfig = PrepConfig(),
-               stoplist=frozenset(), emoji_lexicon=None, memo=None) -> TokenizedTweet:
+               stoplist=frozenset(), emoji_lexicon=None, memo=None,
+               stems=None) -> TokenizedTweet:
     """Run the full preprocessing pipeline on one tweet.
 
     `memo` maps a whitespace chunk to its (base tokens, final tokens) and
     is filled as chunks are met.  It is valid for one (cfg, stoplist) pair
     only: pass the same dict only to calls with that pair, as
-    `cli.Pipeline` does.  None uses a fresh dict.
+    `cli.Pipeline` does.  `stems` maps a word to its stem and is filled the
+    same way; it is valid for one cfg.stem_language.  None uses a fresh
+    dict.
     """
     work = text
-    if cfg.split_hashtags:
+    if cfg.split_hashtags and "#" in work:
         work = _expand_hashtags(work)
     if cfg.reduce_elongation:
         work = reduce_elongation(work)
@@ -305,9 +336,11 @@ def preprocess(text: str, cfg: PrepConfig = PrepConfig(),
         work, emoji_score = extract_emoji_sentiment(work, emoji_lexicon)
 
     stops = WordSet(stoplist)
+    stems = {} if stems is None else stems
     base, final = [], []
-    for chunk_base, chunk_final in chunk_values(work, {} if memo is None else memo,
-                                                lambda chunk: _chunk_tokens(chunk, cfg, stops)):
+    for chunk_base, chunk_final in chunk_values(
+            work, {} if memo is None else memo,
+            lambda chunk: _chunk_tokens(chunk, cfg, stops, stems)):
         base += chunk_base
         final += chunk_final
     return TokenizedTweet(tokens=tuple(final), emoji_score=emoji_score,

@@ -9,9 +9,11 @@ sees it.  The whole-text steps, the tokenizer and the stemmers are imported
 from the package, since they are not what this oracle checks.
 """
 
+import unicodedata
+
 from offlang import stemming
 from offlang.textprep import (TokenizedTweet, WordSet, _expand_hashtags,
-                              _is_punct, extract_emoji_sentiment, is_placeholder,
+                              extract_emoji_sentiment, is_placeholder,
                               reduce_elongation, tokenize)
 
 
@@ -22,7 +24,7 @@ def remove_stopwords(tokens, stoplist) -> list[str]:
 
 
 def _strip_punct_from(token: str) -> str:
-    return "".join(ch for ch in token if not _is_punct(ch))
+    return "".join(ch for ch in token if not unicodedata.category(ch).startswith("P"))
 
 
 def oracle_preprocess(text, cfg, stoplist=frozenset(), emoji_lexicon=None) -> TokenizedTweet:

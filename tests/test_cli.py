@@ -4,12 +4,17 @@ Commands run in-process through main(argv) so exit codes and stdout are
 asserted directly; one subprocess test covers the installed entry point.
 """
 
+import contextlib
+import io
 import json
 import shutil
 import subprocess
 import sys
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from offlang import cli
 from offlang.cli import _grid_from_config, _load_predictions, main
@@ -423,6 +428,16 @@ def _sidecar_with(section, field, value):
     pytest.param(_sidecar_with("prep", "lowercase", "false"), id="prep-flag-string"),
     pytest.param(_sidecar_with("prep", "stem_language", "klingon"), id="unknown-stem-language"),
     pytest.param(lambda meta: json.dumps({**meta, "model_sha256": "0" * 64}), id="other-model"),
+    # Keys that were read but never checked, each once accepted with exit 0.
+    pytest.param(lambda meta: json.dumps({**meta, "level": {}}), id="level-object"),
+    pytest.param(lambda meta: json.dumps({**meta, "level": "D"}), id="level-unknown"),
+    pytest.param(lambda meta: json.dumps({**meta, "classes": "x"}), id="classes-string"),
+    pytest.param(lambda meta: json.dumps({**meta, "classes": ["OFF", "NOT"]}),
+                 id="classes-reordered"),
+    *[pytest.param(_sidecar_with("features", field, value), id=f"{field}-{value!r}")
+      for field, value in (("ngram_max", True), ("ngram_max", 1.5), ("ngram_max", "1"),
+                           ("ngram_max", 0), ("min_df", 1.5), ("min_df", -3),
+                           ("min_df", False))],
 ])
 def test_predict_malformed_sidecar_exits_2(env, capsys, tmp_path, corrupt):
     model = tmp_path / "model.bin"
@@ -434,6 +449,21 @@ def test_predict_malformed_sidecar_exits_2(env, capsys, tmp_path, corrupt):
     assert code == 2
     assert out == ""
     assert err.startswith(f"error: malformed model sidecar {sidecar}: ")
+
+
+def test_predict_sidecar_of_another_level_exits_2(env, capsys, tmp_path):
+    # Level and classes agree with each other but not with the model.
+    model = tmp_path / "model.bin"
+    shutil.copyfile(env / "model.bin", model)
+    meta = json.loads((env / "model.bin.meta.json").read_text(encoding="utf-8"))
+    meta.update(level="B", classes=["TIN", "UNT"])
+    sidecar = tmp_path / "model.bin.meta.json"
+    sidecar.write_text(json.dumps(meta), encoding="utf-8")
+    code, out, err = run(capsys, "predict", str(model), str(env / "corpus.tsv"))
+    assert code == 2
+    assert out == ""
+    assert err == (f"error: malformed model sidecar {sidecar}: its classes ['TIN', 'UNT'] "
+                   f"are not the model's ['NOT', 'OFF']\n")
 
 
 @pytest.mark.parametrize("n_rows", [0, 5])
@@ -483,6 +513,74 @@ def test_predict_in_blocks_writes_the_same_bytes(env, capsys, tmp_path, monkeypa
         assert predict_bytes(n, "blocks") == whole[n], n
     assert sum(seen) == sum(sizes)
     assert max(seen) == block
+
+
+# Every JSON type, the integers around the >= 1 checks, a large integer and
+# the floats JSON writes as Infinity and NaN.
+_JSON_VALUE = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 3) | st.just(10**30)
+    | st.floats(allow_nan=True, allow_infinity=True) | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner,
+                                                                max_size=3),
+    max_leaves=6)
+_SIDECAR_PATHS = [
+    *[(key,) for key in ("level", "classes", "prep", "features", "lexicons", "vocabulary",
+                         "model_sha256")],
+    ("classes", 0),
+    *[("prep", field) for field in ("lowercase", "strip_punct", "remove_stopwords", "stem",
+                                    "split_hashtags", "reduce_elongation", "emoji_mode",
+                                    "stem_language")],
+    ("features", "min_df"), ("features", "ngram_max"),
+    *[("lexicons", key) for key in ("stopwords", "abusive", "emoji")],
+    ("lexicons", "stopwords", 0), ("lexicons", "abusive", 0),
+    *[("vocabulary", key) for key in ("terms", "df", "n_docs")],
+    ("vocabulary", "terms", 0), ("vocabulary", "df", 0),
+]
+
+
+def _fuzz_predict(env, model_bytes: bytes, edit) -> int:
+    """predict's exit code on model_bytes with the trained sidecar changed
+    by edit and model_sha256 set to the bytes' digest, unless edit replaced
+    it.  An exception escaping main fails the test."""
+    meta = json.loads((env / "model.bin.meta.json").read_text(encoding="utf-8"))
+    with tempfile.TemporaryDirectory() as d:
+        model = Path(d) / "model.bin"
+        model.write_bytes(model_bytes)
+        meta["model_sha256"] = file_digest(model)
+        edit(meta)
+        (Path(d) / "model.bin.meta.json").write_text(json.dumps(meta), encoding="utf-8")
+        corpus = Path(d) / "corpus.tsv"
+        corpus.write_text(rows_to_tsv(separable_rows(40, seed=99)[:5]), encoding="utf-8")
+        with contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(io.StringIO()):
+            return main(["predict", str(model), str(corpus)])
+
+
+@settings(deadline=None, max_examples=150)
+@given(st.sampled_from(_SIDECAR_PATHS), _JSON_VALUE)
+# int() of an infinite count once ended in an OverflowError traceback.
+@example(("vocabulary", "n_docs"), float("inf"))
+@example(("vocabulary", "df", 0), float("inf"))
+def test_predict_fuzzed_sidecar_exits_0_or_2(env, path, value):
+    def edit(meta):
+        node = meta
+        for key in path[:-1]:
+            node = node[key]
+        node[path[-1]] = value
+    assert _fuzz_predict(env, (env / "model.bin").read_bytes(), edit) in (0, 2)
+
+
+@settings(deadline=None, max_examples=150)
+@given(st.data())
+def test_predict_fuzzed_model_exits_0_or_2(env, data):
+    blob = bytearray((env / "model.bin").read_bytes())
+    if data.draw(st.booleans(), label="truncate"):
+        blob = blob[:data.draw(st.integers(0, len(blob) - 1), label="length")]
+    else:
+        for _ in range(data.draw(st.integers(1, 3), label="changes")):
+            blob[data.draw(st.integers(0, len(blob) - 1), label="at")] = \
+                data.draw(st.integers(0, 255), label="byte")
+    assert _fuzz_predict(env, bytes(blob), lambda meta: None) in (0, 2)
 
 
 @pytest.mark.parametrize("field, value, message", [

@@ -21,6 +21,7 @@ from offlang.textprep import PrepConfig, TokenizedTweet, preprocess, tokenize
 
 from conftest import SPLIT_WHITESPACE
 from surface_oracle import oracle_surface
+from tfidf_oracle import oracle_tfidf_exact
 
 
 def oracle_tfidf(doc, vocab):
@@ -69,9 +70,12 @@ def test_vocabulary_index_and_len():
     vocab = Vocabulary(terms=("p", "q"), df=(1, 2), n_docs=2)
     assert len(vocab) == 2
     assert vocab.index == {"p": 0, "q": 1}
-    for terms, df in ((("p",), (1, 2)), (("p",), (0,)), (("p",), (3,)), ((["p"],), (1,))):
+    for terms, df in ((("p",), (1, 2)), (("p",), (0,)), (("p",), (3,)), ((["p"],), (1,)),
+                      (("p",), (1.5,)), (("p",), (True,))):
         with pytest.raises(ValidationError):
             Vocabulary(terms=terms, df=df, n_docs=2)
+    with pytest.raises(ValidationError):
+        Vocabulary(terms=("p",), df=(1,), n_docs=2.0)
 
 
 def test_expand_ngrams():
@@ -130,6 +134,22 @@ def test_tfidf_matches_independent_arithmetic(docs, query):
     if got:
         norm = math.sqrt(sum(w * w for _, w in got))
         assert norm == pytest.approx(1.0, abs=1e-9)
+
+
+# Document frequencies from 1 to n_docs, repeated terms and n-grams.
+_WEIGHTED_DOCS = st.lists(
+    st.lists(st.sampled_from(["a", "b", "c", "d", "a b", "b c", "zz"]), max_size=30),
+    min_size=1, max_size=40)
+
+
+@settings(max_examples=300)
+@given(_WEIGHTED_DOCS, st.lists(st.sampled_from(["a", "b", "c", "d", "a b", "zz", "q"]),
+                                max_size=40))
+def test_tfidf_equals_per_pair_idf_exactly(docs, query):
+    vocab = fit_vocabulary(docs, min_df=1)
+    assert tfidf(query, vocab) == oracle_tfidf_exact(query, vocab)
+    for doc in docs:
+        assert tfidf(doc, vocab) == oracle_tfidf_exact(doc, vocab)
 
 
 # ---------------------------------------------------------------------------

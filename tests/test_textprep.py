@@ -2,15 +2,18 @@
 stopwords and the fixed step order inside preprocess()."""
 
 import itertools
+import unicodedata
+from collections import Counter
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from offlang import stemming
 from offlang.cli import Pipeline
 from offlang.errors import ValidationError
 from offlang.features import expand_ngrams, feature_matrix, featurize, fit_vocabulary
-from offlang.textprep import (_EMOJI_CHAR, PrepConfig, TokenizedTweet,
+from offlang.textprep import (_EMOJI_CHAR, PrepConfig, TokenizedTweet, _is_punct,
                               emoji_spans, extract_emoji_sentiment,
                               is_placeholder, preprocess, reduce_elongation,
                               split_hashtag, tokenize)
@@ -281,6 +284,19 @@ def test_emoji_char_class_matches_oracle_on_every_code_point():
     assert disagree == []
 
 
+def test_fast_path_facts_hold_on_every_code_point():
+    # An isalnum() token skips the punctuation strip and count, and an
+    # isascii() text skips the emoji scan; both rest on these facts of the
+    # Unicode database.
+    punct = [chr(cp) for cp in range(0x110000) if unicodedata.category(chr(cp)).startswith("P")]
+    assert [ch for ch in punct if ch.isalnum()] == []
+    assert all(_is_punct(ch) for ch in punct)
+    ascii_text = "".join(map(chr, range(128)))
+    assert [ch for ch in ascii_text if _EMOJI_CHAR.match(ch) or _is_emoji_char(ch)] == []
+    assert emoji_spans(ascii_text) == oracle_emoji_spans(ascii_text) == []
+    assert extract_emoji_sentiment(ascii_text, {"a": 1.0}) == (ascii_text, 0.0)
+
+
 @given(st.text())
 def test_emoji_spans_match_oracle(text):
     assert emoji_spans(text) == oracle_emoji_spans(text)
@@ -308,6 +324,26 @@ def test_emoji_spans_match_oracle_on_boundary_text(text):
     assert emoji_spans(text) == oracle_emoji_spans(text)
 
 
+_SCORED = {"\U0001F1E6\U0001F1E9": 1.0, "\u2600": -0.5, "\U0001F3FA": 0.25}
+_DROPPED = "\uFE0E\uFE0F" + "".join(map(chr, range(0x1F3FB, 0x1F400)))
+
+
+@settings(max_examples=500)
+@given(st.text(alphabet=st.sampled_from(_EMOJI_BOUNDARY), max_size=30) | st.text())
+def test_extract_emoji_sentiment_matches_oracle_spans(text):
+    # ASCII text takes the early return; every other text is scored from
+    # the oracle's units.
+    kept, scores = text, []
+    for start, end, unit, has_base in reversed(oracle_emoji_spans(text)):
+        kept = kept[:start] + kept[end:]
+        if has_base:
+            bare = "".join(ch for ch in unit if ch not in _DROPPED)
+            scores.append(_SCORED.get(unit, _SCORED.get(bare, 0.0)))
+    scores.reverse()
+    assert extract_emoji_sentiment(text, _SCORED) == \
+        (kept, sum(scores) / len(scores) if scores else 0.0)
+
+
 # ---------------------------------------------------------------------------
 # The per-token rule against the list-pass pipeline in prep_oracle.py
 
@@ -332,6 +368,12 @@ _PREP_BOUNDARY = [
     "Running", "hundene", "Go", "Home", "sooo", "123", " ", *SPLIT_WHITESPACE,
 ]
 _BOUNDARY_TEXT = st.lists(st.sampled_from(_PREP_BOUNDARY), max_size=12).map("".join)
+# Texts without "#", which skip hashtag splitting, and ASCII ones among
+# them, which skip the emoji scan, with runs of every splitting whitespace.
+_NO_HASH_TEXT = st.lists(
+    st.sampled_from([p for p in _PREP_BOUNDARY if p.isascii() and "#" not in p])
+    | st.text(st.sampled_from([" ", *SPLIT_WHITESPACE]), min_size=1, max_size=4),
+    max_size=12).map("".join)
 
 
 def _assert_matches_oracle(text, cfg):
@@ -353,6 +395,13 @@ def test_preprocess_matches_oracle(text, cfg):
 # neither a stopword nor stemmed.
 @example("U.R.L", PrepConfig(lowercase=False))
 def test_preprocess_matches_oracle_on_boundary_text(text, cfg):
+    _assert_matches_oracle(text, cfg)
+
+
+@settings(max_examples=1000)
+@given(_NO_HASH_TEXT, st.sampled_from(_CONFIGS))
+@example("sooo\t\x1c Running!!\u3000\u3000URL", PrepConfig())
+def test_preprocess_matches_oracle_on_text_without_hashtags(text, cfg):
     _assert_matches_oracle(text, cfg)
 
 
@@ -408,3 +457,26 @@ def test_pipelines_used_in_alternation_match_the_oracle(texts):
             out.append(pipe.transform([text]))
     for pipe, out in zip(fitted, rows):
         assert np.array_equal(np.vstack(out), _oracle_matrix(pipe, texts)[1])
+
+
+def test_pipeline_stems_each_distinct_word_once(monkeypatch):
+    # Words recur within a chunk, across chunks and across texts.  The
+    # fitted Pipeline is a second one and stems them afresh: nothing is
+    # cached beyond one Pipeline.
+    calls = []
+
+    def counting(word, language):
+        calls.append(word)
+        return stem(word, language)
+
+    stem = stemming.stem
+    monkeypatch.setattr(stemming, "stem", counting)
+    texts = ["running runs, running!", "Runs #RunningFast", "running the runs"]
+    once = dict.fromkeys(["running", "runs", "fast"], 1)
+    pipe, _ = Pipeline(level="A", prep=PrepConfig(), stopwords=["the"], abusive=[],
+                       emoji={}, min_df=1, ngram_max=1).fit_transform(texts)
+    assert Counter(calls) == once
+    calls.clear()
+    pipe.transform(texts)
+    pipe.transform(texts[::-1])
+    assert Counter(calls) == once
