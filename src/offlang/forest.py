@@ -2,16 +2,16 @@
 stratified k-fold cross-validation and grid search.
 
 Trees read the feature matrix as compressed sparse columns (`Columns`):
-each feature's nonzero entries as ascending row numbers and their values,
-built once per fit from the nonzeros of X.  The TF-IDF features are over
-99 % zeros, so a node's split search sorts only its nonzeros.  At a node,
-the entries of the sampled columns that fall on the node's rows are
-weighted by each row's multiplicity (bootstrap repeats rows), and each
-feature gets one zero block at value 0.0 holding the node's class totals
-minus that feature's nonzero class counts.  Everything is ordered by
-(feature, value), equal (feature, value) runs are summed, and class
-counts are accumulated within each feature.  The zero block sorts by its
-value like any run, so negative values (emoji scores) come before it.
+each feature's nonzero entries in ascending value order, with their row
+numbers, built and sorted once per fit from the nonzeros of X.  The TF-IDF
+features are over 99 % zeros, so a node's split search reads only its
+nonzeros, and it sorts nothing.  At a node, the entries of the sampled
+columns that fall on the node's rows are weighted by each row's
+multiplicity (bootstrap repeats rows); they stay in (feature, value)
+order, equal (feature, value) runs are summed, and each feature gets one
+zero run at value 0.0, after its negative runs (emoji scores), holding the
+node's class totals minus that feature's nonzero class counts.  Class
+counts are then accumulated within each feature.
 
 This is exact.  For every distinct value of every feature it gives the
 class counts of the rows at or below that value, which is all the dense
@@ -37,8 +37,22 @@ bit-identical regardless of thread count.  Trees are laid out in preorder
 (node, left subtree, right subtree) and the per-node feature subset is
 drawn exactly once, at the moment the node attempts to split (no draw when
 the subset is every feature).
+
+Lock step: cross_validate grows all k * n_trees trees of its folds side by
+side.  Each step advances every unfinished tree to its next node that
+needs a split search, drawing that node's features from the tree's own
+stream, and searches all of those nodes at once (_best_splits): every
+(node, sampled feature) pair is one segment of the same arrays, and each
+node keeps its own float minimum, margin and exact re-score.  This changes
+no byte.  Trees share no stream (Breiman 2001 grows them independently),
+and within a tree the nodes are still visited, and their features drawn,
+in preorder, so each tree is the one grown alone.  Trees are grown in
+waves of at most _WAVE_CELLS // n_rows trees, because a step weighs
+entries through a table of one row multiplicity per (tree, corpus row);
+train_tree is a wave of one tree.
 """
 
+import itertools
 import json
 import struct
 from concurrent.futures import ThreadPoolExecutor
@@ -138,8 +152,9 @@ def _exact_q(left_counts, total_counts, n_left, n_right) -> Fraction:
 
 class Columns(NamedTuple):
     """A feature matrix as compressed sparse columns: column f's nonzero
-    entries sit at rows[indptr[f]:indptr[f + 1]] (ascending) with values
-    values[indptr[f]:indptr[f + 1]]."""
+    values sit at values[indptr[f]:indptr[f + 1]] in ascending order (equal
+    values in no particular order) with their rows at
+    rows[indptr[f]:indptr[f + 1]]."""
     indptr: np.ndarray  # int64, n_features + 1
     rows: np.ndarray    # int64
     values: np.ndarray  # float64, finite and nonzero
@@ -166,13 +181,17 @@ def _columns(X) -> Columns:
     at = np.concatenate([np.flatnonzero(flat[s:s + step] != 0) + s
                          for s in range(0, max(flat.size, 1), step)])
     rows, feats = np.divmod(at, max(n_features, 1))
-    order = np.argsort(feats, kind="stable")
-    values = flat[at[order]]
+    values = flat[at]
     if not np.isfinite(values).all():
         raise ValidationError("X holds a non-finite value")
+    # Order by (feature, value rank): one integer sort, faster than a
+    # lexsort, and equal values need no particular order.
+    rank = np.empty(len(values), dtype=np.int64)
+    rank[np.argsort(values)] = np.arange(len(values))
+    order = np.argsort(feats * len(values) + rank)
     indptr = np.zeros(n_features + 1, dtype=np.int64)
     np.cumsum(np.bincount(feats, minlength=n_features), out=indptr[1:])
-    return Columns(indptr, rows[order], values, n_rows)
+    return Columns(indptr, rows[order], values[order], n_rows)
 
 
 def _goes_left(cols: Columns, f: int, t: float, idx) -> np.ndarray:
@@ -183,84 +202,219 @@ def _goes_left(cols: Columns, f: int, t: float, idx) -> np.ndarray:
     return left[idx]
 
 
-def _best_split(cols: Columns, y, idx, feat_ids, n_classes, min_leaf, total=None):
-    """Exact-minimum weighted-Gini split of the rows idx over the features
-    in the ascending array feat_ids; `total` is the rows' class counts, if
-    the caller has them.
+def _best_splits(cols: Columns, y, nodes, n_classes, min_leaf):
+    """The exact-minimum weighted-Gini split of each node in `nodes`, a
+    list of (idx, feat_ids, total): the node's rows (repeats allowed), the
+    ascending features to search and the rows' class counts.
 
-    Returns (feature, threshold) or None.  Two passes: a float64 scan for
-    the near-minimal score, then exact re-scoring of the candidates within
-    the float margin when there are several.
+    Returns one (feature, threshold) or None per node.  The nodes are
+    searched together: every (node, sampled feature) pair is one segment,
+    already in (segment, value) order because the columns are sorted.  Two
+    passes per node: a float64 scan for its near-minimal score, then exact
+    re-scoring of its candidates within the node's float margin when there
+    are several.
     """
-    n = len(idx)
-    m = len(feat_ids)
-    if total is None:
-        total = np.bincount(y[idx], minlength=n_classes)
-    weight = np.bincount(idx, minlength=cols.n_rows)
+    n_nodes = len(nodes)
+    n_rows = cols.n_rows
+    n = np.array([len(idx) for idx, _, _ in nodes], dtype=np.int64)
+    total = np.array([t for _, _, t in nodes], dtype=np.int64).reshape(n_nodes, n_classes)
+    # Row multiplicities, one n_rows-long block per node.
+    weight = np.bincount(np.concatenate([idx + b * n_rows
+                                         for b, (idx, _, _) in enumerate(nodes)]),
+                         minlength=n_nodes * n_rows)
 
-    # The sampled columns' entries on the node's rows, tagged 0..m-1 by
-    # feature and weighted by row multiplicity.
-    start = cols.indptr[feat_ids]
-    length = cols.indptr[feat_ids + 1] - start
+    # The segments' column entries on their node's rows, tagged 0..S-1 by
+    # segment and weighted by row multiplicity.
+    seg_feat = np.concatenate([f for _, f, _ in nodes]).astype(np.int64)
+    seg_node = np.repeat(np.arange(n_nodes), [len(f) for _, f, _ in nodes])
+    n_segs = len(seg_feat)
+    start = cols.indptr[seg_feat]
+    length = cols.indptr[seg_feat + 1] - start
     end = np.cumsum(length)
     entry = np.arange(length.sum()) + np.repeat(start - (end - length), length)
-    feat = np.repeat(np.arange(m), length)
-    w = weight[cols.rows[entry]]
+    seg = np.repeat(np.arange(n_segs), length)
+    row = cols.rows[entry]
+    w = weight[row + np.repeat(seg_node * n_rows, length)]
     on = np.nonzero(w)[0]
-    entry, feat, w = entry[on], feat[on], w[on]
-    label = y[cols.rows[entry]]
-    counts = np.zeros((len(on), n_classes), dtype=np.int64)
-    counts[np.arange(len(on)), label] = w
+    entry, seg, w = entry[on], seg[on], w[on]
+    label = y[row[on]]
+    value = cols.values[entry]
 
-    # One zero block per feature that has zeros in the node.
-    nonzero = np.bincount(feat * n_classes + label, weights=w, minlength=m * n_classes)
-    zero = total - nonzero.astype(np.int64).reshape(m, n_classes)
-    zf = np.nonzero(zero.any(axis=1))[0]
-    feat = np.concatenate((feat, zf))
-    value = np.concatenate((cols.values[entry], np.zeros(len(zf))))
-    counts = np.concatenate((counts, zero[zf]))
-
-    order = np.lexsort((value, feat))
-    feat, value, counts = feat[order], value[order], counts[order]
-    run = np.ones(len(feat), dtype=bool)
-    run[1:] = (feat[1:] != feat[:-1]) | (value[1:] != value[:-1])
+    # Runs of equal (segment, value), already in order, and their class
+    # counts; count arrays are class-major, (n_classes, runs).
+    run = np.ones(len(seg), dtype=bool)
+    run[1:] = (seg[1:] != seg[:-1]) | (value[1:] != value[:-1])
+    run_id = np.cumsum(run) - 1
     run = np.nonzero(run)[0]
-    feat, value = feat[run], value[run]
-    # Every feature's runs sum to `total`, so subtracting the totals of the
-    # features before it leaves counts cumulative within the feature.
-    cum = np.add.reduceat(counts, run, axis=0).cumsum(axis=0) - feat[:, None] * total
+    n_runs = len(run)
+    run_seg, run_value = seg[run], value[run]
+    run_counts = np.bincount(label * n_runs + run_id, weights=w, minlength=n_classes * n_runs)
 
-    # A boundary follows every value but the last of its feature.
-    g = np.nonzero(feat[:-1] == feat[1:])[0]
-    left_counts = cum[g]
-    pos = left_counts.sum(axis=1)
-    ok = (pos >= min_leaf) & (n - pos >= min_leaf)
-    g, left_counts, pos = g[ok], left_counts[ok], pos[ok]
+    # One zero run per segment that has zeros in its node, placed after the
+    # segment's negative runs.
+    seg_total = total[seg_node].T
+    nonzero = np.bincount(label * n_segs + seg, weights=w, minlength=n_classes * n_segs)
+    zero = seg_total - nonzero.astype(np.int64).reshape(n_classes, n_segs)
+    has_zero = zero.any(axis=0)
+    zs = np.nonzero(has_zero)[0]
+    seg_runs = np.bincount(run_seg, minlength=n_segs)
+    negative = np.bincount(run_seg[run_value < 0], minlength=n_segs)
+    zero_at = (np.cumsum(seg_runs) - seg_runs + negative)[zs] + np.arange(len(zs))
+    nonzero_slot = np.ones(n_runs + len(zs), dtype=bool)
+    nonzero_slot[zero_at] = False
+    seg = np.empty(len(nonzero_slot), dtype=np.int64)
+    seg[nonzero_slot], seg[zero_at] = run_seg, zs
+    value = np.zeros(len(nonzero_slot))
+    value[nonzero_slot] = run_value
+    counts = np.empty((n_classes, len(nonzero_slot)), dtype=np.int64)
+    counts[:, nonzero_slot] = run_counts.reshape(n_classes, n_runs)
+    counts[:, zero_at] = zero[:, zs]
+    # Every segment's runs sum to its node's totals, so subtracting the
+    # previous segment's totals at each segment's first run leaves the
+    # cumulative sum cumulative within the segment.
+    seg_size = seg_runs + has_zero
+    counts[:, (np.cumsum(seg_size) - seg_size)[1:]] -= seg_total[:, :-1]
+    cum = counts.cumsum(axis=1)
+
+    # A boundary follows every value but the last of its segment.
+    g = np.nonzero(seg[:-1] == seg[1:])[0]
+    node = seg_node[seg[g]]
+    left_counts = cum[:, g]
+    pos = left_counts.sum(axis=0)
+    ok = (pos >= min_leaf) & (n[node] - pos >= min_leaf)
+    g, node, left_counts, pos = g[ok], node[ok], left_counts[:, ok], pos[ok]
+    best = [None] * n_nodes
     if g.size == 0:
-        return None
+        return best
     n_left = pos.astype(np.float64)
-    n_right = n - n_left
-    sl = np.square(left_counts).sum(axis=1).astype(np.float64)
-    sr = np.square(total[np.newaxis, :] - left_counts).sum(axis=1).astype(np.float64)
+    n_right = n[node] - n_left
+    sl = np.square(left_counts).sum(axis=0).astype(np.float64)
+    sr = np.square(total[node].T - left_counts).sum(axis=0).astype(np.float64)
     score = (n_left - sl / n_left) + (n_right - sr / n_right)  # n * weighted Gini
 
-    margin = float(score.min()) + 1e-9 * max(1.0, float(n))
-    candidates = np.nonzero(score <= margin)[0]
-    best_q = None
-    best = None
-    for j in candidates:
+    # Boundaries come in node order; each node has its own float margin.
+    per_node = np.bincount(node, minlength=n_nodes)
+    has = np.nonzero(per_node)[0]
+    first = np.cumsum(per_node[has]) - per_node[has]
+    margin = np.minimum.reduceat(score, first) + 1e-9 * np.maximum(1.0, n[has])
+    candidates = np.nonzero(score <= np.repeat(margin, per_node[has]))[0]
+    several = np.bincount(node[candidates], minlength=n_nodes) > 1
+    best_q = [None] * n_nodes
+    for j in candidates.tolist():
+        b = int(node[j])
         p = int(pos[j])
         lo = float(value[g[j]])
         hi = float(value[g[j] + 1])
         t = (lo + hi) / 2.0
         if t >= hi:
             t = lo
-        q = _exact_q(left_counts[j], total, p, n - p) if len(candidates) > 1 else 0
+        q = _exact_q(left_counts[:, j], total[b], p, int(n[b]) - p) if several[b] else 0
         # Strict improvement keeps the lowest feature, lowest threshold.
-        if best_q is None or q > best_q:
-            best_q = q
-            best = (int(feat_ids[feat[g[j]]]), t)
+        if best_q[b] is None or q > best_q[b]:
+            best_q[b] = q
+            best[b] = (int(seg_feat[seg[g[j]]]), t)
     return best
+
+
+def _best_split(cols: Columns, y, idx, feat_ids, n_classes, min_leaf, total=None):
+    """_best_splits for the one node of rows idx over the features
+    feat_ids; `total` is the rows' class counts, if the caller has them."""
+    if total is None:
+        total = np.bincount(y[idx], minlength=n_classes)
+    return _best_splits(cols, y, [(idx, feat_ids, total)], n_classes, min_leaf)[0]
+
+
+class _Growing:
+    """A tree being grown: its preorder node lists, the stack of nodes still
+    to visit, and the stream its feature subsets are drawn from."""
+
+    def __init__(self, rng, rows):
+        self.rng = rng
+        self.feature: list[int] = []
+        self.threshold: list[float] = []
+        self.left: list[int] = []
+        self.right: list[int] = []
+        self.counts: list[np.ndarray] = []
+        self.stack = [(rows, 0, -1, False)]
+
+    def next_search(self, y, k, params: ForestParams, m: int, n_features: int):
+        """Visit nodes until one needs a split search and return (node, idx,
+        depth, features); None once the tree is complete.
+
+        Nodes are allocated when popped and the right child is pushed first,
+        so indices and RNG draws both follow preorder.
+        """
+        while self.stack:
+            idx, depth, parent, is_right = self.stack.pop()
+            node = len(self.feature)
+            self.feature.append(-1)
+            self.threshold.append(0.0)
+            self.left.append(-1)
+            self.right.append(-1)
+            self.counts.append(np.bincount(y[idx], minlength=k).astype(np.int64))
+            if parent >= 0:
+                (self.right if is_right else self.left)[parent] = node
+            n = len(idx)
+            if n < 2 or int(self.counts[node].max()) == n:
+                continue
+            if params.max_depth is not None and depth >= params.max_depth:
+                continue
+            if m < n_features:
+                feats = np.sort(self.rng.choice(n_features, size=m, replace=False))
+            else:
+                feats = np.arange(n_features)
+            return node, idx, depth, feats
+        return None
+
+    def tree(self) -> Tree:
+        return Tree(
+            feature=np.asarray(self.feature, dtype=np.int32),
+            threshold=np.asarray(self.threshold, dtype=np.float64),
+            left=np.asarray(self.left, dtype=np.int32),
+            right=np.asarray(self.right, dtype=np.int32),
+            counts=np.vstack(self.counts),
+        )
+
+
+# A wave grows at most this many (tree, corpus row) cells of row
+# multiplicities at once: 8 MiB of int64, so lock-step memory is bounded by
+# the wave, not by the number of trees.
+_WAVE_CELLS = 1 << 20
+
+
+def _grow(cols: Columns, y, k: int, params: ForestParams, jobs):
+    """Grow one tree per (rng, rows) job, yielding the trees in job order.
+
+    The trees of a wave grow in lock step: each step advances every
+    unfinished tree to its next node that needs a split search and searches
+    all of those nodes in one _best_splits call.  Each tree draws only from
+    its own stream, in its own preorder, so it is the tree grown alone.
+    """
+    n_features = cols.n_features
+    m = _n_subset_features(params, n_features)
+    wave = max(1, _WAVE_CELLS // max(cols.n_rows, 1))
+    jobs = iter(jobs)
+    while growing := [_Growing(rng, rows) for rng, rows in itertools.islice(jobs, wave)]:
+        pending = growing
+        while pending:
+            steps = [(t, s) for t in pending
+                     if (s := t.next_search(y, k, params, m, n_features)) is not None]
+            if not steps:
+                break
+            splits = _best_splits(cols, y, [(idx, feats, t.counts[node])
+                                            for t, (node, idx, _, feats) in steps],
+                                  k, params.min_samples_leaf)
+            for (t, (node, idx, depth, _)), split in zip(steps, splits):
+                if split is None:
+                    continue
+                f, th = split
+                go_left = _goes_left(cols, f, th, idx)
+                t.feature[node] = f
+                t.threshold[node] = th
+                t.stack.append((idx[~go_left], depth + 1, node, True))
+                t.stack.append((idx[go_left], depth + 1, node, False))
+            pending = [t for t, _ in steps if t.stack]
+        yield from (t.tree() for t in growing)
 
 
 def train_tree(X, y, params: ForestParams, rng, n_classes: int | None = None,
@@ -287,61 +441,7 @@ def train_tree(X, y, params: ForestParams, rng, n_classes: int | None = None,
     k = int(n_classes) if n_classes is not None else int(labels.max()) + 1
     if labels.min() < 0 or labels.max() >= k:
         raise ValidationError(f"class codes must lie in 0..{k - 1}")
-    n_features = cols.n_features
-    m = _n_subset_features(params, n_features)
-
-    feature: list[int] = []
-    threshold: list[float] = []
-    left: list[int] = []
-    right: list[int] = []
-    counts: list[np.ndarray] = []
-
-    def new_node(idx) -> int:
-        node = len(feature)
-        feature.append(-1)
-        threshold.append(0.0)
-        left.append(-1)
-        right.append(-1)
-        counts.append(np.bincount(y[idx], minlength=k).astype(np.int64))
-        return node
-
-    # Nodes are allocated when popped and the right child is pushed first,
-    # so indices and RNG draws both follow preorder.
-    stack = [(rows, 0, -1, False)]
-    while stack:
-        idx, depth, parent, is_right = stack.pop()
-        node = new_node(idx)
-        if parent >= 0:
-            if is_right:
-                right[parent] = node
-            else:
-                left[parent] = node
-        n = len(idx)
-        if n < 2 or int(counts[node].max()) == n:
-            continue
-        if params.max_depth is not None and depth >= params.max_depth:
-            continue
-        if m < n_features:
-            feats = np.sort(rng.choice(n_features, size=m, replace=False))
-        else:
-            feats = np.arange(n_features)
-        split = _best_split(cols, y, idx, feats, k, params.min_samples_leaf, counts[node])
-        if split is None:
-            continue
-        f, t = split
-        go_left = _goes_left(cols, f, t, idx)
-        feature[node] = f
-        threshold[node] = t
-        stack.append((idx[~go_left], depth + 1, node, True))
-        stack.append((idx[go_left], depth + 1, node, False))
-
-    return Tree(
-        feature=np.asarray(feature, dtype=np.int32),
-        threshold=np.asarray(threshold, dtype=np.float64),
-        left=np.asarray(left, dtype=np.int32),
-        right=np.asarray(right, dtype=np.int32),
-        counts=np.vstack(counts),
-    )
+    return next(_grow(cols, y, k, params, [(rng, rows)]))
 
 
 # ---------------------------------------------------------------------------
@@ -380,24 +480,17 @@ def train_forest(X, y, params: ForestParams, classes=None, threads: int = 1,
     cols = _columns(X)
     y = list(y)
     classes = tuple(classes) if classes is not None else _canonical_classes(y)
-    return _fit_forest(cols, _encode_labels(y, classes), params, classes, threads, rows)
-
-
-def _fit_forest(cols: Columns, codes, params: ForestParams, classes, threads: int = 1,
-                rows=None) -> ForestModel:
-    """train_forest on X's Columns and its labels' class codes."""
+    codes = _encode_labels(y, classes)
     if cols.n_rows != len(codes):
         raise ValidationError("X and y differ in length")
     rows = np.arange(len(codes), dtype=np.int64) if rows is None else np.asarray(rows, dtype=np.int64)
     if len(rows) == 0:
         raise ValidationError("cannot train on an empty dataset")
-    n = len(rows)
 
     def build(i: int) -> Tree:
-        tree_rng = stream(params.seed, TAG_TREE, i)
-        draw = tree_rng.integers(0, n, size=n) if params.bootstrap else slice(None)
+        tree_rng, tree_rows = _tree_job(params, rows, i)
         return train_tree(cols, codes, params, tree_rng, n_classes=len(classes),
-                          rows=rows[draw])
+                          rows=tree_rows)
 
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
@@ -406,6 +499,14 @@ def _fit_forest(cols: Columns, codes, params: ForestParams, classes, threads: in
         trees = [build(i) for i in range(params.n_trees)]
     return ForestModel(classes=classes, params=params,
                        n_features=cols.n_features, trees=trees)
+
+
+def _tree_job(params: ForestParams, rows, i: int):
+    """Tree i's stream and rows: its bootstrap sample of `rows`, drawn
+    first from the stream that then supplies its feature subsets."""
+    rng = stream(params.seed, TAG_TREE, i)
+    n = len(rows)
+    return rng, rows[rng.integers(0, n, size=n)] if params.bootstrap else rows
 
 
 def _tree_proba(tree: Tree, X: np.ndarray) -> np.ndarray:
@@ -487,31 +588,59 @@ def _fold_seed(seed: int, fold: int) -> int:
     return int(ss.generate_state(1, np.uint64)[0])
 
 
+class _CVInputs(NamedTuple):
+    """What every parameter setting's cross-validation shares: X, its
+    Columns, the labels and their class codes, and the folds."""
+    X: np.ndarray
+    cols: Columns
+    y: list
+    codes: np.ndarray
+    classes: tuple
+    folds: list
+    seed: int
+
+
+def _cv_inputs(X, y, k: int, seed: int, classes) -> _CVInputs:
+    X = np.asarray(X, dtype=np.float64)
+    cols = _columns(X)
+    y = list(y)
+    classes = tuple(classes) if classes is not None else _canonical_classes(y)
+    codes = _encode_labels(y, classes)
+    return _CVInputs(X, cols, y, codes, classes, kfold(len(y), k, codes, seed), seed)
+
+
+def _cross_validate(cv: _CVInputs, params: ForestParams) -> CVResult:
+    """Grow every fold's forest in lock step and score each fold's test rows."""
+    from .metrics import confusion, scores as compute_scores
+    fold_params = [replace(params, seed=_fold_seed(cv.seed, i)) for i in range(len(cv.folds))]
+    trees = _grow(cv.cols, cv.codes, len(cv.classes), params,
+                  (_tree_job(p, train_idx, i)
+                   for p, (train_idx, _) in zip(fold_params, cv.folds)
+                   for i in range(params.n_trees)))
+    fold_scores = []
+    for p, (_, test_idx) in zip(fold_params, cv.folds):
+        model = ForestModel(classes=cv.classes, params=p, n_features=cv.cols.n_features,
+                            trees=list(itertools.islice(trees, params.n_trees)))
+        pred = predict(model, cv.X[test_idx])
+        gold = [cv.y[j] for j in test_idx]
+        fold_scores.append(compute_scores(confusion(gold, pred, cv.classes),
+                                          cv.classes).macro_f1)
+    arr = np.asarray(fold_scores, dtype=np.float64)
+    return CVResult(fold_scores=tuple(fold_scores),
+                    mean=float(arr.mean()), std=float(arr.std(ddof=0)))
+
+
 def cross_validate(X, y, params: ForestParams, k: int = 10, seed: int = 0,
                    classes=None, threads: int = 1) -> CVResult:
     """Stratified k-fold macro-F1 for one parameter setting.
 
     Fold membership and per-fold training seeds derive from `seed` (the
     seed inside `params` is ignored here) so every grid point is scored on
-    identical folds.  X's Columns are built once and every fold's forest
-    reads them.
+    identical folds.  X's Columns are built once, and all k * n_trees trees
+    grow in lock step (see the module docstring), so `threads` no longer
+    affects this function; it is accepted for the callers that pass it.
     """
-    X = np.asarray(X, dtype=np.float64)
-    cols = _columns(X)
-    y = list(y)
-    classes = tuple(classes) if classes is not None else _canonical_classes(y)
-    codes = _encode_labels(y, classes)
-    from .metrics import confusion, scores as compute_scores
-    fold_scores = []
-    for i, (train_idx, test_idx) in enumerate(kfold(len(y), k, codes, seed)):
-        fold_params = replace(params, seed=_fold_seed(seed, i))
-        model = _fit_forest(cols, codes, fold_params, classes, threads, rows=train_idx)
-        pred = predict(model, X[test_idx])
-        gold = [y[j] for j in test_idx]
-        fold_scores.append(compute_scores(confusion(gold, pred, classes), classes).macro_f1)
-    arr = np.asarray(fold_scores, dtype=np.float64)
-    return CVResult(fold_scores=tuple(fold_scores),
-                    mean=float(arr.mean()), std=float(arr.std(ddof=0)))
+    return _cross_validate(_cv_inputs(X, y, k, seed, classes), params)
 
 
 @dataclass(frozen=True)
@@ -523,16 +652,18 @@ class GridSearchResult:
 def grid_search(grid, X, y, k: int = 10, seed: int = 0, classes=None,
                 threads: int = 1) -> GridSearchResult:
     """Cross-validate every grid point; the best mean macro-F1 wins and
-    ties go to the earliest grid position."""
+    ties go to the earliest grid position.  X's Columns and the folds are
+    built once for all points; `threads` does not affect the result or
+    the work, as in cross_validate."""
     grid = list(grid)
     if not grid:
         raise ValidationError("parameter grid is empty")
+    cv_inputs = _cv_inputs(X, y, k, seed, classes)
     results = []
     best = None
     best_mean = -1.0
     for params in grid:
-        cv = cross_validate(X, y, params, k=k, seed=seed, classes=classes,
-                            threads=threads)
+        cv = _cross_validate(cv_inputs, params)
         results.append((params, cv))
         if cv.mean > best_mean:
             best = params

@@ -679,6 +679,19 @@ def test_cv_k_and_threads_guards(env, capsys):
     assert code == 2 and "--threads" in err
 
 
+def test_cv_manifest_is_the_same_at_every_thread_count(env, capsys, tmp_path):
+    conf = tmp_path / "cv.conf"
+    out = tmp_path / "cv.manifest.json"
+    conf.write_text((env / "train.conf").read_text(encoding="utf-8")
+                    .replace("forest.n_trees=20", "forest.n_trees=4")
+                    + f"out.manifest={out}\n", encoding="utf-8")
+    manifests = []
+    for threads in ("1", "3"):
+        assert run(capsys, "cv", str(conf), "--k", "3", "--threads", threads)[0] == 0
+        manifests.append(out.read_bytes())
+    assert manifests[0] == manifests[1]
+
+
 def test_gridsearch_ranks_and_writes_best(env, capsys, tmp_path):
     conf = tmp_path / "grid.conf"
     conf.write_text(

@@ -16,10 +16,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from offlang import forest
 from offlang.errors import (ModelTruncatedError, ModelVersionError,
                             ValidationError)
-from offlang.forest import (CVResult, ForestParams, _best_split, _columns,
-                            _fold_seed, cross_validate, gini, grid_search, kfold,
+from offlang.forest import (CVResult, ForestParams, _best_split, _best_splits,
+                            _columns, _fold_seed, cross_validate, gini, grid_search, kfold,
                             load_model, predict, predict_proba, save_model,
                             train_forest, train_tree)
 from offlang.metrics import confusion, scores
@@ -276,6 +277,56 @@ def test_best_split_equals_dense_oracle(data):
     else:
         assert got is not None and got[0] == want[0]
         assert struct.pack("<d", got[1]) == struct.pack("<d", want[1])
+
+
+def _split_matrix(data, n, d):
+    """An n x d matrix of _SPLIT_VALUES: per column dense, sparse or the
+    mirror of an earlier column."""
+    cell = st.sampled_from(_SPLIT_VALUES)
+    X = np.zeros((n, d))
+    for f in range(d):
+        kind = data.draw(st.sampled_from(["dense", "sparse", "negated"]))
+        if kind == "dense":
+            X[:, f] = data.draw(st.lists(cell, min_size=n, max_size=n))
+        elif kind == "sparse":
+            for r, v in data.draw(st.dictionaries(st.integers(0, n - 1), cell, max_size=2)).items():
+                X[r, f] = v
+        elif f > 0:
+            X[:, f] = -X[:, data.draw(st.integers(0, f - 1))]
+    return X
+
+
+@settings(deadline=None, max_examples=300)
+@given(st.data())
+def test_batched_split_search_equals_dense_oracle_per_node(data):
+    # Several nodes over one Columns, searched in one call, as a lock step
+    # searches one node of each tree: their rows overlap and repeat, and a
+    # node of one row repeated has no valid split.  Each node's result must
+    # be the oracle's on that node alone.
+    n = data.draw(st.integers(1, 12))
+    d = data.draw(st.integers(1, 5))
+    X = _split_matrix(data, n, d)
+    k = data.draw(st.integers(2, 3))
+    y = np.asarray(data.draw(st.lists(st.integers(0, k - 1), min_size=n, max_size=n)))
+    nodes = []
+    for _ in range(data.draw(st.integers(2, 6))):
+        if data.draw(st.booleans()):
+            idx = data.draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=40))
+        else:
+            idx = [data.draw(st.integers(0, n - 1))] * data.draw(st.integers(1, 40))
+        idx = np.sort(np.asarray(idx, dtype=np.int64))
+        feats = np.asarray(sorted(data.draw(st.sets(st.integers(0, d - 1), min_size=1))))
+        nodes.append((idx, feats, np.bincount(y[idx], minlength=k)))
+    min_leaf = data.draw(st.integers(1, 3))
+    got = _best_splits(_columns(X), y, nodes, k, min_leaf)
+    assert len(got) == len(nodes)
+    for (idx, feats, _), split in zip(nodes, got):
+        want = oracle_best_split(X, y, idx, feats, k, min_leaf)
+        if want is None:
+            assert split is None
+        else:
+            assert split is not None and split[0] == want[0]
+            assert struct.pack("<d", split[1]) == struct.pack("<d", want[1])
 
 
 def _row_draw(data, n):
@@ -626,6 +677,83 @@ def test_cross_validate_equals_fold_by_fold_train_forest():
     assert cross_validate(X, y, params, k=5, seed=6) == CVResult(
         tuple(fold_scores), float(arr.mean()), float(arr.std(ddof=0)))
     assert len(set(fold_scores)) > 1
+
+
+def _fold_by_fold(X, y, params, k, seed, classes):
+    """cross_validate's result, computed one train_forest per fold."""
+    fold_scores = []
+    for i, (train_idx, test_idx) in enumerate(kfold(len(y), k, [classes.index(c) for c in y],
+                                                    seed=seed)):
+        model = train_forest(X, y, replace(params, seed=_fold_seed(seed, i)), rows=train_idx)
+        gold = [y[j] for j in test_idx]
+        fold_scores.append(scores(confusion(gold, predict(model, X[test_idx]), classes),
+                                  classes).macro_f1)
+    arr = np.asarray(fold_scores)
+    return CVResult(tuple(fold_scores), float(arr.mean()), float(arr.std(ddof=0)))
+
+
+@settings(deadline=None, max_examples=40)
+@given(st.data())
+def test_cross_validate_equals_fold_by_fold_train_forest_property(data):
+    # The lock step grows every fold's trees side by side; each must be the
+    # tree train_forest grows alone, whatever the parameters.
+    seed = data.draw(st.integers(0, 2**32 - 1))
+    rng = np.random.default_rng(seed)
+    n = data.draw(st.integers(10, 40))
+    X = rng.integers(-2, 3, size=(n, 5)) * (rng.random((n, 5)) < 0.5)
+    classes = ("IND", "GRP", "OTH")
+    y = [classes[i % 3] for i in range(n)]
+    X[:, 0] += [i % 3 for i in range(n)] * (rng.random(n) < 0.6)
+    params = ForestParams(
+        n_trees=data.draw(st.integers(1, 4)), bootstrap=data.draw(st.booleans()),
+        max_features=data.draw(st.sampled_from(["sqrt", "all", 0.5])),
+        min_samples_leaf=data.draw(st.integers(1, 3)),
+        max_depth=data.draw(st.sampled_from([None, 1, 3])))
+    k = data.draw(st.integers(2, 5))
+    threads = data.draw(st.sampled_from([1, 4]))
+    assert cross_validate(X, y, params, k=k, seed=seed, threads=threads) == \
+        _fold_by_fold(X, y, params, k, seed, classes)
+
+
+def test_cross_validate_gives_the_same_result_at_every_wave_size(monkeypatch):
+    rng = np.random.default_rng(11)
+    X = rng.integers(-2, 3, size=(36, 6)) * (rng.random((36, 6)) < 0.4)
+    y = [("IND", "GRP", "OTH")[i % 3] for i in range(36)]
+    X[:, 0] += [i % 3 for i in range(36)] * (rng.random(36) < 0.7)
+    params = ForestParams(n_trees=3, seed=5)
+    whole = cross_validate(X, y, params, k=4, seed=2)
+    assert whole == _fold_by_fold(X, y, params, 4, 2, ("IND", "GRP", "OTH"))
+    batch_sizes = []
+    real_search = forest._best_splits
+
+    def recording(cols, codes, nodes, k, min_leaf):
+        batch_sizes.append(len(nodes))
+        return real_search(cols, codes, nodes, k, min_leaf)
+
+    monkeypatch.setattr(forest, "_best_splits", recording)
+    for trees_per_wave in (1, 2, 12):
+        batch_sizes.clear()
+        monkeypatch.setattr(forest, "_WAVE_CELLS", trees_per_wave * len(y))
+        assert cross_validate(X, y, params, k=4, seed=2) == whole, trees_per_wave
+        assert max(batch_sizes) == trees_per_wave
+
+
+def test_grid_search_builds_columns_and_folds_once(monkeypatch):
+    calls = {"_columns": 0, "kfold": 0}
+    for name in calls:
+        real = getattr(forest, name)
+
+        def counting(*args, _real=real, _name=name, **kwargs):
+            calls[_name] += 1
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(forest, name, counting)
+    X, y = separable_xy()
+    grid = [ForestParams(n_trees=2, max_depth=d) for d in (1, 2, None)]
+    gs = grid_search(grid, X, y, k=3, seed=1)
+    assert calls == {"_columns": 1, "kfold": 1}
+    for params, cv in gs.results:
+        assert cv == cross_validate(X, y, params, k=3, seed=1)
 
 
 def test_grid_search_picks_the_better_setting():
