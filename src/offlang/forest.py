@@ -182,15 +182,21 @@ def _columns(X) -> Columns:
                          for s in range(0, max(flat.size, 1), step)])
     rows, feats = np.divmod(at, max(n_features, 1))
     values = flat[at]
+    del at
     if not np.isfinite(values).all():
         raise ValidationError("X holds a non-finite value")
-    # Order by (feature, value rank): one integer sort, faster than a
-    # lexsort, and equal values need no particular order.
-    rank = np.empty(len(values), dtype=np.int64)
-    rank[np.argsort(values)] = np.arange(len(values))
-    order = np.argsort(feats * len(values) + rank)
     indptr = np.zeros(n_features + 1, dtype=np.int64)
     np.cumsum(np.bincount(feats, minlength=n_features), out=indptr[1:])
+    # Order by (feature, value rank): one integer sort, faster than a
+    # lexsort, and equal values need no particular order.  The key reuses
+    # feats' memory and temporaries are freed early, so no more nnz-long
+    # arrays are alive at once than for an unsorted build.
+    key = np.multiply(feats, len(values), out=feats)
+    rank = np.empty_like(key)
+    rank[np.argsort(values)] = np.arange(len(values))
+    key += rank
+    order = np.argsort(key)
+    del feats, key, rank
     return Columns(indptr, rows[order], values[order], n_rows)
 
 
