@@ -37,7 +37,7 @@ from .forest import (ForestParams, MAX_FEATURES_CHOICES, cross_validate,
                      save_model, train_forest)
 from .metrics import confusion, render_confusion, scores
 from .stemming import supported_languages
-from .textprep import PrepConfig, WordSet, preprocess
+from .textprep import PrepConfig, TextMemo, preprocess
 
 
 # ---------------------------------------------------------------------------
@@ -115,36 +115,17 @@ class Pipeline:
     ngram_max: int
     vocabulary: Vocabulary | None = None
 
+    # The text memo, bounded by the run's input like the vocabulary; valid
+    # because prep and the lexicons are fixed.
     @cached_property
-    def _stop_set(self) -> WordSet:
-        return WordSet(self.stopwords)
-
-    @cached_property
-    def _abusive_set(self) -> WordSet:
-        return WordSet(self.abusive)
-
-    # Chunk memos for preprocess and surface and preprocess's word -> stem
-    # memo, bounded by the run's input like the vocabulary; valid because
-    # prep and stopwords are fixed.
-    @cached_property
-    def _token_memo(self) -> dict:
-        return {}
-
-    @cached_property
-    def _stem_memo(self) -> dict:
-        return {}
-
-    @cached_property
-    def _surface_memo(self) -> dict:
-        return {}
+    def _memo(self) -> TextMemo:
+        return TextMemo(self.prep, self.stopwords, self.emoji, self.abusive)
 
     def _preprocess(self, text: str):
-        return preprocess(text, self.prep, stoplist=self._stop_set, emoji_lexicon=self.emoji,
-                          memo=self._token_memo, stems=self._stem_memo)
+        return preprocess(text, self.prep, memo=self._memo)
 
-    def _matrix(self, tweets) -> np.ndarray:
-        vectors = [featurize(tt, self.vocabulary, self._abusive_set, self.ngram_max,
-                             memo=self._surface_memo)
+    def _matrix(self, tweets, memo: TextMemo) -> np.ndarray:
+        vectors = [featurize(tt, self.vocabulary, memo.abusive, self.ngram_max, memo=memo)
                    for tt in tweets]
         return feature_matrix(vectors, len(self.vocabulary))
 
@@ -155,13 +136,13 @@ class Pipeline:
         vocab = fit_vocabulary((expand_ngrams(list(tt.tokens), self.ngram_max)
                                 for tt in prepped), min_df=self.min_df)
         fitted = replace(self, vocabulary=vocab)
-        return fitted, fitted._matrix(prepped)
+        return fitted, fitted._matrix(prepped, self._memo)
 
     def transform(self, texts) -> np.ndarray:
         """Feature matrix of texts.  Each is preprocessed and featurized
         before the next, so its TokenizedTweet is dropped at once, but every
         FeatureVector is kept until the matrix is built."""
-        return self._matrix(self._preprocess(t) for t in texts)
+        return self._matrix((self._preprocess(t) for t in texts), self._memo)
 
     def to_jsonable(self) -> dict:
         return {

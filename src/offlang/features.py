@@ -15,21 +15,16 @@ expression, so every weight is the float a per-document computation gives.
 The dense block has exactly nine fields, in SURFACE_FIELDS order.  Word
 statistics are computed over all-alphabetic tokens excluding the @user/url
 placeholders; placeholder counts are taken from the raw text with letter
-boundaries so e.g. CURL does not count as URL.
-
-The raw-text counts (placeholders, punctuation, letters, capitals) are
-taken once per distinct whitespace chunk through a memo and summed.  That
-is exact: no match of the placeholder patterns contains whitespace and
-their lookarounds test only letters, so a chunk edge acts as the
-whitespace beside it did; no whitespace character is punctuation or a
-letter; and the totals are integer sums.  The counts depend on the chunk
-alone, so one memo serves any settings.  Punctuation is textprep's
-per-character table, and an alphanumeric chunk, which holds no punctuation,
-is not scanned for it.
+boundaries so e.g. CURL does not count as URL.  All but the character count
+and the emoji score come from eight integer counts
+(`textprep.surface_counts`).  `featurize` given the TextMemo that
+preprocessed a tweet sums those counts over the tweet's raw whitespace
+chunks, which the memo counted once per distinct chunk; textprep's module
+docstring says why the sums equal counts taken over the whole text.  Such a
+memo counts with its own abusive lexicon, so it is valid for one pipeline.
 """
 
 import math
-import re
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
@@ -43,10 +38,7 @@ except ImportError:  # numpy < 2
     from numpy.core.multiarray import _set_madvise_hugepage
 
 from .errors import ValidationError
-from .textprep import TokenizedTweet, WordSet, _is_punct, chunk_values, is_placeholder
-
-_URL_RE = re.compile(r"(?<![A-Za-z])URL(?![A-Za-z])")
-_MENTION_RE = re.compile(r"@USER(?![A-Za-z])")
+from .textprep import TokenizedTweet, WordSet, surface_counts
 
 
 @dataclass(frozen=True)
@@ -62,6 +54,8 @@ class Vocabulary:
         if not (all(isinstance(t, str) for t in self.terms) and type(self.n_docs) is int
                 and all(type(d) is int and 1 <= d <= self.n_docs for d in self.df)):
             raise ValidationError("terms must be strings and each df an integer in 1..n_docs")
+        if len(self.index) != len(self.terms):
+            raise ValidationError("terms must be distinct")
 
     def __len__(self) -> int:
         return len(self.terms)
@@ -149,40 +143,29 @@ SURFACE_FIELDS = SurfaceFeatures._fields
 N_SURFACE = len(SURFACE_FIELDS)
 
 
-def _chunk_counts(chunk: str) -> tuple[int, int, int, int, int]:
-    """URL matches, @USER matches, punctuation, letters and upper-case
-    letters in one whitespace chunk of the raw text."""
-    letters = [ch for ch in chunk if ch.isalpha()]
-    return (len(_URL_RE.findall(chunk)), len(_MENTION_RE.findall(chunk)),
-            0 if chunk.isalnum() else sum(map(_is_punct, chunk)),
-            len(letters), sum(1 for ch in letters if ch.isupper()))
-
-
-def surface(raw_text: str, tokens, abusive_lexicon, emoji_score: float,
-            memo=None) -> SurfaceFeatures:
-    """Nine dense per-tweet statistics.
-
-    `tokens` should be the pre-filter token view (TokenizedTweet.base_tokens)
-    so the result does not depend on stopword/stemming settings.  `memo`
-    maps a raw whitespace chunk to its `_chunk_counts` and is filled as
-    chunks are met; None uses a fresh dict.
-    """
-    counts = chunk_values(raw_text, {} if memo is None else memo, _chunk_counts)
-    # The zero row keeps a text without chunks at zero counts.
-    urls, mentions, puncts, letters, uppers = map(sum, zip((0,) * 5, *counts))
-    abusive = WordSet(abusive_lexicon)
-    words = [t for t in tokens if t.isalpha() and not is_placeholder(t)]
+def _surface(n_chars: int, counts, emoji_score: float) -> SurfaceFeatures:
+    urls, mentions, puncts, letters, uppers, words, word_letters, abusive = counts
     return SurfaceFeatures(
         url_count=float(urls),
         mention_count=float(mentions),
-        char_count=float(len(raw_text)),
+        char_count=float(n_chars),
         punct_count=float(puncts),
-        word_count=float(len(words)),
-        avg_word_len=(sum(len(w) for w in words) / len(words)) if words else 0.0,
+        word_count=float(words),
+        avg_word_len=(word_letters / words) if words else 0.0,
         capital_pct=(uppers / letters) if letters else 0.0,
-        abusive_count=float(sum(1 for t in tokens if t.lower() in abusive)),
+        abusive_count=float(abusive),
         emoji_score=float(emoji_score),
     )
+
+
+def surface(raw_text: str, tokens, abusive_lexicon, emoji_score: float) -> SurfaceFeatures:
+    """Nine dense per-tweet statistics.
+
+    `tokens` should be the pre-filter token view (TokenizedTweet.base_tokens)
+    so the result does not depend on stopword/stemming settings.
+    """
+    return _surface(len(raw_text), surface_counts(raw_text, tokens, WordSet(abusive_lexicon)),
+                    emoji_score)
 
 
 @dataclass(frozen=True)
@@ -194,12 +177,17 @@ class FeatureVector:
 
 def featurize(tweet: TokenizedTweet, vocab: Vocabulary, abusive_lexicon,
               ngram_max: int = 1, memo=None) -> FeatureVector:
-    """TF-IDF + surface features for one preprocessed tweet; `memo` is
-    surface's."""
+    """TF-IDF + surface features for one preprocessed tweet.  `memo` is
+    the TextMemo that preprocessed it, made with abusive_lexicon; surface
+    then sums the counts of the tweet's chunks rather than count its text."""
     terms = expand_ngrams(list(tweet.tokens), ngram_max)
-    return FeatureVector(tuple(tfidf(terms, vocab)),
-                         surface(tweet.raw_text, tweet.base_tokens, abusive_lexicon,
-                                 tweet.emoji_score, memo))
+    if memo is None:
+        dense = surface(tweet.raw_text, tweet.base_tokens, abusive_lexicon, tweet.emoji_score)
+    else:
+        # The zero row keeps a text without chunks at zero counts.
+        counts = map(sum, zip((0,) * 8, *(chunk.counts for chunk in tweet.chunks)))
+        dense = _surface(len(tweet.raw_text), counts, tweet.emoji_score)
+    return FeatureVector(tuple(tfidf(terms, vocab)), dense)
 
 
 def feature_matrix(vectors, vocab_size: int) -> np.ndarray:

@@ -1,33 +1,47 @@
 """Tweet preprocessing: hashtag splitting, elongation reduction, emoji
 scoring, tokenization, punctuation/stopword filtering and stemming.
 
-`preprocess` runs the whole-text steps, then one rule per token
-(`_final_token`), each step gated by its PrepConfig flag:
+The pipeline's steps, each gated by its PrepConfig flag:
 
     hashtag split -> elongation reduction -> emoji extraction -> tokenize
-    -> per token: lowercase, strip punctuation, drop a stopword, stem
+    -> per token (`_final_token`): lowercase, strip punctuation, drop a
+       stopword, stem
 
 A token left empty is dropped.  The placeholders `@USER` and `URL` are
 recognised after lowercasing and again after stripping, and pass the later
 steps untouched.
 
-Everything after emoji extraction runs once per distinct whitespace chunk
-of the text, through a memo from chunk to (base tokens, final tokens).
-That is exact: `tokenize` treats each `str.split` chunk on its own, so the
-text's pieces are the concatenation of its chunks' pieces, and
-`_final_token` sees one piece at a time with nothing but the PrepConfig and
-the stoplist, which is why a memo is valid for one such pair only.
+`preprocess` runs the steps once per distinct raw whitespace chunk of the
+text, through a `TextMemo` from chunk to everything the chunk contributes:
+its base tokens, its final tokens, its emoji scores in text order and the
+integer counts behind `features.surface` (`surface_counts`).  A tweet is
+then its chunks' values concatenated, and the mean emoji score sums the
+concatenated scores left to right, as a whole-text pass does.  That is
+exact because every step acts within one chunk:
 
-Other repeated work is skipped too, each time with the same output:
+* hashtag splitting splits one chunk into words;
+* a run that elongation reduces is either all whitespace, which `str.split`
+  discards whatever its length, or inside one chunk;
+* no emoji unit or stray run contains whitespace, so the emoji scan meets
+  each chunk as it would meet it in the whole text;
+* `tokenize` treats each `str.split` chunk on its own, and `_final_token`
+  sees one piece at a time;
+* the surface patterns match no whitespace and their lookarounds test only
+  letters, no whitespace character is punctuation or a letter, and the
+  counts are integer sums.
 
-* each distinct word is stemmed once, through a word -> stem memo that is
-  valid for one stem_language (`cli.Pipeline` keeps one per pipeline);
+A TextMemo is valid for the PrepConfig, stoplist, emoji lexicon and
+abusive lexicon it was made with; `cli.Pipeline` keeps one per pipeline.
+It also holds a piece -> final token memo, so that `_final_token` runs once
+per distinct `tokenize` piece, and a word -> stem memo, so that each
+distinct word is stemmed once.  Other repeated work is skipped too, each
+time with the same output:
+
 * each character is classified as punctuation once, in a process-wide
   table that the character set bounds;
-* hashtag splitting is skipped on text without "#", where it would only
-  re-join the chunks with single spaces; the emoji scan is skipped on ASCII
-  text, since every emoji unit is non-ASCII; and the punctuation strip is
-  skipped on an alphanumeric token, since no alphanumeric character is
+* the emoji scan is skipped on an ASCII chunk, since every emoji unit is
+  non-ASCII, and the punctuation strip and count are skipped on an
+  alphanumeric token or chunk, since no alphanumeric character is
   punctuation.
 
 Conventions used throughout:
@@ -54,7 +68,8 @@ token and one lexicon lookup; a stray run is removed and never scored.
 
 import re
 import unicodedata
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
+from typing import NamedTuple
 
 from . import stemming
 from .errors import ValidationError
@@ -193,18 +208,17 @@ class WordSet(frozenset):
 _LOOKUP_DROPPED = re.compile(f"[{_SELECTORS_AND_TONES}]")
 
 
-def extract_emoji_sentiment(text: str, lexicon) -> tuple[str, float]:
-    """Remove every emoji unit from text, return the mean lexicon score.
+def emoji_scores(text: str, lexicon) -> tuple[str, list[float]]:
+    """Remove every emoji unit from text; return the rest and the units'
+    lexicon scores in text order.
 
     Each display unit (see emoji_spans) is looked up whole, then, if that
     misses, with its variation selectors and skin tones dropped; a unit
-    missing both ways contributes 0 but still counts in the mean's
-    denominator.  Stray modifiers with no base are removed unscored.  Text
-    without emoji scores 0.0.
+    missing both ways scores 0.  Stray modifiers with no base are removed
+    unscored.
     """
     if text.isascii():
-        return text, 0.0
-    lexicon = lexicon or {}
+        return text, []
     out = []
     scores = []
     pos = 0
@@ -214,8 +228,18 @@ def extract_emoji_sentiment(text: str, lexicon) -> tuple[str, float]:
         if has_base:
             scores.append(lexicon.get(unit, lexicon.get(_LOOKUP_DROPPED.sub("", unit), 0.0)))
     out.append(text[pos:])
-    score = sum(scores) / len(scores) if scores else 0.0
-    return "".join(out), score
+    return "".join(out), scores
+
+
+def _mean(scores) -> float:
+    return sum(scores) / len(scores) if scores else 0.0
+
+
+def extract_emoji_sentiment(text: str, lexicon) -> tuple[str, float]:
+    """Remove every emoji unit from text, return the mean of emoji_scores;
+    text without emoji scores 0.0."""
+    text, scores = emoji_scores(text, lexicon or {})
+    return text, _mean(scores)
 
 
 # ---------------------------------------------------------------------------
@@ -249,31 +273,6 @@ class PrepConfig:
                 f"got {self.stem_language!r}")
 
 
-@dataclass(frozen=True)
-class TokenizedTweet:
-    """Preprocessing output.
-
-    `tokens` is the final pipeline output; `base_tokens` is the
-    tweet-tokenized, lowercased token list before punctuation, stopword and
-    stemming filters, kept so downstream feature code sees a view that is
-    insensitive to those config flags.
-    """
-    tokens: tuple[str, ...]
-    emoji_score: float
-    raw_text: str
-    base_tokens: tuple[str, ...] = ()
-
-
-def _expand_hashtags(text: str) -> str:
-    chunks = []
-    for chunk in text.split():
-        if chunk.startswith("#") and len(chunk) > 1:
-            chunks.extend(split_hashtag(chunk))
-        else:
-            chunks.append(chunk)
-    return " ".join(chunks)
-
-
 def _final_token(token: str, cfg: PrepConfig, stops: WordSet, stems: dict) -> str:
     """The token as the pipeline emits it, or "" to drop it.  `stems` maps
     a word to its stem under cfg.stem_language and gains the new ones."""
@@ -293,55 +292,104 @@ def _final_token(token: str, cfg: PrepConfig, stops: WordSet, stems: dict) -> st
     return token
 
 
-def chunk_values(text: str, memo: dict, compute) -> list:
-    """[compute(chunk) for chunk in text.split()], with each distinct chunk
-    computed once: memo holds the values computed so far and gains the new
-    ones."""
-    values = []
-    for chunk in text.split():
-        value = memo.get(chunk)
-        if value is None:
-            value = memo[chunk] = compute(chunk)
-        values.append(value)
-    return values
+_URL_RE = re.compile(r"(?<![A-Za-z])URL(?![A-Za-z])")
+_MENTION_RE = re.compile(r"@USER(?![A-Za-z])")
 
 
-def _chunk_tokens(chunk: str, cfg: PrepConfig, stops: WordSet, stems: dict):
-    """(base tokens, final tokens) of one whitespace chunk."""
-    pieces = tokenize(chunk)
-    kept = (_final_token(t, cfg, stops, stems)
-            for t in (pieces if cfg.strip_punct else (chunk,)))
-    return tuple(t.lower() for t in pieces), tuple(filter(None, kept))
+def surface_counts(text: str, tokens, abusive: WordSet) -> tuple[int, ...]:
+    """The integer counts behind `features.surface`: URL and @USER
+    matches, punctuation, letters and capitals in text, then words (the
+    all-alphabetic tokens but the placeholders), their letters and
+    abusive-lexicon tokens among tokens.  Placeholders are matched with
+    letter boundaries, so CURL is no URL."""
+    letters = list(filter(str.isalpha, text))
+    words = [t for t in tokens if t.isalpha() and not is_placeholder(t)]
+    return (len(_URL_RE.findall(text)), len(_MENTION_RE.findall(text)),
+            0 if text.isalnum() else sum(map(_is_punct, text)),
+            len(letters), sum(map(str.isupper, letters)),
+            len(words), sum(map(len, words)), sum(1 for t in tokens if t.lower() in abusive))
+
+
+class Chunk(NamedTuple):
+    """What one raw whitespace chunk contributes to its tweet."""
+    base: tuple[str, ...]       # lowercased tokenize pieces
+    tokens: tuple[str, ...]     # final tokens
+    scores: tuple[float, ...]   # emoji scores, in text order
+    counts: tuple[int, ...]     # surface_counts of the chunk and its base
+
+
+class TextMemo(dict):
+    """Raw whitespace chunk -> its Chunk, each chunk computed on its first
+    lookup under one PrepConfig, stoplist, emoji lexicon and abusive
+    lexicon, with a piece -> final token memo and a word -> stem memo that
+    fill as chunks are computed."""
+
+    def __init__(self, cfg: PrepConfig, stoplist=frozenset(), emoji_lexicon=None,
+                 abusive=frozenset()):
+        super().__init__()
+        self.cfg = cfg
+        self.stops = WordSet(stoplist)
+        self.emoji = emoji_lexicon or {}
+        self.abusive = WordSet(abusive)
+        self.finals: dict[str, str] = {}
+        self.stems: dict[str, str] = {}
+
+    def __missing__(self, raw: str) -> Chunk:
+        cfg, finals = self.cfg, self.finals
+        work = raw
+        if cfg.split_hashtags and raw.startswith("#") and len(raw) > 1:
+            work = " ".join(split_hashtag(raw))
+        if cfg.reduce_elongation:
+            work = reduce_elongation(work)
+        scores = []
+        if cfg.emoji_mode == "remove_and_score":
+            work, scores = emoji_scores(work, self.emoji)
+        pieces = tokenize(work)
+        kept = []
+        for piece in pieces if cfg.strip_punct else work.split():
+            token = finals.get(piece)
+            if token is None:
+                token = finals[piece] = _final_token(piece, cfg, self.stops, self.stems)
+            if token:
+                kept.append(token)
+        base = tuple(t.lower() for t in pieces)
+        value = self[raw] = Chunk(base, tuple(kept), tuple(scores),
+                                  surface_counts(raw, base, self.abusive))
+        return value
+
+
+@dataclass(frozen=True)
+class TokenizedTweet:
+    """Preprocessing output.
+
+    `tokens` is the final pipeline output; `base_tokens` is the
+    tweet-tokenized, lowercased token list before punctuation, stopword and
+    stemming filters, kept so downstream feature code sees a view that is
+    insensitive to those config flags.  `chunks` holds the Chunk of each
+    raw whitespace chunk, in text order; it takes no part in equality.
+    """
+    tokens: tuple[str, ...]
+    emoji_score: float
+    raw_text: str
+    base_tokens: tuple[str, ...] = ()
+    chunks: tuple[Chunk, ...] = field(default=(), compare=False, repr=False)
 
 
 def preprocess(text: str, cfg: PrepConfig = PrepConfig(),
-               stoplist=frozenset(), emoji_lexicon=None, memo=None,
-               stems=None) -> TokenizedTweet:
+               stoplist=frozenset(), emoji_lexicon=None, memo=None) -> TokenizedTweet:
     """Run the full preprocessing pipeline on one tweet.
 
-    `memo` maps a whitespace chunk to its (base tokens, final tokens) and
-    is filled as chunks are met.  It is valid for one (cfg, stoplist) pair
-    only: pass the same dict only to calls with that pair, as
-    `cli.Pipeline` does.  `stems` maps a word to its stem and is filled the
-    same way; it is valid for one cfg.stem_language.  None uses a fresh
-    dict.
+    `memo`, a TextMemo such as `cli.Pipeline` keeps, is used with its own
+    settings in place of cfg, stoplist and emoji_lexicon; None makes a
+    fresh one from them.
     """
-    work = text
-    if cfg.split_hashtags and "#" in work:
-        work = _expand_hashtags(work)
-    if cfg.reduce_elongation:
-        work = reduce_elongation(work)
-    emoji_score = 0.0
-    if cfg.emoji_mode == "remove_and_score":
-        work, emoji_score = extract_emoji_sentiment(work, emoji_lexicon)
-
-    stops = WordSet(stoplist)
-    stems = {} if stems is None else stems
-    base, final = [], []
-    for chunk_base, chunk_final in chunk_values(
-            work, {} if memo is None else memo,
-            lambda chunk: _chunk_tokens(chunk, cfg, stops, stems)):
+    if memo is None:
+        memo = TextMemo(cfg, stoplist, emoji_lexicon)
+    chunks = tuple(map(memo.__getitem__, text.split()))
+    base, final, scores = [], [], []
+    for chunk_base, chunk_final, chunk_scores, _ in chunks:
         base += chunk_base
         final += chunk_final
-    return TokenizedTweet(tokens=tuple(final), emoji_score=emoji_score,
-                          raw_text=text, base_tokens=tuple(base))
+        scores += chunk_scores
+    return TokenizedTweet(tokens=tuple(final), emoji_score=_mean(scores), raw_text=text,
+                          base_tokens=tuple(base), chunks=chunks)

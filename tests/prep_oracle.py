@@ -5,16 +5,28 @@ the whole-text steps and `tokenize`, it lowercases the token list, strips
 punctuation from every non-placeholder and drops what is left empty, drops
 stopwords (placeholders stay) and stems the all-alphabetic tokens, one list
 pass per step, each step testing `is_placeholder` on the token as that step
-sees it.  The whole-text steps, the tokenizer and the stemmers are imported
-from the package, since they are not what this oracle checks.
+sees it.  Its whole-text steps run over the whole text, where the package
+runs them once per raw whitespace chunk.  The step functions, the tokenizer
+and the stemmers are imported from the package, since they are not what
+this oracle checks.
 """
 
 import unicodedata
 
 from offlang import stemming
-from offlang.textprep import (TokenizedTweet, WordSet, _expand_hashtags,
-                              extract_emoji_sentiment, is_placeholder,
-                              reduce_elongation, tokenize)
+from offlang.textprep import (TokenizedTweet, WordSet, extract_emoji_sentiment,
+                              is_placeholder, reduce_elongation, split_hashtag,
+                              tokenize)
+
+
+def _expand_hashtags(text: str) -> str:
+    chunks = []
+    for chunk in text.split():
+        if chunk.startswith("#") and len(chunk) > 1:
+            chunks.extend(split_hashtag(chunk))
+        else:
+            chunks.append(chunk)
+    return " ".join(chunks)
 
 
 def remove_stopwords(tokens, stoplist) -> list[str]:

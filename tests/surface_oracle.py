@@ -1,16 +1,17 @@
-"""The per-character `surface` used to cross-check features' chunk memo.
+"""The per-character `surface` used to cross-check the chunk counts.
 
-This is `features.surface` before its raw-text counts went through a memo
-of whitespace chunks: it runs the placeholder patterns over the whole raw
-text and scans every character of it for punctuation, letters and
-capitals.  The patterns are imported from the package, since they are not
-what this oracle checks.
+This is `features.surface` before its counts were taken once per distinct
+whitespace chunk and summed: it runs the placeholder patterns over the
+whole raw text, scans every character of it for punctuation, letters and
+capitals, and filters the whole token list for words and abusive tokens.
+The patterns are imported from the package, since they are not what this
+oracle checks.
 """
 
 import unicodedata
 
-from offlang.features import _MENTION_RE, _URL_RE, SurfaceFeatures
-from offlang.textprep import WordSet, is_placeholder
+from offlang.features import SurfaceFeatures
+from offlang.textprep import _MENTION_RE, _URL_RE, WordSet, is_placeholder
 
 
 def oracle_surface(raw_text: str, tokens, abusive_lexicon, emoji_score: float) -> SurfaceFeatures:

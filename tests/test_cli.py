@@ -415,6 +415,13 @@ def _sidecar_with(section, field, value):
     return edit
 
 
+def _duplicate_first_term(meta):
+    # Once accepted with exit 0: the second term's column could never be set.
+    terms = meta["vocabulary"]["terms"]
+    terms[1] = terms[0]
+    return json.dumps(meta)
+
+
 @pytest.mark.parametrize("corrupt", [
     pytest.param(lambda meta: "{not json", id="not-json"),
     *[pytest.param(_sidecar_without(key), id=f"no-{key}")
@@ -424,6 +431,7 @@ def _sidecar_with(section, field, value):
     pytest.param(_sidecar_with("lexicons", "stopwords", 5), id="stopwords-not-list"),
     pytest.param(_sidecar_with("lexicons", "emoji", {"x": "high"}), id="emoji-score-text"),
     pytest.param(_sidecar_with("vocabulary", "n_docs", 0), id="df-above-n-docs"),
+    pytest.param(_duplicate_first_term, id="duplicate-term"),
     pytest.param(_sidecar_with("lexicons", "emoji", {"😂": float("nan")}), id="emoji-score-nan"),
     pytest.param(_sidecar_with("prep", "lowercase", "false"), id="prep-flag-string"),
     pytest.param(_sidecar_with("prep", "stem_language", "klingon"), id="unknown-stem-language"),

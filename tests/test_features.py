@@ -17,7 +17,7 @@ from offlang.features import (FeatureVector, N_SURFACE, SURFACE_FIELDS,
                               SurfaceFeatures, Vocabulary, _set_madvise_hugepage,
                               expand_ngrams, feature_matrix, featurize,
                               fit_vocabulary, surface, tfidf)
-from offlang.textprep import PrepConfig, TokenizedTweet, preprocess, tokenize
+from offlang.textprep import PrepConfig, TextMemo, TokenizedTweet, preprocess, tokenize
 
 from conftest import SPLIT_WHITESPACE
 from surface_oracle import oracle_surface
@@ -71,7 +71,7 @@ def test_vocabulary_index_and_len():
     assert len(vocab) == 2
     assert vocab.index == {"p": 0, "q": 1}
     for terms, df in ((("p",), (1, 2)), (("p",), (0,)), (("p",), (3,)), ((["p"],), (1,)),
-                      (("p",), (1.5,)), (("p",), (True,))):
+                      (("p",), (1.5,)), (("p",), (True,)), (("p", "p"), (1, 2))):
         with pytest.raises(ValidationError):
             Vocabulary(terms=terms, df=df, n_docs=2)
     with pytest.raises(ValidationError):
@@ -209,12 +209,22 @@ _SURFACE_BOUNDARY = ["URL", "xURL", "URLx", "url", "@USER", "@USERx", "@user", "
                      *SPLIT_WHITESPACE]
 
 
+# With these settings a tweet's base tokens are its lowercased tokenize
+# pieces, and its emoji score is 0.
+_TOKENIZE_ONLY = PrepConfig(split_hashtags=False, reduce_elongation=False, emoji_mode="keep")
+
+
 def _assert_surface_matches_oracle(texts):
-    memo = {}
+    abusive = {"idiot", "url"}
+    memo = TextMemo(_TOKENIZE_ONLY, abusive=abusive)
+    vocab = Vocabulary(terms=(), df=(), n_docs=1)
     for text in texts:
         tokens = [t.lower() for t in tokenize(text)]
-        assert surface(text, tokens, {"idiot", "url"}, 0.5, memo) == \
-            oracle_surface(text, tokens, {"idiot", "url"}, 0.5)
+        tt = preprocess(text, _TOKENIZE_ONLY, memo=memo)
+        assert tt.base_tokens == tuple(tokens)
+        assert featurize(tt, vocab, abusive, memo=memo).dense == \
+            oracle_surface(text, tokens, abusive, 0.0)
+        assert surface(text, tokens, abusive, 0.5) == oracle_surface(text, tokens, abusive, 0.5)
 
 
 @settings(max_examples=300)

@@ -12,15 +12,18 @@ from hypothesis import example, given, settings, strategies as st
 from offlang import stemming
 from offlang.cli import Pipeline
 from offlang.errors import ValidationError
-from offlang.features import expand_ngrams, feature_matrix, featurize, fit_vocabulary
-from offlang.textprep import (_EMOJI_CHAR, PrepConfig, TokenizedTweet, _is_punct,
-                              emoji_spans, extract_emoji_sentiment,
+from offlang.features import (N_SURFACE, expand_ngrams, feature_matrix, featurize,
+                              fit_vocabulary)
+from offlang.textprep import (_EMOJI_CHAR, PrepConfig, TextMemo, TokenizedTweet,
+                              _is_punct, emoji_spans, extract_emoji_sentiment,
                               is_placeholder, preprocess, reduce_elongation,
                               split_hashtag, tokenize)
 
 from conftest import SPLIT_WHITESPACE
 from emoji_oracle import _is_emoji_char, oracle_emoji_spans
 from prep_oracle import oracle_preprocess
+from surface_oracle import oracle_surface
+from tfidf_oracle import oracle_tfidf_exact
 
 
 # ---------------------------------------------------------------------------
@@ -406,7 +409,7 @@ def test_preprocess_matches_oracle_on_text_without_hashtags(text, cfg):
 
 
 # ---------------------------------------------------------------------------
-# The chunk memo: one dict shared by many calls with one configuration
+# The text memo: one TextMemo shared by many calls with one configuration
 
 
 @settings(max_examples=100, deadline=None)
@@ -415,7 +418,7 @@ def test_preprocess_matches_oracle_on_text_without_hashtags(text, cfg):
 @example(["URL url", "The\tTHE"])
 def test_preprocess_with_shared_memo_matches_oracle(texts):
     for cfg in _CONFIGS:
-        memo = {}
+        memo = TextMemo(cfg, _STOPLIST, _LEXICON)
         for text in texts:
             assert preprocess(text, cfg, _STOPLIST, _LEXICON, memo=memo) == \
                 oracle_preprocess(text, cfg, _STOPLIST, _LEXICON), (text, cfg)
@@ -457,6 +460,62 @@ def test_pipelines_used_in_alternation_match_the_oracle(texts):
             out.append(pipe.transform([text]))
     for pipe, out in zip(fitted, rows):
         assert np.array_equal(np.vstack(out), _oracle_matrix(pipe, texts)[1])
+
+
+# Hashtags (a lone "#" too), elongation touching emoji, emoji glued to
+# words, stray modifiers and ZWJ, placeholders in two casings, stopwords,
+# abusive words and every kind of whitespace str.split splits on.
+_CHUNK_PARTS = [
+    "#GoHome", "#", "#USAToday", "heyyy😀yyy", "yyy", "a👍", "b😀❤", "word😀", "😂word",
+    "\u200d", "\ufe0f", "\U0001F3FD", "👍🏽", "😀\u200d❤", "URL", "@USER", "url", "xURL",
+    "@USERx", "Running", "The", "idiot", "IDIOT", "!!", "'", " ", *SPLIT_WHITESPACE,
+]
+_CHUNK_LEXICON = {"👍": 0.1, "😀": 0.2, "❤": 0.3, "😂": -0.7}
+
+
+def _chunk_pipeline(cfg: PrepConfig, abusive) -> Pipeline:
+    return Pipeline(level="A", prep=cfg, stopwords=_STOPLIST, abusive=abusive,
+                    emoji=_CHUNK_LEXICON, min_df=1, ngram_max=2)
+
+
+def _oracle_rows(pipe: Pipeline, texts, vocab):
+    """The feature matrix of texts from the memo-free oracles alone."""
+    rows = np.zeros((len(texts), len(vocab) + N_SURFACE))
+    for row, text in zip(rows, texts):
+        tt = oracle_preprocess(text, pipe.prep, pipe.stopwords, pipe.emoji)
+        for i, w in oracle_tfidf_exact(expand_ngrams(list(tt.tokens), pipe.ngram_max), vocab):
+            row[i] = w
+        row[len(vocab):] = oracle_surface(text, tt.base_tokens, pipe.abusive, tt.emoji_score)
+    return rows
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.lists(st.sampled_from(_CHUNK_PARTS), max_size=10).map("".join),
+                min_size=1, max_size=6),
+       st.sampled_from(_CONFIGS))
+# Summing each chunk's scores first gives 0.1 + (0.2 + 0.3), not
+# (0.1 + 0.2) + 0.3, so another mean.
+@example(["a👍 b😀❤"], PrepConfig())
+# Chunks that differ only in case have their own entries.
+@example(["URL url", "Idiot\tidiot"], PrepConfig())
+def test_pipelines_on_text_memos_match_the_memo_free_oracles(texts, cfg):
+    # Two pipelines that differ only in their abusive list fit one after the
+    # other, then transform the texts in turn, one text at a time; every
+    # matrix is the one prep_oracle, tfidf_oracle and surface_oracle give.
+    fitted = []
+    for abusive in (["idiot"], ["url", "the"]):
+        pipe, mat = _chunk_pipeline(cfg, abusive).fit_transform(texts)
+        prepped = [oracle_preprocess(t, cfg, _STOPLIST, _CHUNK_LEXICON) for t in texts]
+        assert pipe.vocabulary == fit_vocabulary(
+            (expand_ngrams(list(tt.tokens), 2) for tt in prepped), min_df=1)
+        assert np.array_equal(mat, _oracle_rows(pipe, texts, pipe.vocabulary))
+        fitted.append(pipe)
+    rows = [[], []]
+    for text in texts:
+        for pipe, out in zip(fitted, rows):
+            out.append(pipe.transform([text]))
+    for pipe, out in zip(fitted, rows):
+        assert np.array_equal(np.vstack(out), _oracle_rows(pipe, texts, pipe.vocabulary))
 
 
 def test_pipeline_stems_each_distinct_word_once(monkeypatch):
