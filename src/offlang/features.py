@@ -185,7 +185,7 @@ def featurize(tweet: TokenizedTweet, vocab: Vocabulary, abusive_lexicon,
         dense = surface(tweet.raw_text, tweet.base_tokens, abusive_lexicon, tweet.emoji_score)
     else:
         # The zero row keeps a text without chunks at zero counts.
-        counts = map(sum, zip((0,) * 8, *(chunk.counts for chunk in tweet.chunks)))
+        counts = map(sum, zip((0,) * 8, *(counts for _, _, _, counts in tweet.chunks)))
         dense = _surface(len(tweet.raw_text), counts, tweet.emoji_score)
     return FeatureVector(tuple(tfidf(terms, vocab)), dense)
 

@@ -69,7 +69,6 @@ token and one lexicon lookup; a stray run is removed and never scored.
 import re
 import unicodedata
 from dataclasses import dataclass, field, fields
-from typing import NamedTuple
 
 from . import stemming
 from .errors import ValidationError
@@ -310,12 +309,13 @@ def surface_counts(text: str, tokens, abusive: WordSet) -> tuple[int, ...]:
             len(words), sum(map(len, words)), sum(1 for t in tokens if t.lower() in abusive))
 
 
-class Chunk(NamedTuple):
-    """What one raw whitespace chunk contributes to its tweet."""
-    base: tuple[str, ...]       # lowercased tokenize pieces
-    tokens: tuple[str, ...]     # final tokens
-    scores: tuple[float, ...]   # emoji scores, in text order
-    counts: tuple[int, ...]     # surface_counts of the chunk and its base
+# What one raw whitespace chunk contributes to its tweet: its lowercased
+# tokenize pieces, its final tokens, its emoji scores in text order and the
+# surface_counts of the chunk and its pieces.  A plain tuple of tuples of
+# strings and numbers, which the cyclic garbage collector stops tracking, so
+# its full collections do not walk one object per distinct chunk; a
+# NamedTuple, like any tuple subclass, would stay tracked.
+Chunk = tuple[tuple[str, ...], tuple[str, ...], tuple[float, ...], tuple[int, ...]]
 
 
 class TextMemo(dict):
@@ -353,8 +353,8 @@ class TextMemo(dict):
             if token:
                 kept.append(token)
         base = tuple(t.lower() for t in pieces)
-        value = self[raw] = Chunk(base, tuple(kept), tuple(scores),
-                                  surface_counts(raw, base, self.abusive))
+        value = self[raw] = (base, tuple(kept), tuple(scores),
+                             surface_counts(raw, base, self.abusive))
         return value
 
 

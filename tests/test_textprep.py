@@ -1,6 +1,7 @@
 """Preprocessing pipeline: tokenization, hashtags, elongation, emoji,
 stopwords and the fixed step order inside preprocess()."""
 
+import gc
 import itertools
 import unicodedata
 from collections import Counter
@@ -422,6 +423,20 @@ def test_preprocess_with_shared_memo_matches_oracle(texts):
         for text in texts:
             assert preprocess(text, cfg, _STOPLIST, _LEXICON, memo=memo) == \
                 oracle_preprocess(text, cfg, _STOPLIST, _LEXICON), (text, cfg)
+
+
+def test_memo_entries_leave_the_garbage_collector():
+    # The memo's entries and a tweet's chunks are tuples of untracked
+    # objects, so collections untrack them (a tuple whose items are still
+    # tracked when it is examined waits for the next collection), and full
+    # collections do not walk one object per distinct chunk.
+    memo = TextMemo(PrepConfig(), _STOPLIST, _LEXICON)
+    tt = preprocess("#GoHome heyyy😀 URL Running!! a👍", memo=memo)
+    gc.collect()
+    gc.collect()
+    assert len(memo) == 5
+    assert not any(gc.is_tracked(chunk) for chunk in memo.values())
+    assert not gc.is_tracked(tt.chunks)
 
 
 def _pipeline(lowercase: bool) -> Pipeline:
