@@ -127,7 +127,7 @@ class Pipeline:
     def _matrix(self, tweets, memo: TextMemo) -> np.ndarray:
         vectors = [featurize(tt, self.vocabulary, memo.abusive, self.ngram_max, memo=memo)
                    for tt in tweets]
-        return feature_matrix(vectors, len(self.vocabulary))
+        return feature_matrix(vectors, self.vocabulary)
 
     def fit_transform(self, texts) -> tuple["Pipeline", np.ndarray]:
         """Fit the vocabulary on texts; returns the fitted pipeline and the
@@ -140,8 +140,9 @@ class Pipeline:
 
     def transform(self, texts) -> np.ndarray:
         """Feature matrix of texts.  Each is preprocessed and featurized
-        before the next, so its TokenizedTweet is dropped at once, but every
-        FeatureVector is kept until the matrix is built."""
+        before the next, so its TokenizedTweet is dropped at once; every
+        FeatureVector, which keeps the tweet's terms, is kept until the
+        matrix is built, and the TF-IDF of all of them is computed then."""
         return self._matrix((self._preprocess(t) for t in texts), self._memo)
 
     def to_jsonable(self) -> dict:

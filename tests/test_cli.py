@@ -510,9 +510,9 @@ def test_predict_in_blocks_writes_the_same_bytes(env, capsys, tmp_path, monkeypa
     whole = {n: predict_bytes(n, "whole") for n in sizes}
     seen = []
 
-    def recording(vectors, vocab_size):
+    def recording(vectors, vocab):
         seen.append(len(vectors))
-        return feature_matrix(vectors, vocab_size)
+        return feature_matrix(vectors, vocab)
 
     n_features = load_model(env / "model.bin").n_features
     monkeypatch.setattr(cli, "_PREDICT_BLOCK_CELLS", block * n_features)

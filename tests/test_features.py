@@ -6,6 +6,7 @@ independent arithmetic, not against itself.
 """
 
 import math
+import time
 from collections import Counter
 
 import numpy as np
@@ -241,24 +242,88 @@ def test_surface_with_shared_memo_matches_oracle_on_any_text(texts):
     _assert_surface_matches_oracle(texts)
 
 
+_ABC = fit_vocabulary([["a", "b", "c"]], min_df=1)
+
+
 def test_to_dense_and_feature_matrix():
-    fv = FeatureVector(sparse=((1, 0.5),), dense=tuple(float(i) for i in range(9)))
-    mat = feature_matrix([fv, fv], 3)
+    fv = FeatureVector(terms=("b", "zzz"), dense=tuple(float(i) for i in range(9)), vocab=_ABC)
+    assert fv.sparse == ((1, 1.0),)
+    mat = feature_matrix([fv, fv], _ABC)
     # The sparse weight at its column, zeros at the other vocabulary columns,
     # the surface block in the last nine.
-    row = np.array([0.0, 0.5, 0.0] + [float(i) for i in range(9)])
+    row = np.array([0.0, 1.0, 0.0] + [float(i) for i in range(9)])
     assert np.array_equal(mat, np.vstack([row, row]))
 
 
 @pytest.mark.parametrize("advise", [True, False])
 def test_feature_matrix_restores_hugepage_advice(advise):
-    fv = FeatureVector(sparse=((1, 0.5),), dense=(0.0,) * 9)
+    fv = FeatureVector(terms=("b",), dense=(0.0,) * 9, vocab=_ABC)
     original = _set_madvise_hugepage(advise)
     try:
-        feature_matrix([fv], 3)
+        feature_matrix([fv], _ABC)
         assert _set_madvise_hugepage(advise) is advise
     finally:
         _set_madvise_hugepage(original)
+
+
+def _assert_vocabulary_columns_match_oracle(mat, docs, vocab):
+    """Row by row, the vocabulary columns hold oracle_tfidf_exact's
+    weights bit for bit and zeros elsewhere."""
+    assert mat.shape == (len(docs), len(vocab) + N_SURFACE)
+    for row, doc in zip(mat, docs):
+        expected = np.zeros(len(vocab))
+        for i, w in oracle_tfidf_exact(doc, vocab):
+            expected[i] = w
+        assert np.array_equal(row[:len(vocab)].view(np.int64), expected.view(np.int64))
+
+
+# Few distinct tokens, so rows repeat terms and share n-grams; "q" is never
+# in a fitting document, so a row of q's has only out-of-vocabulary terms.
+_TOKENS = st.lists(st.sampled_from(["a", "b", "c", "d", "e"]), max_size=12)
+
+
+@settings(max_examples=300, deadline=None)
+@given(fit_docs=st.lists(_TOKENS, max_size=8),
+       block=st.lists(_TOKENS | st.lists(st.just("q"), max_size=3), max_size=12),
+       ngram_max=st.integers(1, 3), min_df=st.integers(1, 3))
+@example(fit_docs=[], block=[], ngram_max=1, min_df=1)
+@example(fit_docs=[], block=[["a"]], ngram_max=2, min_df=1)
+@example(fit_docs=[["a", "b"]], block=[[]], ngram_max=3, min_df=1)
+@example(fit_docs=[["a", "a", "b"], ["b"]], block=[["a", "b", "a", "a"]], ngram_max=1,
+         min_df=1)
+def test_feature_matrix_equals_per_row_tfidf_exactly(fit_docs, block, ngram_max, min_df):
+    # Empty and out-of-vocabulary-only rows, repeated terms, n-grams up to
+    # 3, the empty vocabulary (min_df above every df, or no fitting
+    # documents) and blocks of 0 and 1 rows.
+    vocab = fit_vocabulary((expand_ngrams(d, ngram_max) for d in fit_docs), min_df=min_df)
+    tweets = [TokenizedTweet(tokens=tuple(d), emoji_score=0.0, raw_text=" ".join(d),
+                             base_tokens=tuple(d)) for d in block]
+    vectors = [featurize(tt, vocab, set(), ngram_max) for tt in tweets]
+    mat = feature_matrix(vectors, vocab)
+    _assert_vocabulary_columns_match_oracle(
+        mat, [expand_ngrams(d, ngram_max) for d in block], vocab)
+    assert np.array_equal(mat[:, len(vocab):].reshape(-1),
+                          [x for fv in vectors for x in fv.dense])
+    for fv in vectors:
+        assert fv.vocab is vocab
+        assert fv.sparse == tuple(tfidf(fv.terms, vocab))
+        assert all(type(i) is int and type(w) is float for i, w in fv.sparse)
+
+
+def test_feature_matrix_norm_is_linear_in_a_long_row():
+    # One row of 50,000 distinct terms among 1,000 short ones.  Each row's
+    # squares are summed per position, and a loop that read every entry at
+    # every position would take some seconds here.
+    long_row = [f"t{k}" for k in range(50_000)]
+    short = [["a", "b", "a"], ["c"], ["b", "zz", "c", "a"], []]
+    docs = [short[k % len(short)] for k in range(1_000)]
+    docs.insert(500, long_row)
+    vocab = fit_vocabulary(docs, min_df=1)
+    vectors = [FeatureVector(terms=d, dense=(0.0,) * N_SURFACE, vocab=vocab) for d in docs]
+    t0 = time.perf_counter()
+    mat = feature_matrix(vectors, vocab)
+    assert time.perf_counter() - t0 < 2.0
+    _assert_vocabulary_columns_match_oracle(mat, docs, vocab)
 
 
 def test_featurize_surface_block_uses_prefilter_tokens():

@@ -452,7 +452,7 @@ def _oracle_matrix(pipe: Pipeline, texts):
         vocab = fit_vocabulary((expand_ngrams(tt.tokens, pipe.ngram_max) for tt in prepped),
                                min_df=pipe.min_df)
     return vocab, feature_matrix([featurize(tt, vocab, pipe.abusive, pipe.ngram_max)
-                                  for tt in prepped], len(vocab))
+                                  for tt in prepped], vocab)
 
 
 @settings(max_examples=100, deadline=None)
