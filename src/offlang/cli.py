@@ -133,16 +133,16 @@ class Pipeline:
         """Fit the vocabulary on texts; returns the fitted pipeline and the
         feature matrix of texts."""
         prepped = [self._preprocess(t) for t in texts]
-        vocab = fit_vocabulary((expand_ngrams(list(tt.tokens), self.ngram_max)
+        vocab = fit_vocabulary((expand_ngrams(tt.tokens, self.ngram_max)
                                 for tt in prepped), min_df=self.min_df)
         fitted = replace(self, vocabulary=vocab)
         return fitted, fitted._matrix(prepped, self._memo)
 
     def transform(self, texts) -> np.ndarray:
         """Feature matrix of texts.  Each is preprocessed and featurized
-        before the next, so its TokenizedTweet is dropped at once; every
-        FeatureVector, which keeps the tweet's terms, is kept until the
-        matrix is built, and the TF-IDF of all of them is computed then."""
+        in turn, which finds its raw chunks in the text memo and keeps the
+        tweet; `feature_matrix` then computes every row at once from tables
+        of the block's distinct chunks, and the TF-IDF of all of them."""
         return self._matrix((self._preprocess(t) for t in texts), self._memo)
 
     def to_jsonable(self) -> dict:

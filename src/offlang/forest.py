@@ -58,6 +58,8 @@ import struct
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, replace
 from fractions import Fraction
+from functools import reduce
+from operator import add
 from pathlib import Path
 from typing import NamedTuple
 
@@ -80,7 +82,8 @@ def gini(counts) -> float:
     n = sum(counts)
     if n == 0:
         return 0.0
-    return 1.0 - sum((c / n) ** 2 for c in counts)
+    # Added left to right: Python 3.12's sum of floats compensates the rounding.
+    return 1.0 - reduce(add, ((c / n) ** 2 for c in counts), 0.0)
 
 
 @dataclass(frozen=True)

@@ -8,6 +8,8 @@ class list, not over the classes that happen to occur.
 """
 
 from dataclasses import dataclass
+from functools import reduce
+from operator import add
 
 import numpy as np
 
@@ -71,7 +73,8 @@ def scores(matrix: np.ndarray, classes) -> Scores:
         f1 = _ratio(2.0 * precision * recall, precision + recall)
         per_class[c] = ClassScores(precision=precision, recall=recall, f1=f1,
                                    support=int(matrix[i, :].sum()))
-    macro = sum(s.f1 for s in per_class.values()) / len(classes)
+    # Added left to right: Python 3.12's sum of floats compensates the rounding.
+    macro = reduce(add, (s.f1 for s in per_class.values()), 0.0) / len(classes)
     return Scores(accuracy=float(np.trace(matrix)) / total, macro_f1=macro,
                   per_class=per_class)
 

@@ -14,10 +14,13 @@ steps untouched.
 `preprocess` runs the steps once per distinct raw whitespace chunk of the
 text, through a `TextMemo` from chunk to everything the chunk contributes:
 its base tokens, its final tokens, its emoji scores in text order and the
-integer counts behind `features.surface` (`surface_counts`).  A tweet is
-then its chunks' values concatenated, and the mean emoji score sums the
-concatenated scores left to right, as a whole-text pass does.  That is
-exact because every step acts within one chunk:
+integer counts behind `features.surface` (`surface_counts`).  A tweet keeps
+only its raw text and its chunks' memo entries.  Its tokens, base tokens
+and mean emoji score are its chunks' values concatenated, joined when first
+read, and the mean sums the concatenated scores left to right, as a
+whole-text pass does; `features.feature_matrix` computes the same values
+for a whole block of tweets from their chunks, without joining them.  That
+is exact because every step acts within one chunk:
 
 * hashtag splitting splits one chunk into words;
 * a run that elongation reduces is either all whitespace, which `str.split`
@@ -67,8 +70,12 @@ token and one lexicon lookup; a stray run is removed and never scored.
 """
 
 import re
+import struct
 import unicodedata
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
+from functools import reduce
+from itertools import chain
+from operator import add, attrgetter, itemgetter
 
 from . import stemming
 from .errors import ValidationError
@@ -231,7 +238,9 @@ def emoji_scores(text: str, lexicon) -> tuple[str, list[float]]:
 
 
 def _mean(scores) -> float:
-    return sum(scores) / len(scores) if scores else 0.0
+    """The mean, its sum added left to right from 0.0.  Python 3.12's
+    `sum` of floats compensates the rounding, and gives another float."""
+    return reduce(add, scores, 0.0) / len(scores) if scores else 0.0
 
 
 def extract_emoji_sentiment(text: str, lexicon) -> tuple[str, float]:
@@ -311,11 +320,15 @@ def surface_counts(text: str, tokens, abusive: WordSet) -> tuple[int, ...]:
 
 # What one raw whitespace chunk contributes to its tweet: its lowercased
 # tokenize pieces, its final tokens, its emoji scores in text order and the
-# surface_counts of the chunk and its pieces.  A plain tuple of tuples of
-# strings and numbers, which the cyclic garbage collector stops tracking, so
-# its full collections do not walk one object per distinct chunk; a
-# NamedTuple, like any tuple subclass, would stay tracked.
-Chunk = tuple[tuple[str, ...], tuple[str, ...], tuple[float, ...], tuple[int, ...]]
+# surface_counts of the chunk and its pieces, packed as eight native int64
+# (`_COUNTS`), so that `features.feature_matrix` reads a block's counts with
+# one join.  A plain
+# tuple of tuples of strings and numbers and of bytes, which the cyclic
+# garbage collector stops tracking, so its full collections do not walk one
+# object per distinct chunk; a NamedTuple, like any tuple subclass, would
+# stay tracked.
+Chunk = tuple[tuple[str, ...], tuple[str, ...], tuple[float, ...], bytes]
+_COUNTS = struct.Struct("8q")
 
 
 class TextMemo(dict):
@@ -354,11 +367,18 @@ class TextMemo(dict):
                 kept.append(token)
         base = tuple(t.lower() for t in pieces)
         value = self[raw] = (base, tuple(kept), tuple(scores),
-                             surface_counts(raw, base, self.abusive))
+                             _COUNTS.pack(*surface_counts(raw, base, self.abusive)))
         return value
 
 
-@dataclass(frozen=True)
+_BASE, _FINAL, _SCORES = itemgetter(0), itemgetter(1), itemgetter(2)
+
+
+def _join(chunks, item) -> tuple:
+    """One item of each Chunk, concatenated."""
+    return tuple(chain.from_iterable(map(item, chunks)))
+
+
 class TokenizedTweet:
     """Preprocessing output.
 
@@ -366,13 +386,57 @@ class TokenizedTweet:
     tweet-tokenized, lowercased token list before punctuation, stopword and
     stemming filters, kept so downstream feature code sees a view that is
     insensitive to those config flags.  `chunks` holds the Chunk of each
-    raw whitespace chunk, in text order; it takes no part in equality.
+    raw whitespace chunk, in text order.  `preprocess` gives only the raw
+    text and the chunks; tokens, base_tokens and emoji_score are then joined
+    from the chunks when first read.  A value given to the constructor is
+    kept as given.  The attributes are read-only; equality and hash take
+    tokens, emoji_score, raw_text and base_tokens, not chunks.
     """
-    tokens: tuple[str, ...]
-    emoji_score: float
-    raw_text: str
-    base_tokens: tuple[str, ...] = ()
-    chunks: tuple[Chunk, ...] = field(default=(), compare=False, repr=False)
+    __slots__ = ("_tokens", "_emoji_score", "_raw_text", "_base_tokens", "_chunks")
+
+    def __init__(self, tokens=None, emoji_score=None, raw_text: str = "", base_tokens=None,
+                 chunks: tuple[Chunk, ...] = ()):
+        self._tokens = tokens
+        self._emoji_score = emoji_score
+        self._raw_text = raw_text
+        self._base_tokens = base_tokens
+        self._chunks = chunks
+
+    raw_text = property(attrgetter("_raw_text"))
+    chunks = property(attrgetter("_chunks"))
+
+    @property
+    def tokens(self) -> tuple[str, ...]:
+        if self._tokens is None:
+            self._tokens = _join(self._chunks, _FINAL)
+        return self._tokens
+
+    @property
+    def base_tokens(self) -> tuple[str, ...]:
+        if self._base_tokens is None:
+            self._base_tokens = _join(self._chunks, _BASE)
+        return self._base_tokens
+
+    @property
+    def emoji_score(self) -> float:
+        if self._emoji_score is None:
+            self._emoji_score = _mean(_join(self._chunks, _SCORES))
+        return self._emoji_score
+
+    def _key(self):
+        return self.tokens, self.emoji_score, self.raw_text, self.base_tokens
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __repr__(self):
+        return ("TokenizedTweet(tokens={!r}, emoji_score={!r}, raw_text={!r}, "
+                "base_tokens={!r})".format(*self._key()))
 
 
 def preprocess(text: str, cfg: PrepConfig = PrepConfig(),
@@ -381,15 +445,8 @@ def preprocess(text: str, cfg: PrepConfig = PrepConfig(),
 
     `memo`, a TextMemo such as `cli.Pipeline` keeps, is used with its own
     settings in place of cfg, stoplist and emoji_lexicon; None makes a
-    fresh one from them.
+    fresh one from them.  The tweet keeps its raw chunks' memo entries.
     """
     if memo is None:
         memo = TextMemo(cfg, stoplist, emoji_lexicon)
-    chunks = tuple(map(memo.__getitem__, text.split()))
-    base, final, scores = [], [], []
-    for chunk_base, chunk_final, chunk_scores, _ in chunks:
-        base += chunk_base
-        final += chunk_final
-        scores += chunk_scores
-    return TokenizedTweet(tokens=tuple(final), emoji_score=_mean(scores), raw_text=text,
-                          base_tokens=tuple(base), chunks=chunks)
+    return TokenizedTweet(raw_text=text, chunks=tuple(map(memo.__getitem__, text.split())))

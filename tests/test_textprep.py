@@ -13,9 +13,9 @@ from hypothesis import example, given, settings, strategies as st
 from offlang import stemming
 from offlang.cli import Pipeline
 from offlang.errors import ValidationError
-from offlang.features import (N_SURFACE, expand_ngrams, feature_matrix, featurize,
-                              fit_vocabulary)
-from offlang.textprep import (_EMOJI_CHAR, PrepConfig, TextMemo, TokenizedTweet,
+from offlang.features import (N_SURFACE, SURFACE_FIELDS, expand_ngrams, feature_matrix,
+                              featurize, fit_vocabulary)
+from offlang.textprep import (_EMOJI_CHAR, PrepConfig, TextMemo, TokenizedTweet, WordSet,
                               _is_punct, emoji_spans, extract_emoji_sentiment,
                               is_placeholder, preprocess, reduce_elongation,
                               split_hashtag, tokenize)
@@ -488,9 +488,9 @@ _CHUNK_PARTS = [
 _CHUNK_LEXICON = {"👍": 0.1, "😀": 0.2, "❤": 0.3, "😂": -0.7}
 
 
-def _chunk_pipeline(cfg: PrepConfig, abusive) -> Pipeline:
+def _chunk_pipeline(cfg: PrepConfig, abusive, ngram_max: int) -> Pipeline:
     return Pipeline(level="A", prep=cfg, stopwords=_STOPLIST, abusive=abusive,
-                    emoji=_CHUNK_LEXICON, min_df=1, ngram_max=2)
+                    emoji=_CHUNK_LEXICON, min_df=1, ngram_max=ngram_max)
 
 
 def _oracle_rows(pipe: Pipeline, texts, vocab):
@@ -517,20 +517,64 @@ def test_pipelines_on_text_memos_match_the_memo_free_oracles(texts, cfg):
     # Two pipelines that differ only in their abusive list fit one after the
     # other, then transform the texts in turn, one text at a time; every
     # matrix is the one prep_oracle, tfidf_oracle and surface_oracle give.
-    fitted = []
-    for abusive in (["idiot"], ["url", "the"]):
-        pipe, mat = _chunk_pipeline(cfg, abusive).fit_transform(texts)
-        prepped = [oracle_preprocess(t, cfg, _STOPLIST, _CHUNK_LEXICON) for t in texts]
-        assert pipe.vocabulary == fit_vocabulary(
-            (expand_ngrams(list(tt.tokens), 2) for tt in prepped), min_df=1)
-        assert np.array_equal(mat, _oracle_rows(pipe, texts, pipe.vocabulary))
-        fitted.append(pipe)
-    rows = [[], []]
-    for text in texts:
+    # The n-grams of a tweet span its raw chunks.
+    for ngram_max in (1, 2, 3):
+        fitted = []
+        for abusive in (["idiot"], ["url", "the"]):
+            pipe, mat = _chunk_pipeline(cfg, abusive, ngram_max).fit_transform(texts)
+            prepped = [oracle_preprocess(t, cfg, _STOPLIST, _CHUNK_LEXICON) for t in texts]
+            assert pipe.vocabulary == fit_vocabulary(
+                (expand_ngrams(list(tt.tokens), ngram_max) for tt in prepped), min_df=1)
+            assert np.array_equal(mat, _oracle_rows(pipe, texts, pipe.vocabulary))
+            fitted.append(pipe)
+        rows = [[], []]
+        for text in texts:
+            for pipe, out in zip(fitted, rows):
+                out.append(pipe.transform([text]))
         for pipe, out in zip(fitted, rows):
-            out.append(pipe.transform([text]))
-    for pipe, out in zip(fitted, rows):
-        assert np.array_equal(np.vstack(out), _oracle_rows(pipe, texts, pipe.vocabulary))
+            assert np.array_equal(np.vstack(out), _oracle_rows(pipe, texts, pipe.vocabulary))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.lists(st.sampled_from(_CHUNK_PARTS), max_size=10).map("".join),
+                min_size=1, max_size=6),
+       st.sampled_from(_CONFIGS))
+@example(["URL url", "Idiot\tidiot idiot"], PrepConfig())
+def test_one_block_of_vectors_from_two_memos_and_none(texts, cfg):
+    # One feature_matrix call over vectors from two pipelines' memos and
+    # from memo-free featurize, interleaved, weighed over one vocabulary.
+    # The memos see the same raw chunks but count, tokenize and expand them
+    # differently, so a chunk of one memo taken for the other's shows.
+    pipes = [_chunk_pipeline(cfg, ["idiot"], 1),
+             _chunk_pipeline(PrepConfig(lowercase=not cfg.lowercase), ["url", "the"], 2),
+             _chunk_pipeline(cfg, ["url"], 3)]
+    vocab = fit_vocabulary(
+        (expand_ngrams(list(oracle_preprocess(t, pipe.prep, _STOPLIST, _CHUNK_LEXICON).tokens), 3)
+         for pipe in pipes for t in texts), min_df=1)
+    vectors, expected = [], []
+    for text in texts:
+        for k, pipe in enumerate(pipes):
+            memo = pipe._memo if k < 2 else None
+            tt = preprocess(text, pipe.prep, _STOPLIST, _CHUNK_LEXICON, memo=memo)
+            vectors.append(featurize(tt, vocab, WordSet(pipe.abusive), pipe.ngram_max, memo=memo))
+            expected.append(_oracle_rows(pipe, [text], vocab)[0])
+    assert np.array_equal(feature_matrix(vectors, vocab), np.array(expected))
+
+
+def test_emoji_scores_are_added_left_to_right():
+    # Ten scores of 0.1 add up to 0.9999999999999999 left to right, and to
+    # 1.0 in the compensated sum of Python 3.12.  Two emoji alternate, since
+    # elongation reduction would cut a run of three.
+    lexicon = {"👍": 0.1, "😀": 0.1}
+    mean = 0.9999999999999999 / 10
+    empty = fit_vocabulary([])
+    for text in ("👍😀" * 5, " ".join("👍" * 10), "👍😀👍 a 😀👍\t😀 👍😀👍😀"):
+        assert extract_emoji_sentiment(text, lexicon)[1] == mean
+        assert preprocess(text, emoji_lexicon=lexicon).emoji_score == mean
+        memo = TextMemo(PrepConfig(), (), lexicon)
+        assert preprocess(text, memo=memo).emoji_score == mean
+        vector = featurize(preprocess(text, memo=memo), empty, (), memo=memo)
+        assert feature_matrix([vector], empty)[0, SURFACE_FIELDS.index("emoji_score")] == mean
 
 
 def test_pipeline_stems_each_distinct_word_once(monkeypatch):

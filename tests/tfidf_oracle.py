@@ -22,5 +22,8 @@ def oracle_tfidf_exact(doc, vocab) -> list[tuple[int, float]]:
     for i, count in sorted(tf.items()):
         idf = math.log((1 + vocab.n_docs) / (1 + vocab.df[i])) + 1.0
         entries.append((i, count * idf))
-    norm = math.sqrt(sum(w * w for _, w in entries))
+    squares = 0.0
+    for _, w in entries:
+        squares += w * w
+    norm = math.sqrt(squares)
     return [(i, w / norm) for i, w in entries]
