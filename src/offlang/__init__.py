@@ -15,8 +15,7 @@ from .corpus import (Corpus, Tweet, WeakLabel, class_distribution, load_corpus,
 from .emolex import emotion_counts, emotion_report, load_emotion_lexicon
 from .errors import (ModelFormatError, ModelTruncatedError, ModelVersionError,
                      OfflangError, ParseError, ValidationError)
-from .features import (FeatureVector, Vocabulary, featurize, fit_vocabulary,
-                       surface, tfidf)
+from .features import FeatureVector, Vocabulary, featurize, fit_vocabulary, tfidf
 from .forest import (CVResult, ForestModel, ForestParams, cross_validate, gini,
                      grid_search, kfold, load_model, predict, predict_proba,
                      save_model, train_forest, train_tree)

@@ -119,14 +119,13 @@ class Pipeline:
     # because prep and the lexicons are fixed.
     @cached_property
     def _memo(self) -> TextMemo:
-        return TextMemo(self.prep, self.stopwords, self.emoji, self.abusive)
+        return TextMemo(self.prep, self.stopwords, self.emoji)
 
     def _preprocess(self, text: str):
         return preprocess(text, self.prep, memo=self._memo)
 
-    def _matrix(self, tweets, memo: TextMemo) -> np.ndarray:
-        vectors = [featurize(tt, self.vocabulary, memo.abusive, self.ngram_max, memo=memo)
-                   for tt in tweets]
+    def _matrix(self, tweets) -> np.ndarray:
+        vectors = [featurize(tt, self.vocabulary, self.abusive, self.ngram_max) for tt in tweets]
         return feature_matrix(vectors, self.vocabulary)
 
     def fit_transform(self, texts) -> tuple["Pipeline", np.ndarray]:
@@ -136,14 +135,14 @@ class Pipeline:
         vocab = fit_vocabulary((expand_ngrams(tt.tokens, self.ngram_max)
                                 for tt in prepped), min_df=self.min_df)
         fitted = replace(self, vocabulary=vocab)
-        return fitted, fitted._matrix(prepped, self._memo)
+        return fitted, fitted._matrix(prepped)
 
     def transform(self, texts) -> np.ndarray:
         """Feature matrix of texts.  Each is preprocessed and featurized
         in turn, which finds its raw chunks in the text memo and keeps the
         tweet; `feature_matrix` then computes every row at once from tables
         of the block's distinct chunks, and the TF-IDF of all of them."""
-        return self._matrix((self._preprocess(t) for t in texts), self._memo)
+        return self._matrix(self._preprocess(t) for t in texts)
 
     def to_jsonable(self) -> dict:
         return {
@@ -369,7 +368,7 @@ def cmd_train(args) -> int:
     corpus_path, rows, y = _training_rows(cfg, level)
     pipeline, X = _pipeline_from_config(cfg, level).fit_transform(t.text for t in rows)
     params = _forest_params_from(cfg, seed)
-    model = train_forest(X, y, params, classes=classes, threads=args.threads)
+    model = train_forest(X, y, params, classes=classes)
 
     train_scores = scores(confusion(y, forest_predict(model, X), classes), classes)
     out_model = Path(cfg.require("out.model"))
@@ -409,8 +408,7 @@ def cmd_cv(args) -> int:
     corpus_path, rows, y = _training_rows(cfg, level)
     _, X = _pipeline_from_config(cfg, level).fit_transform(t.text for t in rows)
     params = _forest_params_from(cfg, seed)
-    result = cross_validate(X, y, params, k=args.k, seed=seed, classes=classes,
-                            threads=args.threads)
+    result = cross_validate(X, y, params, k=args.k, seed=seed, classes=classes)
 
     print(f"{args.k}-fold cross-validation on {len(rows)} rows (level {level})")
     print("fold  macro_f1")
@@ -458,8 +456,7 @@ def cmd_gridsearch(args) -> int:
     corpus_path, rows, y = _training_rows(cfg, level)
     _, X = _pipeline_from_config(cfg, level).fit_transform(t.text for t in rows)
     grid = _grid_from_config(cfg, seed)
-    result = grid_search(grid, X, y, k=args.k, seed=seed, classes=classes,
-                         threads=args.threads)
+    result = grid_search(grid, X, y, k=args.k, seed=seed, classes=classes)
 
     print(f"grid search over {len(grid)} settings, {args.k}-fold CV, "
           f"{len(rows)} rows (level {level})")

@@ -21,25 +21,24 @@ the float a per-document loop gives.  `tfidf` is the one-document case.
 The dense block has exactly nine fields, in SURFACE_FIELDS order.  Word
 statistics are computed over all-alphabetic tokens excluding the @user/url
 placeholders; placeholder counts are taken from the raw text with letter
-boundaries so e.g. CURL does not count as URL.  All but the character count
-and the emoji score come from eight integer counts
-(`textprep.surface_counts`).
+boundaries so e.g. CURL does not count as URL.  All but the character
+count, the abusive count and the emoji score come from seven integer
+counts (`textprep.surface_counts`).
 
-`featurize` without a memo computes a tweet's terms and surface block, a
-`FeatureVector`; this per-tweet path is the reference.  Given the TextMemo
-that preprocessed the tweet, it keeps the tweet whole, a `TweetVector`, and
-`feature_matrix` does the per-tweet work for the whole block at once, from
-tables of the block's distinct raw whitespace chunks: each chunk's eight
-counts, emoji scores and final tokens' vocabulary indices.  A row's counts
-are then integer sums over its chunks, its emoji scores are added left to
-right as `textprep._mean` adds them, and its tokens are its chunks' tokens
-in turn; textprep's module docstring says why these equal what the whole
-text gives.  The memo counts with its own abusive lexicon, so it is valid
-for one pipeline.
+`featurize` keeps a preprocessed tweet whole, with its vocabulary, n-gram
+length and abusive lexicon, a `FeatureVector`.  `feature_matrix` featurizes
+a block of them at once, from tables of the block's distinct raw
+whitespace chunks: each chunk's seven counts, abusive tokens, emoji scores
+and final tokens' vocabulary indices.  A row's counts are then integer
+sums over its chunks, its emoji scores are added left to right as
+`textprep._mean` adds them, and its tokens are its chunks' tokens in turn;
+textprep's module docstring says why these equal what the whole text
+gives.  A block counts abusive tokens with one lexicon, so its vectors must
+share it.
 """
 
 import math
-from collections.abc import Sequence
+from collections.abc import Collection
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain, repeat
@@ -54,7 +53,7 @@ except ImportError:  # numpy < 2
     from numpy.core.multiarray import _set_madvise_hugepage
 
 from .errors import ValidationError
-from .textprep import TokenizedTweet, WordSet, surface_counts
+from .textprep import TokenizedTweet, WordSet
 
 
 @dataclass(frozen=True)
@@ -205,67 +204,38 @@ SURFACE_FIELDS = SurfaceFeatures._fields
 N_SURFACE = len(SURFACE_FIELDS)
 
 
-def surface(raw_text: str, tokens, abusive_lexicon, emoji_score: float) -> SurfaceFeatures:
-    """Nine dense per-tweet statistics.
-
-    `tokens` should be the pre-filter token view (TokenizedTweet.base_tokens)
-    so the result does not depend on stopword/stemming settings.
-    """
-    urls, mentions, puncts, letters, uppers, words, word_letters, abusive = \
-        surface_counts(raw_text, tokens, WordSet(abusive_lexicon))
-    return SurfaceFeatures(
-        url_count=float(urls),
-        mention_count=float(mentions),
-        char_count=float(len(raw_text)),
-        punct_count=float(puncts),
-        word_count=float(words),
-        avg_word_len=(word_letters / words) if words else 0.0,
-        capital_pct=(uppers / letters) if letters else 0.0,
-        abusive_count=float(abusive),
-        emoji_score=float(emoji_score),
-    )
-
-
 class FeatureVector(NamedTuple):
-    """A tweet's terms, its 9-field surface block and the vocabulary its
-    terms are weighed over."""
-    terms: Sequence[str]
-    dense: SurfaceFeatures
+    """A preprocessed tweet, to be weighed over vocab with n-grams up to
+    ngram_max and counted against the abusive lexicon.  `feature_matrix`
+    computes its row from the tweet's chunks."""
+    tweet: TokenizedTweet
     vocab: Vocabulary
+    ngram_max: int
+    abusive: Collection[str]
+
+    @property
+    def terms(self) -> list[str]:
+        return expand_ngrams(self.tweet.tokens, self.ngram_max)
 
     @property
     def sparse(self) -> tuple[tuple[int, float], ...]:
         """The terms' TF-IDF entries, as tfidf gives them."""
         return tuple(tfidf(self.terms, self.vocab))
 
-
-class TweetVector(NamedTuple):
-    """A tweet preprocessed through a TextMemo made with the abusive
-    lexicon, to be weighed over vocab with n-grams up to ngram_max.
-    `feature_matrix` computes its row from the tweet's chunks."""
-    tweet: TokenizedTweet
-    vocab: Vocabulary
-    ngram_max: int
-
     @property
     def dense(self) -> SurfaceFeatures:
-        """The surface block of the tweet's row, as featurize without the
-        memo gives it."""
+        """The surface block of the tweet's row."""
         return SurfaceFeatures(*feature_matrix([self], self.vocab)[0, len(self.vocab):].tolist())
 
 
 def featurize(tweet: TokenizedTweet, vocab: Vocabulary, abusive_lexicon,
-              ngram_max: int = 1, memo=None) -> FeatureVector | TweetVector:
-    """Terms + surface features for one preprocessed tweet.  `memo` is
-    the TextMemo that preprocessed it, made with abusive_lexicon; the tweet
-    is then kept whole, for feature_matrix to featurize from its chunks."""
+              ngram_max: int = 1) -> FeatureVector:
+    """Terms + surface features for one preprocessed tweet: feature_matrix
+    computes them for a block, the vector's properties for the tweet
+    alone."""
     if ngram_max < 1:
         raise ValidationError(f"ngram_max must be >= 1, got {ngram_max}")
-    if memo is not None:
-        return TweetVector(tweet, vocab, ngram_max)
-    terms = tweet.tokens if ngram_max == 1 else expand_ngrams(tweet.tokens, ngram_max)
-    dense = surface(tweet.raw_text, tweet.base_tokens, abusive_lexicon, tweet.emoji_score)
-    return FeatureVector(terms, dense, vocab)
+    return FeatureVector(tweet, vocab, ngram_max, abusive_lexicon)
 
 
 def _ratio(num, den) -> np.ndarray:
@@ -285,16 +255,22 @@ def _spread(values, lengths, chunk) -> np.ndarray:
 
 def _tweet_block(vectors, vocab: Vocabulary):
     """Row and vocabulary index (-1 out of vocabulary) of every term, and
-    the surface block, of TweetVectors, from tables of their chunks.
+    the surface block, of FeatureVectors, from tables of their chunks.
 
     Each distinct chunk is found once, by `id`: the vectors hold every
     chunk, so no two distinct chunks share one, even across memos.  A
     row's surface counts are the sums of its chunks' integer counts, exact
-    in float64 in any order; its emoji scores are added left to right
-    (`_row_sums`) as `_mean` adds them; its final tokens are looked up once
-    per distinct chunk.  N-grams span chunks, so they are made from each
-    tweet's tokens.
+    in float64 in any order; a chunk's abusive tokens are counted among
+    its base tokens, which are lowercase, with the block's one lexicon; its
+    emoji scores are added left to right (`_row_sums`) as `_mean` adds
+    them; its final tokens are looked up once per distinct chunk.  N-grams
+    span chunks, so they are made from each tweet's tokens; an n-gram is no
+    longer than its tweet, so any ngram_max is the tweet's length at most.
     """
+    lexicons = set(map(WordSet, {id(v.abusive): v.abusive for v in vectors}.values()))
+    if len(lexicons) > 1:
+        raise ValidationError("the vectors of one block must share one abusive lexicon")
+    is_abusive = (lexicons.pop() if lexicons else WordSet()).__contains__
     n = len(vectors)
     tweets = list(map(attrgetter("tweet"), vectors))
     per_row = list(map(attrgetter("chunks"), tweets))
@@ -307,9 +283,12 @@ def _tweet_block(vectors, vocab: Vocabulary):
     some[chunk] = np.arange(len(occurrences))
     distinct = list(map(occurrences.__getitem__, some.tolist()))
 
-    table = np.frombuffer(b"".join(map(itemgetter(3), distinct)), dtype=np.int64).reshape(-1, 8)
+    table = np.frombuffer(b"".join(map(itemgetter(3), distinct)), dtype=np.int64).reshape(-1, 7)
+    abusive_tokens = np.fromiter((sum(map(is_abusive, base)) for base in map(itemgetter(0), distinct)),
+                                 dtype=np.int64, count=len(distinct))
     urls, mentions, puncts, letters, uppers, words, word_letters, abusive = (
-        np.bincount(row, weights=column[chunk], minlength=n) for column in table.T)
+        np.bincount(row, weights=column[chunk], minlength=n)
+        for column in (*table.T, abusive_tokens))
     scores = list(map(itemgetter(2), distinct))
     n_scores = _lengths(scores)
     score_rows = np.repeat(row, n_scores[chunk])
@@ -324,37 +303,26 @@ def _tweet_block(vectors, vocab: Vocabulary):
     finals = list(map(itemgetter(1), distinct))
     n_finals = _lengths(finals)
     final_ids = _ids(chain.from_iterable(finals), int(n_finals.sum()), vocab)
-    gram_rows = np.flatnonzero(np.fromiter(map(attrgetter("ngram_max"), vectors),
-                                           dtype=np.int64, count=n) > 1)
-    grams = [expand_ngrams(tweets[r].tokens, vectors[r].ngram_max)[len(tweets[r].tokens):]
-             for r in gram_rows.tolist()]
+    gram_rows = [r for r, v in enumerate(vectors) if v.ngram_max > 1]
+    grams = [expand_ngrams(tokens, vectors[r].ngram_max)[len(tokens):]
+             for r in gram_rows for tokens in [tweets[r].tokens]]
     n_grams = _lengths(grams)
-    rows = np.concatenate([np.repeat(row, n_finals[chunk]), np.repeat(gram_rows, n_grams)])
+    rows = np.concatenate([np.repeat(row, n_finals[chunk]),
+                           np.repeat(np.array(gram_rows, dtype=np.int64), n_grams)])
     ids = np.concatenate([_spread(final_ids, n_finals, chunk),
                           _ids(chain.from_iterable(grams), int(n_grams.sum()), vocab)])
     return rows, ids, dense
-
-
-def _plain_block(vectors, vocab: Vocabulary):
-    """As _tweet_block, for vectors that hold their terms and surface."""
-    docs = list(map(attrgetter("terms"), vectors))
-    lengths = _lengths(docs)
-    ids = _ids(chain.from_iterable(docs), int(lengths.sum()), vocab)
-    dense = np.fromiter(chain.from_iterable(map(attrgetter("dense"), vectors)),
-                        dtype=np.float64, count=len(vectors) * N_SURFACE).reshape(-1, N_SURFACE)
-    return np.repeat(np.arange(len(vectors)), lengths), ids, dense
 
 
 def feature_matrix(vectors, vocab: Vocabulary) -> np.ndarray:
     """Stack feature vectors into a dense (n, len(vocab) + 9) float64
     matrix.
 
-    A FeatureVector's terms and surface block are taken as they are
-    (`_plain_block`); TweetVectors are featurized together from their
-    chunks (`_tweet_block`).  The TF-IDF of all the rows is then computed
-    at once (`_weights`) and scattered into the vocabulary columns.  Each
-    row's norm is summed per entry position, left to right, so every weight
-    equals `tfidf` of that row alone.
+    The vectors are featurized together from their chunks (`_tweet_block`),
+    then the TF-IDF of all the rows is computed at once (`_weights`) and
+    scattered into the vocabulary columns.  Each row's norm is summed per
+    entry position, left to right, so every weight equals `tfidf` of that
+    row alone.
 
     The matrix is allocated without numpy's transparent-huge-page advice.
     It is over 99 % zeros, so in plain 4 KiB pages about three quarters of
@@ -369,15 +337,7 @@ def feature_matrix(vectors, vocab: Vocabulary) -> np.ndarray:
         mat = np.zeros((len(vectors), width + N_SURFACE), dtype=np.float64)
     finally:
         _set_madvise_hugepage(previous)
-    is_tweet = np.fromiter(map(isinstance, vectors, repeat(TweetVector)), dtype=bool,
-                           count=len(vectors))
-    rows, ids = [], []
-    for part, block in ((np.flatnonzero(~is_tweet), _plain_block),
-                        (np.flatnonzero(is_tweet), _tweet_block)):
-        part_rows, part_ids, dense = block(list(map(vectors.__getitem__, part.tolist())), vocab)
-        mat[part, width:] = dense
-        rows.append(part[part_rows])
-        ids.append(part_ids)
-    rows, ids, weights = _weights(np.concatenate(rows), np.concatenate(ids), len(vectors), vocab)
+    rows, ids, mat[:, width:] = _tweet_block(vectors, vocab)
+    rows, ids, weights = _weights(rows, ids, len(vectors), vocab)
     mat[rows, ids] = weights
     return mat

@@ -33,7 +33,7 @@ becomes a leaf on purity, the depth limit, or no candidates.
 
 Determinism: every random draw comes from a named stream derived from the
 seed (rng.stream), one stream per tree and per CV fold, so results are
-bit-identical regardless of thread count.  Trees are laid out in preorder
+bit-identical from run to run.  Trees are laid out in preorder
 (node, left subtree, right subtree) and the per-node feature subset is
 drawn exactly once, at the moment the node attempts to split (no draw when
 the subset is every feature).
@@ -55,7 +55,7 @@ train_tree is a wave of one tree.
 import itertools
 import json
 import struct
-from concurrent.futures import ThreadPoolExecutor
+import sys
 from dataclasses import asdict, dataclass, replace
 from fractions import Fraction
 from functools import reduce
@@ -96,8 +96,9 @@ class ForestParams:
     bootstrap: bool = True
 
     def __post_init__(self):
-        if self.n_trees < 1:
-            raise ValidationError(f"n_trees must be >= 1, got {self.n_trees}")
+        # The folds of cross_validate slice their trees by n_trees.
+        if not 1 <= self.n_trees <= sys.maxsize:
+            raise ValidationError(f"n_trees must be in 1..{sys.maxsize}, got {self.n_trees}")
         if self.max_depth is not None and self.max_depth < 1:
             raise ValidationError(f"max_depth must be >= 1 or None, got {self.max_depth}")
         if self.min_samples_leaf < 1:
@@ -473,8 +474,7 @@ def _encode_labels(y, classes) -> np.ndarray:
         raise ValidationError(f"label {exc.args[0]!r} not in class list {list(classes)}")
 
 
-def train_forest(X, y, params: ForestParams, classes=None, threads: int = 1,
-                 rows=None) -> ForestModel:
+def train_forest(X, y, params: ForestParams, classes=None, rows=None) -> ForestModel:
     """Train a bagged forest of params.n_trees trees on the rows of (X, y)
     listed in `rows` (default every row).
 
@@ -482,9 +482,8 @@ def train_forest(X, y, params: ForestParams, classes=None, threads: int = 1,
     (default: the canonical level order when the labels all belong to one
     annotation level, else sorted).  Each tree draws its bootstrap sample,
     as indices into `rows`, and its feature subsets from its own
-    seed-derived stream, so any `threads` value yields the identical model.
-    X's Columns are built once and every tree reads them; no rows are
-    copied.
+    seed-derived stream.  X's Columns are built once and every tree reads
+    them; no rows are copied.
     """
     cols = _columns(X)
     y = list(y)
@@ -496,16 +495,9 @@ def train_forest(X, y, params: ForestParams, classes=None, threads: int = 1,
     if len(rows) == 0:
         raise ValidationError("cannot train on an empty dataset")
 
-    def build(i: int) -> Tree:
-        tree_rng, tree_rows = _tree_job(params, rows, i)
-        return train_tree(cols, codes, params, tree_rng, n_classes=len(classes),
-                          rows=tree_rows)
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            trees = list(pool.map(build, range(params.n_trees)))
-    else:
-        trees = [build(i) for i in range(params.n_trees)]
+    jobs = (_tree_job(params, rows, i) for i in range(params.n_trees))
+    trees = [train_tree(cols, codes, params, rng, n_classes=len(classes), rows=tree_rows)
+             for rng, tree_rows in jobs]
     return ForestModel(classes=classes, params=params,
                        n_features=cols.n_features, trees=trees)
 
@@ -640,14 +632,13 @@ def _cross_validate(cv: _CVInputs, params: ForestParams) -> CVResult:
 
 
 def cross_validate(X, y, params: ForestParams, k: int = 10, seed: int = 0,
-                   classes=None, threads: int = 1) -> CVResult:
+                   classes=None) -> CVResult:
     """Stratified k-fold macro-F1 for one parameter setting.
 
     Fold membership and per-fold training seeds derive from `seed` (the
     seed inside `params` is ignored here) so every grid point is scored on
     identical folds.  X's Columns are built once, and all k * n_trees trees
-    grow in lock step (see the module docstring), so `threads` no longer
-    affects this function; it is accepted for the callers that pass it.
+    grow in lock step (see the module docstring).
     """
     return _cross_validate(_cv_inputs(X, y, k, seed, classes), params)
 
@@ -658,12 +649,10 @@ class GridSearchResult:
     results: tuple[tuple[ForestParams, CVResult], ...]
 
 
-def grid_search(grid, X, y, k: int = 10, seed: int = 0, classes=None,
-                threads: int = 1) -> GridSearchResult:
+def grid_search(grid, X, y, k: int = 10, seed: int = 0, classes=None) -> GridSearchResult:
     """Cross-validate every grid point; the best mean macro-F1 wins and
     ties go to the earliest grid position.  X's Columns and the folds are
-    built once for all points; `threads` does not affect the result or
-    the work, as in cross_validate."""
+    built once for all points."""
     grid = list(grid)
     if not grid:
         raise ValidationError("parameter grid is empty")

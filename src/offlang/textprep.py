@@ -14,11 +14,11 @@ steps untouched.
 `preprocess` runs the steps once per distinct raw whitespace chunk of the
 text, through a `TextMemo` from chunk to everything the chunk contributes:
 its base tokens, its final tokens, its emoji scores in text order and the
-integer counts behind `features.surface` (`surface_counts`).  A tweet keeps
-only its raw text and its chunks' memo entries.  Its tokens, base tokens
-and mean emoji score are its chunks' values concatenated, joined when first
-read, and the mean sums the concatenated scores left to right, as a
-whole-text pass does; `features.feature_matrix` computes the same values
+integer counts behind the surface features (`surface_counts`).  A tweet
+keeps only its raw text and its chunks' memo entries.  Its tokens, base
+tokens and mean emoji score are its chunks' values concatenated, joined
+on each read, and the mean sums the concatenated scores left to right, as
+a whole-text pass does; `features.feature_matrix` computes the same values
 for a whole block of tweets from their chunks, without joining them.  That
 is exact because every step acts within one chunk:
 
@@ -33,8 +33,8 @@ is exact because every step acts within one chunk:
   letters, no whitespace character is punctuation or a letter, and the
   counts are integer sums.
 
-A TextMemo is valid for the PrepConfig, stoplist, emoji lexicon and
-abusive lexicon it was made with; `cli.Pipeline` keeps one per pipeline.
+A TextMemo is valid for the PrepConfig, stoplist and emoji lexicon it was
+made with; `cli.Pipeline` keeps one per pipeline.
 It also holds a piece -> final token memo, so that `_final_token` runs once
 per distinct `tokenize` piece, and a word -> stem memo, so that each
 distinct word is stemmed once.  Other repeated work is skipped too, each
@@ -75,7 +75,8 @@ import unicodedata
 from dataclasses import dataclass, fields
 from functools import reduce
 from itertools import chain
-from operator import add, attrgetter, itemgetter
+from operator import add, itemgetter
+from typing import NamedTuple
 
 from . import stemming
 from .errors import ValidationError
@@ -304,46 +305,43 @@ _URL_RE = re.compile(r"(?<![A-Za-z])URL(?![A-Za-z])")
 _MENTION_RE = re.compile(r"@USER(?![A-Za-z])")
 
 
-def surface_counts(text: str, tokens, abusive: WordSet) -> tuple[int, ...]:
-    """The integer counts behind `features.surface`: URL and @USER
+def surface_counts(text: str, tokens) -> tuple[int, ...]:
+    """Seven integer counts behind the surface features: URL and @USER
     matches, punctuation, letters and capitals in text, then words (the
-    all-alphabetic tokens but the placeholders), their letters and
-    abusive-lexicon tokens among tokens.  Placeholders are matched with
-    letter boundaries, so CURL is no URL."""
+    all-alphabetic tokens but the placeholders) and their letters among
+    tokens.  Placeholders are matched with letter boundaries, so CURL is
+    no URL."""
     letters = list(filter(str.isalpha, text))
     words = [t for t in tokens if t.isalpha() and not is_placeholder(t)]
     return (len(_URL_RE.findall(text)), len(_MENTION_RE.findall(text)),
             0 if text.isalnum() else sum(map(_is_punct, text)),
             len(letters), sum(map(str.isupper, letters)),
-            len(words), sum(map(len, words)), sum(1 for t in tokens if t.lower() in abusive))
+            len(words), sum(map(len, words)))
 
 
 # What one raw whitespace chunk contributes to its tweet: its lowercased
 # tokenize pieces, its final tokens, its emoji scores in text order and the
-# surface_counts of the chunk and its pieces, packed as eight native int64
+# surface_counts of the chunk and its pieces, packed as seven native int64
 # (`_COUNTS`), so that `features.feature_matrix` reads a block's counts with
-# one join.  A plain
-# tuple of tuples of strings and numbers and of bytes, which the cyclic
-# garbage collector stops tracking, so its full collections do not walk one
-# object per distinct chunk; a NamedTuple, like any tuple subclass, would
-# stay tracked.
+# one join.  A plain tuple of tuples of strings and numbers and of bytes,
+# which the cyclic garbage collector stops tracking, so its full collections
+# do not walk one object per distinct chunk; a NamedTuple, like any tuple
+# subclass, would stay tracked.
 Chunk = tuple[tuple[str, ...], tuple[str, ...], tuple[float, ...], bytes]
-_COUNTS = struct.Struct("8q")
+_COUNTS = struct.Struct("7q")
 
 
 class TextMemo(dict):
     """Raw whitespace chunk -> its Chunk, each chunk computed on its first
-    lookup under one PrepConfig, stoplist, emoji lexicon and abusive
-    lexicon, with a piece -> final token memo and a word -> stem memo that
-    fill as chunks are computed."""
+    lookup under one PrepConfig, stoplist and emoji lexicon, with a piece ->
+    final token memo and a word -> stem memo that fill as chunks are
+    computed."""
 
-    def __init__(self, cfg: PrepConfig, stoplist=frozenset(), emoji_lexicon=None,
-                 abusive=frozenset()):
+    def __init__(self, cfg: PrepConfig, stoplist=frozenset(), emoji_lexicon=None):
         super().__init__()
         self.cfg = cfg
         self.stops = WordSet(stoplist)
         self.emoji = emoji_lexicon or {}
-        self.abusive = WordSet(abusive)
         self.finals: dict[str, str] = {}
         self.stems: dict[str, str] = {}
 
@@ -367,7 +365,7 @@ class TextMemo(dict):
                 kept.append(token)
         base = tuple(t.lower() for t in pieces)
         value = self[raw] = (base, tuple(kept), tuple(scores),
-                             _COUNTS.pack(*surface_counts(raw, base, self.abusive)))
+                             _COUNTS.pack(*surface_counts(raw, base)))
         return value
 
 
@@ -379,64 +377,30 @@ def _join(chunks, item) -> tuple:
     return tuple(chain.from_iterable(map(item, chunks)))
 
 
-class TokenizedTweet:
-    """Preprocessing output.
+class TokenizedTweet(NamedTuple):
+    """Preprocessing output: the raw text and the Chunk of each raw
+    whitespace chunk, in text order.
 
     `tokens` is the final pipeline output; `base_tokens` is the
     tweet-tokenized, lowercased token list before punctuation, stopword and
     stemming filters, kept so downstream feature code sees a view that is
-    insensitive to those config flags.  `chunks` holds the Chunk of each
-    raw whitespace chunk, in text order.  `preprocess` gives only the raw
-    text and the chunks; tokens, base_tokens and emoji_score are then joined
-    from the chunks when first read.  A value given to the constructor is
-    kept as given.  The attributes are read-only; equality and hash take
-    tokens, emoji_score, raw_text and base_tokens, not chunks.
+    insensitive to those config flags.  Both, and the mean emoji score,
+    are joined from the chunks on each read.
     """
-    __slots__ = ("_tokens", "_emoji_score", "_raw_text", "_base_tokens", "_chunks")
-
-    def __init__(self, tokens=None, emoji_score=None, raw_text: str = "", base_tokens=None,
-                 chunks: tuple[Chunk, ...] = ()):
-        self._tokens = tokens
-        self._emoji_score = emoji_score
-        self._raw_text = raw_text
-        self._base_tokens = base_tokens
-        self._chunks = chunks
-
-    raw_text = property(attrgetter("_raw_text"))
-    chunks = property(attrgetter("_chunks"))
+    raw_text: str
+    chunks: tuple[Chunk, ...]
 
     @property
     def tokens(self) -> tuple[str, ...]:
-        if self._tokens is None:
-            self._tokens = _join(self._chunks, _FINAL)
-        return self._tokens
+        return _join(self.chunks, _FINAL)
 
     @property
     def base_tokens(self) -> tuple[str, ...]:
-        if self._base_tokens is None:
-            self._base_tokens = _join(self._chunks, _BASE)
-        return self._base_tokens
+        return _join(self.chunks, _BASE)
 
     @property
     def emoji_score(self) -> float:
-        if self._emoji_score is None:
-            self._emoji_score = _mean(_join(self._chunks, _SCORES))
-        return self._emoji_score
-
-    def _key(self):
-        return self.tokens, self.emoji_score, self.raw_text, self.base_tokens
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._key() == other._key()
-
-    def __hash__(self):
-        return hash(self._key())
-
-    def __repr__(self):
-        return ("TokenizedTweet(tokens={!r}, emoji_score={!r}, raw_text={!r}, "
-                "base_tokens={!r})".format(*self._key()))
+        return _mean(_join(self.chunks, _SCORES))
 
 
 def preprocess(text: str, cfg: PrepConfig = PrepConfig(),
@@ -449,4 +413,4 @@ def preprocess(text: str, cfg: PrepConfig = PrepConfig(),
     """
     if memo is None:
         memo = TextMemo(cfg, stoplist, emoji_lexicon)
-    return TokenizedTweet(raw_text=text, chunks=tuple(map(memo.__getitem__, text.split())))
+    return TokenizedTweet(text, tuple(map(memo.__getitem__, text.split())))

@@ -7,9 +7,22 @@ terminal summary.
 
 import random
 import re
+import warnings
 from pathlib import Path
 
 import pytest
+
+# A failing Hypothesis test imports hypothesis.extra._patching to print a
+# patch.  Where libcst is installed, that import warns with a
+# DeprecationWarning, which the pytest filterwarnings setting turns into an
+# error that ends the whole run.  Imported here first, with its warnings
+# ignored, it is already loaded when a test fails.
+with warnings.catch_warnings():
+    warnings.simplefilter("ignore", DeprecationWarning)
+    try:
+        import hypothesis.extra._patching  # noqa: F401
+    except ImportError:  # libcst is not installed
+        pass
 
 DATA_DIR = Path(__file__).resolve().parent.parent / "data"
 

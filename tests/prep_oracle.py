@@ -8,15 +8,28 @@ pass per step, each step testing `is_placeholder` on the token as that step
 sees it.  Its whole-text steps run over the whole text, where the package
 runs them once per raw whitespace chunk.  The step functions, the tokenizer
 and the stemmers are imported from the package, since they are not what
-this oracle checks.
+this oracle checks.  It returns its own named tuple, which `view` makes of
+a TokenizedTweet for comparison.
 """
 
 import unicodedata
+from typing import NamedTuple
 
 from offlang import stemming
-from offlang.textprep import (TokenizedTweet, WordSet, extract_emoji_sentiment,
-                              is_placeholder, reduce_elongation, split_hashtag,
-                              tokenize)
+from offlang.textprep import (WordSet, extract_emoji_sentiment, is_placeholder,
+                              reduce_elongation, split_hashtag, tokenize)
+
+
+class OracleTweet(NamedTuple):
+    tokens: tuple[str, ...]
+    emoji_score: float
+    raw_text: str
+    base_tokens: tuple[str, ...]
+
+
+def view(tweet) -> OracleTweet:
+    """A TokenizedTweet's values, as oracle_preprocess returns them."""
+    return OracleTweet(tweet.tokens, tweet.emoji_score, tweet.raw_text, tweet.base_tokens)
 
 
 def _expand_hashtags(text: str) -> str:
@@ -39,7 +52,7 @@ def _strip_punct_from(token: str) -> str:
     return "".join(ch for ch in token if not unicodedata.category(ch).startswith("P"))
 
 
-def oracle_preprocess(text, cfg, stoplist=frozenset(), emoji_lexicon=None) -> TokenizedTweet:
+def oracle_preprocess(text, cfg, stoplist=frozenset(), emoji_lexicon=None) -> OracleTweet:
     work = text
     if cfg.split_hashtags:
         work = _expand_hashtags(work)
@@ -62,5 +75,4 @@ def oracle_preprocess(text, cfg, stoplist=frozenset(), emoji_lexicon=None) -> To
     if cfg.stem:
         tokens = [t if is_placeholder(t) or not t.isalpha()
                   else stemming.stem(t, cfg.stem_language) for t in tokens]
-    return TokenizedTweet(tokens=tuple(tokens), emoji_score=emoji_score,
-                          raw_text=text, base_tokens=base_tokens)
+    return OracleTweet(tuple(tokens), emoji_score, text, base_tokens)

@@ -1,7 +1,7 @@
-"""The per-character `surface` used to cross-check the chunk counts.
+"""The per-character surface block used to cross-check the chunk counts.
 
-This is `features.surface` before its counts were taken once per distinct
-whitespace chunk and summed: it runs the placeholder patterns over the
+This is the package's per-tweet surface block before its counts were taken
+once per distinct whitespace chunk and summed: it runs the placeholder patterns over the
 whole raw text, scans every character of it for punctuation, letters and
 capitals, and filters the whole token list for words and abusive tokens.
 The patterns are imported from the package, since they are not what this

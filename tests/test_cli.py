@@ -140,6 +140,32 @@ def test_train_is_reproducible(env, capsys, tmp_path):
     assert first == (env / "model.bin").read_bytes()
 
 
+def test_huge_ngram_max_means_every_ngram(env, capsys, tmp_path):
+    # An n-gram is no longer than its tweet, so an ngram_max beyond int64
+    # gives what the longest tweet's token count gives; it once ended in an
+    # OverflowError traceback in train, cv and predict.
+    base = (env / "train.conf").read_text(encoding="utf-8")
+    pipeline = cli._pipeline_from_config(ExperimentConfig.from_text(base), "A")
+    longest = max(len(pipeline._preprocess(row[1]).tokens)
+                  for row in separable_rows(40, seed=99))
+    outputs = []
+    for ngram_max in ("99999999999999999999", str(longest)):
+        d = tmp_path / ngram_max
+        d.mkdir()
+        conf = d / "train.conf"
+        conf.write_text(base.replace(str(env / "model.bin"), str(d / "model.bin"))
+                        + f"features.ngram_max={ngram_max}\n", encoding="utf-8")
+        code, _, err = run(capsys, "train", str(conf))
+        assert (code, err) == (0, "")
+        code, cv_out, err = run(capsys, "cv", str(conf), "--k", "2")
+        assert (code, err) == (0, "")
+        code, predictions, err = run(capsys, "predict", str(d / "model.bin"),
+                                     str(env / "corpus.tsv"))
+        assert (code, err) == (0, "")
+        outputs.append(((d / "model.bin").read_bytes(), cv_out, predictions))
+    assert outputs[0] == outputs[1]
+
+
 def test_train_missing_stoplist_exits_1(env, capsys, tmp_path):
     conf = tmp_path / "nostop.conf"
     conf.write_text(
@@ -566,9 +592,11 @@ def _fuzz_predict(env, model_bytes: bytes, edit) -> int:
 
 @settings(deadline=None, max_examples=150)
 @given(st.sampled_from(_SIDECAR_PATHS), _JSON_VALUE)
-# int() of an infinite count once ended in an OverflowError traceback.
+# int() of an infinite count once ended in an OverflowError traceback, and
+# so did an ngram_max beyond int64.
 @example(("vocabulary", "n_docs"), float("inf"))
 @example(("vocabulary", "df", 0), float("inf"))
+@example(("features", "ngram_max"), 10**30)
 def test_predict_fuzzed_sidecar_exits_0_or_2(env, path, value):
     def edit(meta):
         node = meta
@@ -685,6 +713,24 @@ def test_cv_k_and_threads_guards(env, capsys):
     assert code == 2 and "--k" in err
     code, _, err = run(capsys, "cv", str(env / "train.conf"), "--threads", "0")
     assert code == 2 and "--threads" in err
+
+
+@pytest.mark.parametrize("command, line", [
+    ("train", "forest.n_trees=9223372036854775808"),
+    ("cv", "forest.n_trees=9223372036854775808"),
+    ("gridsearch", "grid.n_trees=2,9223372036854775808"),
+])
+def test_n_trees_beyond_sys_maxsize_exits_2(env, capsys, tmp_path, command, line):
+    # cv and gridsearch once ended in a ValueError traceback from slicing
+    # each fold's trees, and train would grow trees for ever.
+    conf = tmp_path / "huge.conf"
+    conf.write_text((env / "train.conf").read_text(encoding="utf-8")
+                    .replace("forest.n_trees=20", line)
+                    .replace(str(env / "model.bin"), str(tmp_path / "m.bin")), encoding="utf-8")
+    argv = [command, str(conf)] + ([] if command == "train" else ["--k", "2"])
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert err == f"error: n_trees must be in 1..{sys.maxsize}, got {sys.maxsize + 1}\n"
 
 
 def test_cv_manifest_is_the_same_at_every_thread_count(env, capsys, tmp_path):

@@ -8,17 +8,17 @@ independent arithmetic, not against itself.
 import math
 import time
 from collections import Counter
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from offlang.errors import ValidationError
-from offlang.features import (FeatureVector, N_SURFACE, SURFACE_FIELDS,
-                              SurfaceFeatures, Vocabulary, _set_madvise_hugepage,
-                              expand_ngrams, feature_matrix, featurize,
-                              fit_vocabulary, surface, tfidf)
-from offlang.textprep import PrepConfig, TextMemo, TokenizedTweet, preprocess, tokenize
+from offlang.features import (N_SURFACE, SURFACE_FIELDS, SurfaceFeatures, Vocabulary,
+                              _set_madvise_hugepage, expand_ngrams, feature_matrix,
+                              featurize, fit_vocabulary, tfidf)
+from offlang.textprep import PrepConfig, TextMemo, preprocess, tokenize
 
 from conftest import SPLIT_WHITESPACE
 from surface_oracle import oracle_surface
@@ -157,8 +157,24 @@ def test_tfidf_equals_per_pair_idf_exactly(docs, query):
 # Surface features
 
 
+# All flags off: preprocessing is the identity on whitespace tokens, and a
+# tweet's base tokens are its lowercased tokenize pieces.
+_IDENTITY = PrepConfig(lowercase=False, strip_punct=False, remove_stopwords=False,
+                       stem=False, split_hashtags=False, reduce_elongation=False,
+                       emoji_mode="keep")
+_EMPTY = Vocabulary(terms=(), df=(), n_docs=1)
+
+
+def surface(text: str, abusive_lexicon=(), emoji_lexicon=None) -> SurfaceFeatures:
+    """The surface block of text preprocessed with every flag off, but
+    for emoji scoring when an emoji lexicon is given."""
+    cfg = _IDENTITY if emoji_lexicon is None else replace(_IDENTITY, emoji_mode="remove_and_score")
+    return featurize(preprocess(text, cfg, emoji_lexicon=emoji_lexicon), _EMPTY,
+                     abusive_lexicon).dense
+
+
 def test_surface_hand_fixture():
-    sf = surface("GO Home!", ["go", "home"], {"home"}, 0.0)
+    sf = surface("GO Home!", {"home"})
     assert sf.capital_pct == pytest.approx(0.5)   # G, O, H upper of 6 letters
     assert sf.punct_count == 1.0
     assert sf.abusive_count == 1.0
@@ -168,19 +184,19 @@ def test_surface_hand_fixture():
 
 
 def test_surface_placeholder_counts_respect_word_boundaries():
-    sf = surface("@USER sent URL to @USERS via CURL URL", [], set(), 0.0)
+    sf = surface("@USER sent URL to @USERS via CURL URL")
     assert sf.mention_count == 1.0
     assert sf.url_count == 2.0
 
 
 def test_surface_word_stats_skip_placeholders_and_non_alpha():
-    sf = surface("x", ["@user", "url", "abc12", "real", "words"], set(), 0.0)
+    sf = surface("@user url abc12 real words")
     assert sf.word_count == 2.0
     assert sf.avg_word_len == pytest.approx(4.5)
 
 
 def test_surface_degenerate_text():
-    sf = surface("123 !!", [], set(), 0.25)
+    sf = surface("123 !! 😀", emoji_lexicon={"😀": 0.25})
     assert sf.capital_pct == 0.0
     assert sf.word_count == 0.0
     assert sf.avg_word_len == 0.0
@@ -188,18 +204,18 @@ def test_surface_degenerate_text():
 
 
 def test_surface_abusive_match_is_case_insensitive():
-    sf = surface("x", ["IDIOT", "fine"], {"idiot"}, 0.0)
+    sf = surface("IDIOT fine", {"idiot"})
     assert sf.abusive_count == 1.0
-    sf = surface("x", ["idiot"], {"IDIOT"}, 0.0)
+    sf = surface("idiot", {"IDIOT"})
     assert sf.abusive_count == 1.0
 
 
 def test_surface_field_order_matches_declared_tuple():
-    sf = surface("Hi!", ["hi"], set(), 0.5)
+    sf = surface("Hi!😀", emoji_lexicon={"😀": 0.5})
     assert SURFACE_FIELDS == SurfaceFeatures._fields
     assert len(sf) == N_SURFACE == 9
     assert sf[SURFACE_FIELDS.index("emoji_score")] == 0.5
-    assert sf[SURFACE_FIELDS.index("char_count")] == 3.0
+    assert sf[SURFACE_FIELDS.index("char_count")] == 4.0
     assert all(type(x) is float for x in sf)
 
 
@@ -216,16 +232,29 @@ _TOKENIZE_ONLY = PrepConfig(split_hashtags=False, reduce_elongation=False, emoji
 
 
 def _assert_surface_matches_oracle(texts):
+    # Each tweet alone, and all of them in one block, as the oracle gives.
     abusive = {"idiot", "url"}
-    memo = TextMemo(_TOKENIZE_ONLY, abusive=abusive)
-    vocab = Vocabulary(terms=(), df=(), n_docs=1)
+    memo = TextMemo(_TOKENIZE_ONLY)
+    vectors, expected = [], []
     for text in texts:
         tokens = [t.lower() for t in tokenize(text)]
         tt = preprocess(text, _TOKENIZE_ONLY, memo=memo)
         assert tt.base_tokens == tuple(tokens)
-        assert featurize(tt, vocab, abusive, memo=memo).dense == \
-            oracle_surface(text, tokens, abusive, 0.0)
-        assert surface(text, tokens, abusive, 0.5) == oracle_surface(text, tokens, abusive, 0.5)
+        vectors.append(featurize(tt, _EMPTY, abusive))
+        expected.append(oracle_surface(text, tokens, abusive, 0.0))
+        assert vectors[-1].dense == expected[-1]
+    assert np.array_equal(feature_matrix(vectors, _EMPTY).reshape(-1, N_SURFACE),
+                          np.array(expected).reshape(-1, N_SURFACE))
+
+
+def test_feature_matrix_rejects_a_block_of_two_abusive_lexicons():
+    tweet = preprocess("idiot", _IDENTITY)
+    same = [featurize(tweet, _EMPTY, ["IDIOT"]), featurize(tweet, _EMPTY, {"idiot"})]
+    assert feature_matrix(same, _EMPTY)[:, SURFACE_FIELDS.index("abusive_count")].tolist() == \
+        [1.0, 1.0]
+    with pytest.raises(ValidationError, match="one abusive lexicon"):
+        feature_matrix([featurize(tweet, _EMPTY, {"idiot"}), featurize(tweet, _EMPTY, set())],
+                       _EMPTY)
 
 
 @settings(max_examples=300)
@@ -246,18 +275,20 @@ _ABC = fit_vocabulary([["a", "b", "c"]], min_df=1)
 
 
 def test_to_dense_and_feature_matrix():
-    fv = FeatureVector(terms=("b", "zzz"), dense=tuple(float(i) for i in range(9)), vocab=_ABC)
+    fv = featurize(preprocess("b zzz", _IDENTITY), _ABC, {"zzz"})
     assert fv.sparse == ((1, 1.0),)
     mat = feature_matrix([fv, fv], _ABC)
     # The sparse weight at its column, zeros at the other vocabulary columns,
-    # the surface block in the last nine.
-    row = np.array([0.0, 1.0, 0.0] + [float(i) for i in range(9)])
+    # the surface block in the last nine: 5 characters, 2 words of 2
+    # letters on average and 1 abusive token.
+    row = np.array([0.0, 1.0, 0.0] + [0.0, 0.0, 5.0, 0.0, 2.0, 2.0, 0.0, 1.0, 0.0])
     assert np.array_equal(mat, np.vstack([row, row]))
+    assert fv.dense == tuple(row[3:])
 
 
 @pytest.mark.parametrize("advise", [True, False])
 def test_feature_matrix_restores_hugepage_advice(advise):
-    fv = FeatureVector(terms=("b",), dense=(0.0,) * 9, vocab=_ABC)
+    fv = featurize(preprocess("b", _IDENTITY), _ABC, ())
     original = _set_madvise_hugepage(advise)
     try:
         feature_matrix([fv], _ABC)
@@ -296,9 +327,9 @@ def test_feature_matrix_equals_per_row_tfidf_exactly(fit_docs, block, ngram_max,
     # 3, the empty vocabulary (min_df above every df, or no fitting
     # documents) and blocks of 0 and 1 rows.
     vocab = fit_vocabulary((expand_ngrams(d, ngram_max) for d in fit_docs), min_df=min_df)
-    tweets = [TokenizedTweet(tokens=tuple(d), emoji_score=0.0, raw_text=" ".join(d),
-                             base_tokens=tuple(d)) for d in block]
-    vectors = [featurize(tt, vocab, set(), ngram_max) for tt in tweets]
+    tweets = [preprocess(" ".join(d), _IDENTITY) for d in block]
+    assert [list(tt.tokens) for tt in tweets] == block
+    vectors = [featurize(tt, vocab, (), ngram_max) for tt in tweets]
     mat = feature_matrix(vectors, vocab)
     _assert_vocabulary_columns_match_oracle(
         mat, [expand_ngrams(d, ngram_max) for d in block], vocab)
@@ -319,7 +350,8 @@ def test_feature_matrix_norm_is_linear_in_a_long_row():
     docs = [short[k % len(short)] for k in range(1_000)]
     docs.insert(500, long_row)
     vocab = fit_vocabulary(docs, min_df=1)
-    vectors = [FeatureVector(terms=d, dense=(0.0,) * N_SURFACE, vocab=vocab) for d in docs]
+    memo = TextMemo(_IDENTITY)
+    vectors = [featurize(preprocess(" ".join(d), memo=memo), vocab, ()) for d in docs]
     t0 = time.perf_counter()
     mat = feature_matrix(vectors, vocab)
     assert time.perf_counter() - t0 < 2.0
@@ -328,9 +360,9 @@ def test_feature_matrix_norm_is_linear_in_a_long_row():
 
 def test_featurize_surface_block_uses_prefilter_tokens():
     vocab = fit_vocabulary([["insult"], ["insult"]], min_df=1)
-    tweet = TokenizedTweet(tokens=("insult",), emoji_score=0.0,
-                           raw_text="The insult!",
-                           base_tokens=("the", "insult", "!"))
+    tweet = preprocess("The insult!", PrepConfig(), stoplist={"the"})
+    assert tweet.tokens == ("insult",)
+    assert tweet.base_tokens == ("the", "insult", "!")
     fv = featurize(tweet, vocab, {"insult"})
     dense = dict(zip(SURFACE_FIELDS, fv.dense))
     assert dense["word_count"] == 2.0          # the, insult
@@ -350,7 +382,10 @@ def test_featurize_is_insensitive_to_stopword_and_stem_config():
 
 def test_featurize_ngram_terms_hit_vocabulary():
     vocab = fit_vocabulary([["not", "good", "not good"]], min_df=1)
-    tweet = TokenizedTweet(tokens=("not", "good"), emoji_score=0.0,
-                           raw_text="not good", base_tokens=("not", "good"))
+    tweet = preprocess("not good", _IDENTITY)
     fv = featurize(tweet, vocab, set(), ngram_max=2)
     assert [i for i, _ in fv.sparse] == [0, 1, 2]
+    # No n-gram is longer than its tweet, so a huge ngram_max is ngram_max 2.
+    huge = featurize(tweet, vocab, set(), ngram_max=10**30)
+    assert huge.sparse == fv.sparse
+    assert np.array_equal(feature_matrix([huge], vocab), feature_matrix([fv], vocab))

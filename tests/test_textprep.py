@@ -22,7 +22,7 @@ from offlang.textprep import (_EMOJI_CHAR, PrepConfig, TextMemo, TokenizedTweet,
 
 from conftest import SPLIT_WHITESPACE
 from emoji_oracle import _is_emoji_char, oracle_emoji_spans
-from prep_oracle import oracle_preprocess
+from prep_oracle import oracle_preprocess, view
 from surface_oracle import oracle_surface
 from tfidf_oracle import oracle_tfidf_exact
 
@@ -254,9 +254,11 @@ def test_preprocess_hashtags_kept_when_split_disabled():
 
 
 def test_tokenized_tweet_is_frozen():
-    tt = TokenizedTweet(tokens=("a",), emoji_score=0.0, raw_text="a")
-    with pytest.raises(AttributeError):
-        tt.tokens = ("b",)
+    tt = preprocess("a")
+    assert isinstance(tt, TokenizedTweet)
+    for name in ("tokens", "raw_text", "chunks"):
+        with pytest.raises(AttributeError):
+            setattr(tt, name, ("b",))
 
 
 _PLAIN = st.text(
@@ -381,7 +383,7 @@ _NO_HASH_TEXT = st.lists(
 
 
 def _assert_matches_oracle(text, cfg):
-    assert preprocess(text, cfg, _STOPLIST, _LEXICON) == \
+    assert view(preprocess(text, cfg, _STOPLIST, _LEXICON)) == \
         oracle_preprocess(text, cfg, _STOPLIST, _LEXICON)
 
 
@@ -421,7 +423,7 @@ def test_preprocess_with_shared_memo_matches_oracle(texts):
     for cfg in _CONFIGS:
         memo = TextMemo(cfg, _STOPLIST, _LEXICON)
         for text in texts:
-            assert preprocess(text, cfg, _STOPLIST, _LEXICON, memo=memo) == \
+            assert view(preprocess(text, cfg, _STOPLIST, _LEXICON, memo=memo)) == \
                 oracle_preprocess(text, cfg, _STOPLIST, _LEXICON), (text, cfg)
 
 
@@ -445,14 +447,22 @@ def _pipeline(lowercase: bool) -> Pipeline:
                     min_df=1, ngram_max=2)
 
 
-def _oracle_matrix(pipe: Pipeline, texts):
-    prepped = [oracle_preprocess(t, pipe.prep, _STOPLIST, _LEXICON) for t in texts]
-    vocab = pipe.vocabulary
-    if vocab is None:
-        vocab = fit_vocabulary((expand_ngrams(tt.tokens, pipe.ngram_max) for tt in prepped),
-                               min_df=pipe.min_df)
-    return vocab, feature_matrix([featurize(tt, vocab, pipe.abusive, pipe.ngram_max)
-                                  for tt in prepped], vocab)
+def _oracle_vocabulary(pipe: Pipeline, texts):
+    """The vocabulary fitted on texts from the memo-free oracle alone."""
+    return fit_vocabulary((expand_ngrams(list(oracle_preprocess(t, pipe.prep, pipe.stopwords,
+                                                                pipe.emoji).tokens),
+                                         pipe.ngram_max) for t in texts), min_df=pipe.min_df)
+
+
+def _oracle_rows(pipe: Pipeline, texts, vocab):
+    """The feature matrix of texts from the memo-free oracles alone."""
+    rows = np.zeros((len(texts), len(vocab) + N_SURFACE))
+    for row, text in zip(rows, texts):
+        tt = oracle_preprocess(text, pipe.prep, pipe.stopwords, pipe.emoji)
+        for i, w in oracle_tfidf_exact(expand_ngrams(list(tt.tokens), pipe.ngram_max), vocab):
+            row[i] = w
+        row[len(vocab):] = oracle_surface(text, tt.base_tokens, pipe.abusive, tt.emoji_score)
+    return rows
 
 
 @settings(max_examples=100, deadline=None)
@@ -461,20 +471,19 @@ def _oracle_matrix(pipe: Pipeline, texts):
 def test_pipelines_used_in_alternation_match_the_oracle(texts):
     # Two pipelines that differ in lowercasing, each with its own memo, fit
     # one after the other and then transform the texts in turn, one text at
-    # a time; every matrix is the one memo-free code gives.
+    # a time; every matrix is the one the memo-free oracles give.
     fitted = []
     for lowercase in (False, True):
         pipe, mat = _pipeline(lowercase).fit_transform(texts)
-        vocab, expected = _oracle_matrix(_pipeline(lowercase), texts)
-        assert pipe.vocabulary == vocab
-        assert np.array_equal(mat, expected)
+        assert pipe.vocabulary == _oracle_vocabulary(pipe, texts)
+        assert np.array_equal(mat, _oracle_rows(pipe, texts, pipe.vocabulary))
         fitted.append(pipe)
     rows = [[], []]
     for text in texts:
         for pipe, out in zip(fitted, rows):
             out.append(pipe.transform([text]))
     for pipe, out in zip(fitted, rows):
-        assert np.array_equal(np.vstack(out), _oracle_matrix(pipe, texts)[1])
+        assert np.array_equal(np.vstack(out), _oracle_rows(pipe, texts, pipe.vocabulary))
 
 
 # Hashtags (a lone "#" too), elongation touching emoji, emoji glued to
@@ -491,17 +500,6 @@ _CHUNK_LEXICON = {"👍": 0.1, "😀": 0.2, "❤": 0.3, "😂": -0.7}
 def _chunk_pipeline(cfg: PrepConfig, abusive, ngram_max: int) -> Pipeline:
     return Pipeline(level="A", prep=cfg, stopwords=_STOPLIST, abusive=abusive,
                     emoji=_CHUNK_LEXICON, min_df=1, ngram_max=ngram_max)
-
-
-def _oracle_rows(pipe: Pipeline, texts, vocab):
-    """The feature matrix of texts from the memo-free oracles alone."""
-    rows = np.zeros((len(texts), len(vocab) + N_SURFACE))
-    for row, text in zip(rows, texts):
-        tt = oracle_preprocess(text, pipe.prep, pipe.stopwords, pipe.emoji)
-        for i, w in oracle_tfidf_exact(expand_ngrams(list(tt.tokens), pipe.ngram_max), vocab):
-            row[i] = w
-        row[len(vocab):] = oracle_surface(text, tt.base_tokens, pipe.abusive, tt.emoji_score)
-    return rows
 
 
 @settings(max_examples=200, deadline=None)
@@ -522,9 +520,7 @@ def test_pipelines_on_text_memos_match_the_memo_free_oracles(texts, cfg):
         fitted = []
         for abusive in (["idiot"], ["url", "the"]):
             pipe, mat = _chunk_pipeline(cfg, abusive, ngram_max).fit_transform(texts)
-            prepped = [oracle_preprocess(t, cfg, _STOPLIST, _CHUNK_LEXICON) for t in texts]
-            assert pipe.vocabulary == fit_vocabulary(
-                (expand_ngrams(list(tt.tokens), ngram_max) for tt in prepped), min_df=1)
+            assert pipe.vocabulary == _oracle_vocabulary(pipe, texts)
             assert np.array_equal(mat, _oracle_rows(pipe, texts, pipe.vocabulary))
             fitted.append(pipe)
         rows = [[], []]
@@ -542,12 +538,14 @@ def test_pipelines_on_text_memos_match_the_memo_free_oracles(texts, cfg):
 @example(["URL url", "Idiot\tidiot idiot"], PrepConfig())
 def test_one_block_of_vectors_from_two_memos_and_none(texts, cfg):
     # One feature_matrix call over vectors from two pipelines' memos and
-    # from memo-free featurize, interleaved, weighed over one vocabulary.
-    # The memos see the same raw chunks but count, tokenize and expand them
+    # from a fresh memo per tweet, interleaved, weighed over one vocabulary
+    # and counted with one abusive lexicon, given as two equal objects.  The
+    # memos see the same raw chunks but tokenize and expand them
     # differently, so a chunk of one memo taken for the other's shows.
-    pipes = [_chunk_pipeline(cfg, ["idiot"], 1),
-             _chunk_pipeline(PrepConfig(lowercase=not cfg.lowercase), ["url", "the"], 2),
-             _chunk_pipeline(cfg, ["url"], 3)]
+    abusive = ["idiot", "url", "the"]
+    pipes = [_chunk_pipeline(cfg, abusive, 1),
+             _chunk_pipeline(PrepConfig(lowercase=not cfg.lowercase), abusive, 2),
+             _chunk_pipeline(cfg, WordSet(abusive), 3)]
     vocab = fit_vocabulary(
         (expand_ngrams(list(oracle_preprocess(t, pipe.prep, _STOPLIST, _CHUNK_LEXICON).tokens), 3)
          for pipe in pipes for t in texts), min_df=1)
@@ -556,7 +554,7 @@ def test_one_block_of_vectors_from_two_memos_and_none(texts, cfg):
         for k, pipe in enumerate(pipes):
             memo = pipe._memo if k < 2 else None
             tt = preprocess(text, pipe.prep, _STOPLIST, _CHUNK_LEXICON, memo=memo)
-            vectors.append(featurize(tt, vocab, WordSet(pipe.abusive), pipe.ngram_max, memo=memo))
+            vectors.append(featurize(tt, vocab, pipe.abusive, pipe.ngram_max))
             expected.append(_oracle_rows(pipe, [text], vocab)[0])
     assert np.array_equal(feature_matrix(vectors, vocab), np.array(expected))
 
@@ -573,7 +571,7 @@ def test_emoji_scores_are_added_left_to_right():
         assert preprocess(text, emoji_lexicon=lexicon).emoji_score == mean
         memo = TextMemo(PrepConfig(), (), lexicon)
         assert preprocess(text, memo=memo).emoji_score == mean
-        vector = featurize(preprocess(text, memo=memo), empty, (), memo=memo)
+        vector = featurize(preprocess(text, memo=memo), empty, ())
         assert feature_matrix([vector], empty)[0, SURFACE_FIELDS.index("emoji_score")] == mean
 
 
