@@ -16,7 +16,7 @@ from .emolex import emotion_counts, emotion_report, load_emotion_lexicon
 from .errors import (ModelFormatError, ModelTruncatedError, ModelVersionError,
                      OfflangError, ParseError, ValidationError)
 from .features import FeatureVector, Vocabulary, featurize, fit_vocabulary, tfidf
-from .forest import (CVResult, ForestModel, ForestParams, cross_validate, gini,
+from .forest import (CVResult, ForestModel, ForestParams, cross_validate,
                      grid_search, kfold, load_model, predict, predict_proba,
                      save_model, train_forest, train_tree)
 from .metrics import confusion, majority_baseline, render_confusion, scores

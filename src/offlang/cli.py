@@ -365,9 +365,9 @@ def cmd_train(args) -> int:
     seed = cfg.seed()
     level = cfg.get("train.level", "A")
     classes = classes_for(level)
+    params = _forest_params_from(cfg, seed)
     corpus_path, rows, y = _training_rows(cfg, level)
     pipeline, X = _pipeline_from_config(cfg, level).fit_transform(t.text for t in rows)
-    params = _forest_params_from(cfg, seed)
     model = train_forest(X, y, params, classes=classes)
 
     train_scores = scores(confusion(y, forest_predict(model, X), classes), classes)
@@ -405,9 +405,9 @@ def cmd_cv(args) -> int:
     seed = cfg.seed()
     level = cfg.get("train.level", "A")
     classes = classes_for(level)
+    params = _forest_params_from(cfg, seed)
     corpus_path, rows, y = _training_rows(cfg, level)
     _, X = _pipeline_from_config(cfg, level).fit_transform(t.text for t in rows)
-    params = _forest_params_from(cfg, seed)
     result = cross_validate(X, y, params, k=args.k, seed=seed, classes=classes)
 
     print(f"{args.k}-fold cross-validation on {len(rows)} rows (level {level})")
@@ -453,9 +453,9 @@ def cmd_gridsearch(args) -> int:
     seed = cfg.seed()
     level = cfg.get("train.level", "A")
     classes = classes_for(level)
+    grid = _grid_from_config(cfg, seed)
     corpus_path, rows, y = _training_rows(cfg, level)
     _, X = _pipeline_from_config(cfg, level).fit_transform(t.text for t in rows)
-    grid = _grid_from_config(cfg, seed)
     result = grid_search(grid, X, y, k=args.k, seed=seed, classes=classes)
 
     print(f"grid search over {len(grid)} settings, {args.k}-fold CV, "

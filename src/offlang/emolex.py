@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 from .corpus import Corpus, classes_for, names_file, read_lines
 from .errors import ParseError, ValidationError
-from .textprep import PrepConfig, preprocess
+from .textprep import PrepConfig, TextMemo, preprocess
 
 log = logging.getLogger(__name__)
 
@@ -96,12 +96,13 @@ def emotion_counts(corpus: Corpus, lexicon: dict[str, frozenset],
         raise ValidationError(f"basis must be one of {', '.join(BASES)}, got {basis!r}")
     buckets = {c: {"posts": 0, "tokens": 0, "raw": {cat: 0 for cat in CATEGORIES}}
                for c in classes_for("A")}
+    memo = TextMemo(EMOTION_PREP)
     for tweet in corpus:
         label = tweet.label_a
         if label is None:
             continue
         bucket = buckets[label]
-        tokens = preprocess(tweet.text, EMOTION_PREP).tokens
+        tokens = preprocess(tweet.text, memo=memo).tokens
         bucket["posts"] += 1
         bucket["tokens"] += len(tokens)
         for token in tokens:

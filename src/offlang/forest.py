@@ -38,18 +38,19 @@ bit-identical from run to run.  Trees are laid out in preorder
 drawn exactly once, at the moment the node attempts to split (no draw when
 the subset is every feature).
 
-Lock step: cross_validate grows all k * n_trees trees of its folds side by
-side.  Each step advances every unfinished tree to its next node that
-needs a split search, drawing that node's features from the tree's own
-stream, and searches all of those nodes at once (_best_splits): every
-(node, sampled feature) pair is one segment of the same arrays, and each
-node keeps its own float minimum, margin and exact re-score.  This changes
-no byte.  Trees share no stream (Breiman 2001 grows them independently),
-and within a tree the nodes are still visited, and their features drawn,
-in preorder, so each tree is the one grown alone.  Trees are grown in
-waves of at most _WAVE_CELLS // n_rows trees, because a step weighs
-entries through a table of one row multiplicity per (tree, corpus row);
-train_tree is a wave of one tree.
+Lock step: grid_search grows all k * n_trees trees of a grid point's folds
+side by side; cross_validate is the one-point grid search.  Each step
+advances every unfinished tree to its next node that needs a split search,
+drawing that node's features from the tree's own stream, and searches all
+of those nodes at once (_best_splits): every (node, sampled feature) pair
+is one segment of the same arrays, and each node keeps its own float
+minimum, margin and exact re-score.  This changes no byte.  Trees share
+no stream (Breiman 2001 grows them independently), and within a tree the
+nodes are still visited, and their features drawn, in preorder, so each
+tree is the one grown alone.  Trees are grown in waves of at most
+_WAVE_CELLS // n_rows trees, because a step weighs entries through a table
+of one row multiplicity per (tree, corpus row); train_tree is a wave of
+one tree.
 """
 
 import itertools
@@ -58,8 +59,6 @@ import struct
 import sys
 from dataclasses import asdict, dataclass, replace
 from fractions import Fraction
-from functools import reduce
-from operator import add
 from pathlib import Path
 from typing import NamedTuple
 
@@ -68,22 +67,13 @@ import numpy as np
 from .errors import (ModelFormatError, ModelTruncatedError, ModelVersionError,
                      ValidationError)
 from .corpus import LEVELS
+from .metrics import confusion, scores
 from .rng import MASK64, TAG_FOLD, TAG_SHUFFLE, TAG_TREE, stream
 
 MAX_FEATURES_CHOICES = ("sqrt", "all")
 
 _MAGIC = b"RFMF"
 _VERSION = 1
-
-
-def gini(counts) -> float:
-    """Gini impurity 1 - sum((c/n)^2); an empty node has impurity 0."""
-    counts = [int(c) for c in counts]
-    n = sum(counts)
-    if n == 0:
-        return 0.0
-    # Added left to right: Python 3.12's sum of floats compensates the rounding.
-    return 1.0 - reduce(add, ((c / n) ** 2 for c in counts), 0.0)
 
 
 @dataclass(frozen=True)
@@ -96,7 +86,7 @@ class ForestParams:
     bootstrap: bool = True
 
     def __post_init__(self):
-        # The folds of cross_validate slice their trees by n_trees.
+        # grid_search slices each fold's trees by n_trees.
         if not 1 <= self.n_trees <= sys.maxsize:
             raise ValidationError(f"n_trees must be in 1..{sys.maxsize}, got {self.n_trees}")
         if self.max_depth is not None and self.max_depth < 1:
@@ -326,14 +316,6 @@ def _best_splits(cols: Columns, y, nodes, n_classes, min_leaf):
     return best
 
 
-def _best_split(cols: Columns, y, idx, feat_ids, n_classes, min_leaf, total=None):
-    """_best_splits for the one node of rows idx over the features
-    feat_ids; `total` is the rows' class counts, if the caller has them."""
-    if total is None:
-        total = np.bincount(y[idx], minlength=n_classes)
-    return _best_splits(cols, y, [(idx, feat_ids, total)], n_classes, min_leaf)[0]
-
-
 class _Growing:
     """A tree being grown: its preorder node lists, the stack of nodes still
     to visit, and the stream its feature subsets are drawn from."""
@@ -466,12 +448,21 @@ def _canonical_classes(labels) -> tuple[str, ...]:
     return tuple(sorted(present))
 
 
-def _encode_labels(y, classes) -> np.ndarray:
+def _fit_inputs(X, y, classes):
+    """X's Columns, the labels y as a list, their class order (`classes`,
+    default the canonical level order when the labels all belong to one
+    annotation level, else sorted) and their class codes."""
+    cols = _columns(X)
+    y = list(y)
+    classes = tuple(classes) if classes is not None else _canonical_classes(y)
     index = {c: i for i, c in enumerate(classes)}
     try:
-        return np.asarray([index[label] for label in y], dtype=np.int64)
+        codes = np.asarray([index[label] for label in y], dtype=np.int64)
     except KeyError as exc:
         raise ValidationError(f"label {exc.args[0]!r} not in class list {list(classes)}")
+    if cols.n_rows != len(codes):
+        raise ValidationError("X and y differ in length")
+    return cols, y, classes, codes
 
 
 def train_forest(X, y, params: ForestParams, classes=None, rows=None) -> ForestModel:
@@ -479,18 +470,12 @@ def train_forest(X, y, params: ForestParams, classes=None, rows=None) -> ForestM
     listed in `rows` (default every row).
 
     `y` holds a class label for every row of X; `classes` fixes their order
-    (default: the canonical level order when the labels all belong to one
-    annotation level, else sorted).  Each tree draws its bootstrap sample,
-    as indices into `rows`, and its feature subsets from its own
-    seed-derived stream.  X's Columns are built once and every tree reads
-    them; no rows are copied.
+    (see _fit_inputs).  Each tree draws its bootstrap sample, as indices
+    into `rows`, and its feature subsets from its own seed-derived stream.
+    X's Columns are built once and every tree reads them; no rows are
+    copied.
     """
-    cols = _columns(X)
-    y = list(y)
-    classes = tuple(classes) if classes is not None else _canonical_classes(y)
-    codes = _encode_labels(y, classes)
-    if cols.n_rows != len(codes):
-        raise ValidationError("X and y differ in length")
+    cols, _, classes, codes = _fit_inputs(X, y, classes)
     rows = np.arange(len(codes), dtype=np.int64) if rows is None else np.asarray(rows, dtype=np.int64)
     if len(rows) == 0:
         raise ValidationError("cannot train on an empty dataset")
@@ -589,58 +574,11 @@ def _fold_seed(seed: int, fold: int) -> int:
     return int(ss.generate_state(1, np.uint64)[0])
 
 
-class _CVInputs(NamedTuple):
-    """What every parameter setting's cross-validation shares: X, its
-    Columns, the labels and their class codes, and the folds."""
-    X: np.ndarray
-    cols: Columns
-    y: list
-    codes: np.ndarray
-    classes: tuple
-    folds: list
-    seed: int
-
-
-def _cv_inputs(X, y, k: int, seed: int, classes) -> _CVInputs:
-    X = np.asarray(X, dtype=np.float64)
-    cols = _columns(X)
-    y = list(y)
-    classes = tuple(classes) if classes is not None else _canonical_classes(y)
-    codes = _encode_labels(y, classes)
-    return _CVInputs(X, cols, y, codes, classes, kfold(len(y), k, codes, seed), seed)
-
-
-def _cross_validate(cv: _CVInputs, params: ForestParams) -> CVResult:
-    """Grow every fold's forest in lock step and score each fold's test rows."""
-    from .metrics import confusion, scores as compute_scores
-    fold_params = [replace(params, seed=_fold_seed(cv.seed, i)) for i in range(len(cv.folds))]
-    trees = _grow(cv.cols, cv.codes, len(cv.classes), params,
-                  (_tree_job(p, train_idx, i)
-                   for p, (train_idx, _) in zip(fold_params, cv.folds)
-                   for i in range(params.n_trees)))
-    fold_scores = []
-    for p, (_, test_idx) in zip(fold_params, cv.folds):
-        model = ForestModel(classes=cv.classes, params=p, n_features=cv.cols.n_features,
-                            trees=list(itertools.islice(trees, params.n_trees)))
-        pred = predict(model, cv.X[test_idx])
-        gold = [cv.y[j] for j in test_idx]
-        fold_scores.append(compute_scores(confusion(gold, pred, cv.classes),
-                                          cv.classes).macro_f1)
-    arr = np.asarray(fold_scores, dtype=np.float64)
-    return CVResult(fold_scores=tuple(fold_scores),
-                    mean=float(arr.mean()), std=float(arr.std(ddof=0)))
-
-
 def cross_validate(X, y, params: ForestParams, k: int = 10, seed: int = 0,
                    classes=None) -> CVResult:
-    """Stratified k-fold macro-F1 for one parameter setting.
-
-    Fold membership and per-fold training seeds derive from `seed` (the
-    seed inside `params` is ignored here) so every grid point is scored on
-    identical folds.  X's Columns are built once, and all k * n_trees trees
-    grow in lock step (see the module docstring).
-    """
-    return _cross_validate(_cv_inputs(X, y, k, seed, classes), params)
+    """Stratified k-fold macro-F1 for one parameter setting: the one-point
+    grid_search."""
+    return grid_search([params], X, y, k, seed, classes).results[0][1]
 
 
 @dataclass(frozen=True)
@@ -650,22 +588,40 @@ class GridSearchResult:
 
 
 def grid_search(grid, X, y, k: int = 10, seed: int = 0, classes=None) -> GridSearchResult:
-    """Cross-validate every grid point; the best mean macro-F1 wins and
-    ties go to the earliest grid position.  X's Columns and the folds are
-    built once for all points."""
+    """Stratified k-fold macro-F1 of every grid point; the best mean wins
+    and ties go to the earliest grid position.
+
+    Fold membership and per-fold training seeds derive from `seed` (the
+    seed inside each point is ignored), so every point is scored on
+    identical folds.  X's Columns and the folds are built once for all
+    points, and each point's k * n_trees trees grow in lock step (see the
+    module docstring).
+    """
     grid = list(grid)
     if not grid:
         raise ValidationError("parameter grid is empty")
-    cv_inputs = _cv_inputs(X, y, k, seed, classes)
+    X = np.asarray(X, dtype=np.float64)
+    cols, y, classes, codes = _fit_inputs(X, y, classes)
+    folds = kfold(len(y), k, codes, seed)
     results = []
-    best = None
-    best_mean = -1.0
     for params in grid:
-        cv = _cross_validate(cv_inputs, params)
-        results.append((params, cv))
-        if cv.mean > best_mean:
-            best = params
-            best_mean = cv.mean
+        fold_params = [replace(params, seed=_fold_seed(seed, i)) for i in range(len(folds))]
+        trees = _grow(cols, codes, len(classes), params,
+                      (_tree_job(p, train_idx, i)
+                       for p, (train_idx, _) in zip(fold_params, folds)
+                       for i in range(params.n_trees)))
+        fold_scores = []
+        for p, (_, test_idx) in zip(fold_params, folds):
+            model = ForestModel(classes=classes, params=p, n_features=cols.n_features,
+                                trees=list(itertools.islice(trees, params.n_trees)))
+            gold = [y[j] for j in test_idx]
+            pred = predict(model, X[test_idx])
+            fold_scores.append(scores(confusion(gold, pred, classes), classes).macro_f1)
+        arr = np.asarray(fold_scores, dtype=np.float64)
+        results.append((params, CVResult(fold_scores=tuple(fold_scores), mean=float(arr.mean()),
+                                         std=float(arr.std(ddof=0)))))
+    # max keeps the first of equal means.
+    best = max(results, key=lambda point: point[1].mean)[0]
     return GridSearchResult(best=best, results=tuple(results))
 
 

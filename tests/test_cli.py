@@ -206,14 +206,22 @@ def test_train_unknown_key_exits_2(env, capsys, tmp_path):
     ("train", "forest.max_depth", "abc", "an integer or none"),
     ("train", "forest.max_features", "most", "sqrt, all or a fraction"),
     ("train", "forest.bootstrap", "maybe", "a boolean"),
+    ("cv", "forest.min_samples_leaf", "1.5", "an integer"),
+    ("cv", "forest.max_features", "most", "sqrt, all or a fraction"),
     ("gridsearch", "grid.n_trees", "1,x", "an integer"),
     ("gridsearch", "grid.max_depth", "abc", "an integer or none"),
     ("gridsearch", "grid.min_samples_leaf", "1, 2.5", "an integer"),
     ("gridsearch", "grid.max_features", "sqrt,most", "sqrt, all or a fraction"),
 ])
-def test_bad_forest_or_grid_value_exits_2_naming_key(env, capsys, tmp_path, command,
-                                                     key, value, accepted):
-    # A bad grid value once ended in a ValueError traceback with exit 1.
+def test_bad_forest_or_grid_value_exits_2_naming_key(env, capsys, tmp_path, monkeypatch,
+                                                     command, key, value, accepted):
+    # A bad grid value once ended in a ValueError traceback with exit 1, and
+    # a bad forest or grid value was found only after the corpus had been
+    # preprocessed and featurized.
+    def fit_transform(self, texts):
+        raise AssertionError("the corpus was featurized before the forest values were read")
+
+    monkeypatch.setattr(cli.Pipeline, "fit_transform", fit_transform)
     conf = tmp_path / "badvalue.conf"
     conf.write_text((env / "train.conf").read_text(encoding="utf-8")
                     .replace("forest.n_trees=20", "forest.n_trees=2")

@@ -20,8 +20,8 @@ from hypothesis import given, settings, strategies as st
 from offlang import forest
 from offlang.errors import (ModelTruncatedError, ModelVersionError,
                             ValidationError)
-from offlang.forest import (CVResult, ForestParams, _best_split, _best_splits,
-                            _columns, _fold_seed, cross_validate, gini, grid_search, kfold,
+from offlang.forest import (CVResult, ForestParams, _best_splits,
+                            _columns, _fold_seed, cross_validate, grid_search, kfold,
                             load_model, predict, predict_proba, save_model,
                             train_forest, train_tree)
 from offlang.metrics import confusion, scores
@@ -61,14 +61,7 @@ def make_dataset(rng, max_rows=16, max_cols=3, n_classes=3):
 
 
 # ---------------------------------------------------------------------------
-# Gini and parameter validation
-
-
-def test_gini_values():
-    assert gini([]) == 0.0
-    assert gini([5, 0]) == 0.0
-    assert gini([2, 2]) == pytest.approx(0.5)
-    assert gini([1, 1, 1, 1]) == pytest.approx(0.75)
+# Parameter validation
 
 
 @pytest.mark.parametrize("kwargs", [
@@ -241,12 +234,18 @@ _SPLIT_VALUES = (-2.5, -1.0, -5e-324, -0.0, 0.0, 5e-324, 0.5, 1.0,
                  2.0)
 
 
+def best_split(X, y, idx, feats, k, min_leaf):
+    """_best_splits for the one node of rows idx over the features feats."""
+    return _best_splits(_columns(X), y, [(idx, feats, np.bincount(y[idx], minlength=k))],
+                        k, min_leaf)[0]
+
+
 def test_best_split_mirror_tie_goes_to_lower_feature():
     # Feature 1 mirrors feature 0: both split perfectly, at 0.5 and -0.5.
     X = np.array([[0.0, 0.0], [1.0, -1.0]])
     y = np.array([0, 1])
     idx = np.array([0, 1])
-    assert _best_split(_columns(X), y, idx, np.array([0, 1]), 2, 1) == (0, 0.5)
+    assert best_split(X, y, idx, np.array([0, 1]), 2, 1) == (0, 0.5)
     assert oracle_best_split(X, y, idx, np.array([0, 1]), 2, 1) == (0, 0.5)
 
 
@@ -274,7 +273,7 @@ def test_best_split_equals_dense_oracle(data):
                                                 max_size=2 * n)), dtype=np.int64))
     feats = np.asarray(sorted(data.draw(st.sets(st.integers(0, d - 1), min_size=1))))
     min_leaf = data.draw(st.integers(1, 3))
-    got = _best_split(_columns(X), y, idx, feats, k, min_leaf)
+    got = best_split(X, y, idx, feats, k, min_leaf)
     want = oracle_best_split(X, y, idx, feats, k, min_leaf)
     if want is None:
         assert got is None
@@ -768,6 +767,20 @@ def test_grid_search_tie_goes_to_earliest_position():
     gs = grid_search([first, second], X, y, k=3, seed=1)
     assert gs.results[0][1].mean == gs.results[1][1].mean
     assert gs.best is first
+
+
+@pytest.mark.parametrize("fit", [
+    lambda X, y: cross_validate(X, y, ForestParams(n_trees=2), k=3),
+    lambda X, y: grid_search([ForestParams(n_trees=2)], X, y, k=3),
+    lambda X, y: train_forest(X, y, ForestParams(n_trees=2)),
+], ids=["cross_validate", "grid_search", "train_forest"])
+@pytest.mark.parametrize("x_rows, y_rows", [(28, 30), (30, 26)], ids=["short_X", "short_y"])
+def test_fit_rejects_X_and_y_of_different_lengths(fit, x_rows, y_rows):
+    # cross_validate once raised IndexError on a short X and scored a
+    # short y's folds silently.
+    X, y = separable_xy()
+    with pytest.raises(ValidationError, match="^X and y differ in length$"):
+        fit(X[:x_rows], y[:y_rows])
 
 
 def test_grid_search_rejects_empty_grid():
