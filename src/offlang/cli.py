@@ -30,8 +30,8 @@ from .corpus import (HEADER_LABELED, HEADER_TEXT_ONLY, classes_for,
                      names_file, read_lines, read_text, serialize_corpus)
 from .emolex import BASES, emotion_counts, emotion_report, load_emotion_lexicon
 from .errors import OfflangError, ParseError, ValidationError
-from .features import (N_SURFACE, Vocabulary, expand_ngrams, feature_matrix,
-                       featurize, fit_vocabulary)
+from .features import (N_SURFACE, SparseRows, Vocabulary, expand_ngrams, feature_matrix,
+                       feature_rows, featurize, fit_vocabulary)
 from .forest import (ForestParams, MAX_FEATURES_CHOICES, cross_validate,
                      grid_search, load_model, predict as forest_predict,
                      save_model, train_forest)
@@ -103,8 +103,11 @@ class Pipeline:
     """Tweet text to forest input: the preprocessing settings, the lexicons,
     the feature settings and, once fitted, the vocabulary.
 
-    Its JSON form is the `.meta.json` sidecar written next to a model, from
-    which `predict` rebuilds the featurization the model was trained on.
+    `fit_transform` returns the features of `train` and `cv` as sparse
+    rows; `transform` returns a dense matrix, for `predict`'s bounded
+    blocks.  Its JSON form is the `.meta.json` sidecar written next to a
+    model, from which `predict` rebuilds the featurization the model was
+    trained on.
     """
     level: str
     prep: PrepConfig
@@ -124,25 +127,25 @@ class Pipeline:
     def _preprocess(self, text: str):
         return preprocess(text, self.prep, memo=self._memo)
 
-    def _matrix(self, tweets) -> np.ndarray:
-        vectors = [featurize(tt, self.vocabulary, self.abusive, self.ngram_max) for tt in tweets]
-        return feature_matrix(vectors, self.vocabulary)
+    def _vectors(self, tweets) -> list:
+        return [featurize(tt, self.vocabulary, self.abusive, self.ngram_max) for tt in tweets]
 
-    def fit_transform(self, texts) -> tuple["Pipeline", np.ndarray]:
+    def fit_transform(self, texts) -> tuple["Pipeline", SparseRows]:
         """Fit the vocabulary on texts; returns the fitted pipeline and the
-        feature matrix of texts."""
+        feature rows of texts, sparse (`feature_rows`)."""
         prepped = [self._preprocess(t) for t in texts]
         vocab = fit_vocabulary((expand_ngrams(tt.tokens, self.ngram_max)
                                 for tt in prepped), min_df=self.min_df)
         fitted = replace(self, vocabulary=vocab)
-        return fitted, fitted._matrix(prepped)
+        return fitted, feature_rows(fitted._vectors(prepped), vocab)
 
     def transform(self, texts) -> np.ndarray:
-        """Feature matrix of texts.  Each is preprocessed and featurized
-        in turn, which finds its raw chunks in the text memo and keeps the
-        tweet; `feature_matrix` then computes every row at once from tables
-        of the block's distinct chunks, and the TF-IDF of all of them."""
-        return self._matrix(self._preprocess(t) for t in texts)
+        """Dense feature matrix of texts.  Each is preprocessed and
+        featurized in turn, which finds its raw chunks in the text memo and
+        keeps the tweet; `feature_matrix` then computes every row at once
+        from tables of the block's distinct chunks, and the TF-IDF of all
+        of them."""
+        return feature_matrix(self._vectors(self._preprocess(t) for t in texts), self.vocabulary)
 
     def to_jsonable(self) -> dict:
         return {

@@ -26,7 +26,7 @@ count, the abusive count and the emoji score come from seven integer
 counts (`textprep.surface_counts`).
 
 `featurize` keeps a preprocessed tweet whole, with its vocabulary, n-gram
-length and abusive lexicon, a `FeatureVector`.  `feature_matrix` featurizes
+length and abusive lexicon, a `FeatureVector`.  `feature_rows` featurizes
 a block of them at once, from tables of the block's distinct raw
 whitespace chunks: each chunk's seven counts, abusive tokens, emoji scores
 and final tokens' vocabulary indices.  A row's counts are then integer
@@ -35,6 +35,12 @@ sums over its chunks, its emoji scores are added left to right as
 textprep's module docstring says why these equal what the whole text
 gives.  A block counts abusive tokens with one lexicon, so its vectors must
 share it.
+
+The block's features are `SparseRows`, compressed sparse rows of
+(n, len(vocab) + 9) columns: each row's TF-IDF entries, then its nonzero
+surface values.  `train` and `cv` hold their features only in this form;
+`feature_matrix`, the same rows scattered into a dense matrix, serves
+`predict`'s bounded blocks.
 """
 
 import math
@@ -225,7 +231,7 @@ class FeatureVector(NamedTuple):
     @property
     def dense(self) -> SurfaceFeatures:
         """The surface block of the tweet's row."""
-        return SurfaceFeatures(*feature_matrix([self], self.vocab)[0, len(self.vocab):].tolist())
+        return SurfaceFeatures(*_tweet_block([self], self.vocab)[2][0].tolist())
 
 
 def featurize(tweet: TokenizedTweet, vocab: Vocabulary, abusive_lexicon,
@@ -314,30 +320,133 @@ def _tweet_block(vectors, vocab: Vocabulary):
     return rows, ids, dense
 
 
-def feature_matrix(vectors, vocab: Vocabulary) -> np.ndarray:
-    """Stack feature vectors into a dense (n, len(vocab) + 9) float64
-    matrix.
+@dataclass(frozen=True, eq=False)
+class SparseRows:
+    """Feature rows in compressed sparse row form: row r's stored values
+    sit at data[indptr[r]:indptr[r + 1]], their columns, ascending, at
+    indices[indptr[r]:indptr[r + 1]].  Every other cell is 0.0.
+
+    The forest reads it where it reads dense X: its shape, len(X) rows and
+    X[rows, columns], the value of each (row, column) cell.
+    """
+    indptr: np.ndarray   # int64, n_rows + 1
+    indices: np.ndarray  # int64
+    data: np.ndarray     # float64
+    n_cols: int
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        return len(self), self.n_cols
+
+    @property
+    def itemsize(self) -> int:
+        """Bytes per stored value."""
+        return self.data.itemsize
+
+    def __len__(self) -> int:
+        return len(self.indptr) - 1
+
+    @property
+    def rows(self) -> np.ndarray:
+        """The row of each stored value."""
+        return np.repeat(np.arange(len(self)), np.diff(self.indptr))
+
+    @classmethod
+    def from_dense(cls, X) -> "SparseRows":
+        """The rows of dense 2-D X, its nonzeros in (row, column) order.
+
+        The nonzeros are found 2**20 cells at a time, so no dense temporary
+        is made beyond a 1 MiB comparison mask; np.nonzero on the float
+        matrix itself is several times slower.
+        """
+        X = np.asarray(X, dtype=np.float64)
+        if X.ndim != 2:
+            raise ValidationError("X must be 2-D")
+        n_rows, n_cols = X.shape
+        flat = X.reshape(-1)
+        step = 1 << 20
+        at = np.concatenate([np.flatnonzero(flat[s:s + step] != 0) + s
+                             for s in range(0, max(flat.size, 1), step)])
+        rows, cols = np.divmod(at, max(n_cols, 1))
+        indptr = np.zeros(n_rows + 1, dtype=np.int64)
+        np.cumsum(np.bincount(rows, minlength=n_rows), out=indptr[1:])
+        return cls(indptr, cols, flat[at], n_cols)
+
+    def dense(self) -> np.ndarray:
+        """The rows as a dense float64 matrix.
+
+        The matrix is allocated without numpy's transparent-huge-page
+        advice.  Feature rows are over 99 % zeros, so in plain 4 KiB pages
+        about three quarters of the matrix is never written and never backed
+        by memory.  With the advice every page is a 2 MiB huge page, and
+        finding free huge pages made the cost jump: on the 13,240 x 5,303
+        matrix `train` once built, one call in two or three spent 0.15 s
+        more in the kernel than the others.
+        """
+        previous = _set_madvise_hugepage(False)
+        try:
+            mat = np.zeros(self.shape)
+        finally:
+            _set_madvise_hugepage(previous)
+        mat[self.rows, self.indices] = self.data
+        return mat
+
+    def take(self, rows) -> "SparseRows":
+        """The rows listed in `rows`, in turn."""
+        lengths = np.diff(self.indptr)
+        indptr = np.zeros(len(rows) + 1, dtype=np.int64)
+        np.cumsum(lengths[rows], out=indptr[1:])
+        return SparseRows(indptr, _spread(self.indices, lengths, rows),
+                          _spread(self.data, lengths, rows), self.n_cols)
+
+    @cached_property
+    def _cells(self) -> tuple[np.ndarray, np.ndarray]:
+        # Each stored value's row * n_cols + column, ascending, and the
+        # values, both closed by a key above every cell's and its 0.0.
+        return (np.append(self.rows * self.n_cols + self.indices, len(self) * self.n_cols),
+                np.append(self.data, 0.0))
+
+    def __getitem__(self, cells) -> np.ndarray:
+        """The value of each (row, column) of cells = (rows, columns), 0.0
+        where none is stored: the floats dense X[rows, columns] gives."""
+        rows, cols = cells
+        keys, values = self._cells
+        want = rows * self.n_cols + cols
+        at = np.searchsorted(keys, want)
+        out = values[at]
+        out[keys[at] != want] = 0.0
+        return out
+
+
+def feature_rows(vectors, vocab: Vocabulary) -> SparseRows:
+    """The (n, len(vocab) + 9) feature rows of feature vectors, sparse.
 
     The vectors are featurized together from their chunks (`_tweet_block`),
-    then the TF-IDF of all the rows is computed at once (`_weights`) and
-    scattered into the vocabulary columns.  Each row's norm is summed per
-    entry position, left to right, so every weight equals `tfidf` of that
-    row alone.
-
-    The matrix is allocated without numpy's transparent-huge-page advice.
-    It is over 99 % zeros, so in plain 4 KiB pages about three quarters of
-    it is never written and never backed by memory.  With the advice every
-    page is a 2 MiB huge page, and finding free huge pages made the call's
-    cost jump: on the 13,240 x 5,303 matrix of a 0.85 s train, one call in
-    two or three spent 0.15 s more in the kernel than the others.
+    then the TF-IDF of all the rows is computed at once (`_weights`).  Each
+    row's norm is summed per entry position, left to right, so every weight
+    equals `tfidf` of that row alone.  A row holds its TF-IDF entries, then
+    its nonzero surface values at columns len(vocab)..len(vocab) + 8, so
+    the entries are in (row, column) order.
     """
+    n = len(vectors)
     width = len(vocab)
-    previous = _set_madvise_hugepage(False)
-    try:
-        mat = np.zeros((len(vectors), width + N_SURFACE), dtype=np.float64)
-    finally:
-        _set_madvise_hugepage(previous)
-    rows, ids, mat[:, width:] = _tweet_block(vectors, vocab)
-    rows, ids, weights = _weights(rows, ids, len(vectors), vocab)
-    mat[rows, ids] = weights
-    return mat
+    rows, ids, surface = _tweet_block(vectors, vocab)
+    rows, ids, weights = _weights(rows, ids, n, vocab)
+    nonzero = surface != 0
+    lengths = np.column_stack([np.bincount(rows, minlength=n), nonzero.sum(axis=1)])
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(lengths.sum(axis=1), out=indptr[1:])
+    # Each row's TF-IDF slots, then its surface slots.
+    is_term = np.repeat(np.tile([True, False], n), lengths.reshape(-1))
+    indices = np.empty(indptr[-1], dtype=np.int64)
+    data = np.empty(indptr[-1])
+    indices[is_term], data[is_term] = ids, weights
+    indices[~is_term] = np.nonzero(nonzero)[1] + width
+    data[~is_term] = surface[nonzero]
+    return SparseRows(indptr, indices, data, width + N_SURFACE)
+
+
+def feature_matrix(vectors, vocab: Vocabulary) -> np.ndarray:
+    """Stack feature vectors into a dense (n, len(vocab) + 9) float64
+    matrix: `feature_rows`, scattered (`SparseRows.dense`)."""
+    return feature_rows(vectors, vocab).dense()

@@ -1,11 +1,17 @@
 """From-scratch random forest over Gini-impurity decision trees, plus
 stratified k-fold cross-validation and grid search.
 
-Trees read the feature matrix as compressed sparse columns (`Columns`):
-each feature's nonzero entries in ascending value order, with their row
-numbers, built and sorted once per fit from the nonzeros of X.  The TF-IDF
-features are over 99 % zeros, so a node's split search reads only its
-nonzeros, and it sorts nothing.  At a node, the entries of the sampled
+X is a dense 2-D array or `features.SparseRows`, the compressed sparse
+rows `train` and `cv` pass.  Training converts dense X to rows, so both
+take one path.  Prediction walks the trees reading X[rows, features] of
+either; SparseRows answers by binary search, with the floats the dense
+matrix holds.
+
+Trees read X as compressed sparse columns (`Columns`): each feature's
+nonzero entries in ascending value order, with their row numbers,
+transposed from the rows and sorted once per fit.  The TF-IDF features
+are over 99 % zeros, so a node's split search reads only its nonzeros,
+and it sorts nothing.  At a node, the entries of the sampled
 columns that fall on the node's rows are weighted by each row's
 multiplicity (bootstrap repeats rows); they stay in (feature, value)
 order, equal (feature, value) runs are summed, and each feature gets one
@@ -67,6 +73,7 @@ import numpy as np
 from .errors import (ModelFormatError, ModelTruncatedError, ModelVersionError,
                      ValidationError)
 from .corpus import LEVELS
+from .features import SparseRows
 from .metrics import confusion, scores
 from .rng import MASK64, TAG_FOLD, TAG_SHUFFLE, TAG_TREE, stream
 
@@ -159,26 +166,22 @@ class Columns(NamedTuple):
         return len(self.indptr) - 1
 
 
-def _columns(X) -> Columns:
-    """The Columns of dense X.
+def _rows(X) -> SparseRows:
+    """X as SparseRows: itself, or the rows of dense 2-D X."""
+    return X if isinstance(X, SparseRows) else SparseRows.from_dense(X)
 
-    The nonzeros are found 2**20 cells at a time, so no dense temporary is
-    made beyond a 1 MiB comparison mask; np.nonzero on the float matrix
-    itself is several times slower.
-    """
-    X = np.asarray(X, dtype=np.float64)
-    if X.ndim != 2:
-        raise ValidationError("X must be 2-D")
-    n_rows, n_features = X.shape
-    flat = X.reshape(-1)
-    step = 1 << 20
-    at = np.concatenate([np.flatnonzero(flat[s:s + step] != 0) + s
-                         for s in range(0, max(flat.size, 1), step)])
-    rows, feats = np.divmod(at, max(n_features, 1))
-    values = flat[at]
-    del at
+
+def _columns(X) -> Columns:
+    """The Columns of X, dense or SparseRows: a transpose of its rows'
+    nonzeros, each column ordered by value."""
+    X = _rows(X)
+    rows, feats, values = X.rows, X.indices.astype(np.int64), X.data
     if not np.isfinite(values).all():
         raise ValidationError("X holds a non-finite value")
+    nonzero = values != 0
+    if not nonzero.all():
+        rows, feats, values = rows[nonzero], feats[nonzero], values[nonzero]
+    n_features = X.n_cols
     indptr = np.zeros(n_features + 1, dtype=np.int64)
     np.cumsum(np.bincount(feats, minlength=n_features), out=indptr[1:])
     # Order by (feature, value rank): one integer sort, faster than a
@@ -191,7 +194,7 @@ def _columns(X) -> Columns:
     key += rank
     order = np.argsort(key)
     del feats, key, rank
-    return Columns(indptr, rows[order], values[order], n_rows)
+    return Columns(indptr, rows[order], values[order], len(X))
 
 
 def _goes_left(cols: Columns, f: int, t: float, idx) -> np.ndarray:
@@ -414,7 +417,8 @@ def train_tree(X, y, params: ForestParams, rng, n_classes: int | None = None,
     """Grow one tree on the rows of (X, y) listed in `rows` (repeats allowed,
     default every row); y holds class codes 0..k-1.
 
-    X is a dense 2-D array or its Columns, as train_forest passes them.
+    X is a dense 2-D array, SparseRows or their Columns, as train_forest
+    passes them.
     The tree equals the one grown on the copy (X[rows], y[rows]): a node
     depends on its rows as a multiset, not on their order.  `rng` supplies
     the per-node feature subsets, consumed in preorder.  Bootstrap
@@ -495,7 +499,7 @@ def _tree_job(params: ForestParams, rows, i: int):
     return rng, rows[rng.integers(0, n, size=n)] if params.bootstrap else rows
 
 
-def _tree_proba(tree: Tree, X: np.ndarray) -> np.ndarray:
+def _tree_proba(tree: Tree, X) -> np.ndarray:
     node = np.zeros(len(X), dtype=np.int64)
     while True:
         feat = tree.feature[node]
@@ -511,11 +515,15 @@ def _tree_proba(tree: Tree, X: np.ndarray) -> np.ndarray:
 
 def predict_proba(model: ForestModel, X) -> np.ndarray:
     """Class-frequency estimates: mean of the leaf distributions over trees,
-    accumulated in tree order (deterministic)."""
-    X = np.asarray(X, dtype=np.float64)
-    if X.ndim != 2 or X.shape[1] != model.n_features:
-        raise ValidationError(
-            f"expected {model.n_features} features, got {X.shape[1] if X.ndim == 2 else 'non-2D'}")
+    accumulated in tree order (deterministic).
+
+    X is dense or SparseRows; the trees read both through X[rows, features].
+    """
+    if not isinstance(X, SparseRows):
+        X = np.asarray(X, dtype=np.float64)
+    width = X.shape[1] if len(X.shape) == 2 else "non-2D"
+    if width != model.n_features:
+        raise ValidationError(f"expected {model.n_features} features, got {width}")
     acc = np.zeros((len(X), len(model.classes)), dtype=np.float64)
     for tree in model.trees:
         acc += _tree_proba(tree, X)
@@ -595,12 +603,12 @@ def grid_search(grid, X, y, k: int = 10, seed: int = 0, classes=None) -> GridSea
     seed inside each point is ignored), so every point is scored on
     identical folds.  X's Columns and the folds are built once for all
     points, and each point's k * n_trees trees grow in lock step (see the
-    module docstring).
+    module docstring).  A fold's test rows are taken from X's sparse rows.
     """
     grid = list(grid)
     if not grid:
         raise ValidationError("parameter grid is empty")
-    X = np.asarray(X, dtype=np.float64)
+    X = _rows(X)
     cols, y, classes, codes = _fit_inputs(X, y, classes)
     folds = kfold(len(y), k, codes, seed)
     results = []
@@ -615,7 +623,7 @@ def grid_search(grid, X, y, k: int = 10, seed: int = 0, classes=None) -> GridSea
             model = ForestModel(classes=classes, params=p, n_features=cols.n_features,
                                 trees=list(itertools.islice(trees, params.n_trees)))
             gold = [y[j] for j in test_idx]
-            pred = predict(model, X[test_idx])
+            pred = predict(model, X.take(test_idx))
             fold_scores.append(scores(confusion(gold, pred, classes), classes).macro_f1)
         arr = np.asarray(fold_scores, dtype=np.float64)
         results.append((params, CVResult(fold_scores=tuple(fold_scores), mean=float(arr.mean()),

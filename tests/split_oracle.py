@@ -1,4 +1,4 @@
-"""Dense per-feature split search used to cross-check forest._best_split.
+"""Dense per-feature split search used to cross-check forest._best_splits.
 
 This is the search before it went sparse: for each sampled feature it
 gathers the node's column from the dense matrix (one entry per row of
