@@ -53,11 +53,6 @@ from typing import NamedTuple
 
 import numpy as np
 
-try:
-    from numpy._core.multiarray import _set_madvise_hugepage
-except ImportError:  # numpy < 2
-    from numpy.core.multiarray import _set_madvise_hugepage
-
 from .errors import ValidationError
 from .textprep import TokenizedTweet, WordSet
 
@@ -228,17 +223,12 @@ class FeatureVector(NamedTuple):
         """The terms' TF-IDF entries, as tfidf gives them."""
         return tuple(tfidf(self.terms, self.vocab))
 
-    @property
-    def dense(self) -> SurfaceFeatures:
-        """The surface block of the tweet's row."""
-        return SurfaceFeatures(*_tweet_block([self], self.vocab)[2][0].tolist())
-
 
 def featurize(tweet: TokenizedTweet, vocab: Vocabulary, abusive_lexicon,
               ngram_max: int = 1) -> FeatureVector:
     """Terms + surface features for one preprocessed tweet: feature_matrix
-    computes them for a block, the vector's properties for the tweet
-    alone."""
+    computes both for a block; the vector's `terms` and `sparse` give the
+    tweet's terms and their TF-IDF alone."""
     if ngram_max < 1:
         raise ValidationError(f"ngram_max must be >= 1, got {ngram_max}")
     return FeatureVector(tweet, vocab, ngram_max, abusive_lexicon)
@@ -340,7 +330,8 @@ class SparseRows:
 
     @property
     def itemsize(self) -> int:
-        """Bytes per stored value."""
+        """Bytes per stored value.  perfbench's traced `train` reads it for
+        `forest.bootstrap_mb`."""
         return self.data.itemsize
 
     def __len__(self) -> int:
@@ -353,41 +344,18 @@ class SparseRows:
 
     @classmethod
     def from_dense(cls, X) -> "SparseRows":
-        """The rows of dense 2-D X, its nonzeros in (row, column) order.
-
-        The nonzeros are found 2**20 cells at a time, so no dense temporary
-        is made beyond a 1 MiB comparison mask; np.nonzero on the float
-        matrix itself is several times slower.
-        """
+        """The rows of dense 2-D X, its nonzeros in (row, column) order."""
         X = np.asarray(X, dtype=np.float64)
         if X.ndim != 2:
             raise ValidationError("X must be 2-D")
-        n_rows, n_cols = X.shape
-        flat = X.reshape(-1)
-        step = 1 << 20
-        at = np.concatenate([np.flatnonzero(flat[s:s + step] != 0) + s
-                             for s in range(0, max(flat.size, 1), step)])
-        rows, cols = np.divmod(at, max(n_cols, 1))
-        indptr = np.zeros(n_rows + 1, dtype=np.int64)
-        np.cumsum(np.bincount(rows, minlength=n_rows), out=indptr[1:])
-        return cls(indptr, cols, flat[at], n_cols)
+        rows, cols = np.nonzero(X)
+        indptr = np.zeros(len(X) + 1, dtype=np.int64)
+        np.cumsum(np.bincount(rows, minlength=len(X)), out=indptr[1:])
+        return cls(indptr, cols, X[rows, cols], X.shape[1])
 
     def dense(self) -> np.ndarray:
-        """The rows as a dense float64 matrix.
-
-        The matrix is allocated without numpy's transparent-huge-page
-        advice.  Feature rows are over 99 % zeros, so in plain 4 KiB pages
-        about three quarters of the matrix is never written and never backed
-        by memory.  With the advice every page is a 2 MiB huge page, and
-        finding free huge pages made the cost jump: on the 13,240 x 5,303
-        matrix `train` once built, one call in two or three spent 0.15 s
-        more in the kernel than the others.
-        """
-        previous = _set_madvise_hugepage(False)
-        try:
-            mat = np.zeros(self.shape)
-        finally:
-            _set_madvise_hugepage(previous)
+        """The rows as a dense float64 matrix."""
+        mat = np.zeros(self.shape)
         mat[self.rows, self.indices] = self.data
         return mat
 

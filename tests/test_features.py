@@ -16,8 +16,8 @@ from hypothesis import example, given, settings, strategies as st
 
 from offlang.errors import ValidationError
 from offlang.features import (N_SURFACE, SURFACE_FIELDS, SurfaceFeatures, Vocabulary,
-                              _set_madvise_hugepage, expand_ngrams, feature_matrix,
-                              featurize, fit_vocabulary, tfidf)
+                              expand_ngrams, feature_matrix, featurize, fit_vocabulary,
+                              tfidf)
 from offlang.textprep import PrepConfig, TextMemo, preprocess, tokenize
 
 from conftest import SPLIT_WHITESPACE
@@ -165,12 +165,18 @@ _IDENTITY = PrepConfig(lowercase=False, strip_punct=False, remove_stopwords=Fals
 _EMPTY = Vocabulary(terms=(), df=(), n_docs=1)
 
 
+def _surface_block(fv) -> SurfaceFeatures:
+    """The surface block of fv's row: the last nine cells of its one-row
+    feature matrix."""
+    return SurfaceFeatures(*feature_matrix([fv], fv.vocab)[0, -N_SURFACE:].tolist())
+
+
 def surface(text: str, abusive_lexicon=(), emoji_lexicon=None) -> SurfaceFeatures:
     """The surface block of text preprocessed with every flag off, but
     for emoji scoring when an emoji lexicon is given."""
     cfg = _IDENTITY if emoji_lexicon is None else replace(_IDENTITY, emoji_mode="remove_and_score")
-    return featurize(preprocess(text, cfg, emoji_lexicon=emoji_lexicon), _EMPTY,
-                     abusive_lexicon).dense
+    return _surface_block(featurize(preprocess(text, cfg, emoji_lexicon=emoji_lexicon), _EMPTY,
+                                    abusive_lexicon))
 
 
 def test_surface_hand_fixture():
@@ -242,7 +248,7 @@ def _assert_surface_matches_oracle(texts):
         assert tt.base_tokens == tuple(tokens)
         vectors.append(featurize(tt, _EMPTY, abusive))
         expected.append(oracle_surface(text, tokens, abusive, 0.0))
-        assert vectors[-1].dense == expected[-1]
+        assert _surface_block(vectors[-1]) == expected[-1]
     assert np.array_equal(feature_matrix(vectors, _EMPTY).reshape(-1, N_SURFACE),
                           np.array(expected).reshape(-1, N_SURFACE))
 
@@ -283,18 +289,7 @@ def test_to_dense_and_feature_matrix():
     # letters on average and 1 abusive token.
     row = np.array([0.0, 1.0, 0.0] + [0.0, 0.0, 5.0, 0.0, 2.0, 2.0, 0.0, 1.0, 0.0])
     assert np.array_equal(mat, np.vstack([row, row]))
-    assert fv.dense == tuple(row[3:])
-
-
-@pytest.mark.parametrize("advise", [True, False])
-def test_feature_matrix_restores_hugepage_advice(advise):
-    fv = featurize(preprocess("b", _IDENTITY), _ABC, ())
-    original = _set_madvise_hugepage(advise)
-    try:
-        feature_matrix([fv], _ABC)
-        assert _set_madvise_hugepage(advise) is advise
-    finally:
-        _set_madvise_hugepage(original)
+    assert _surface_block(fv) == tuple(row[3:])
 
 
 def _assert_vocabulary_columns_match_oracle(mat, docs, vocab):
@@ -333,8 +328,9 @@ def test_feature_matrix_equals_per_row_tfidf_exactly(fit_docs, block, ngram_max,
     mat = feature_matrix(vectors, vocab)
     _assert_vocabulary_columns_match_oracle(
         mat, [expand_ngrams(d, ngram_max) for d in block], vocab)
-    assert np.array_equal(mat[:, len(vocab):].reshape(-1),
-                          [x for fv in vectors for x in fv.dense])
+    # The block equals its one-row blocks.
+    assert np.array_equal(mat.reshape(-1),
+                          [x for fv in vectors for x in feature_matrix([fv], vocab)[0]])
     for fv in vectors:
         assert fv.vocab is vocab
         assert fv.sparse == tuple(tfidf(fv.terms, vocab))
@@ -364,9 +360,9 @@ def test_featurize_surface_block_uses_prefilter_tokens():
     assert tweet.tokens == ("insult",)
     assert tweet.base_tokens == ("the", "insult", "!")
     fv = featurize(tweet, vocab, {"insult"})
-    dense = dict(zip(SURFACE_FIELDS, fv.dense))
-    assert dense["word_count"] == 2.0          # the, insult
-    assert dense["abusive_count"] == 1.0
+    sf = _surface_block(fv)
+    assert sf.word_count == 2.0          # the, insult
+    assert sf.abusive_count == 1.0
     assert fv.sparse == ((0, 1.0),)
 
 
@@ -375,8 +371,8 @@ def test_featurize_is_insensitive_to_stopword_and_stem_config():
     strict = preprocess(text, PrepConfig(), stoplist={"the", "are"})
     loose = preprocess(text, PrepConfig(remove_stopwords=False, stem=False))
     vocab = fit_vocabulary([["idiot"], ["idiot"]], min_df=1)
-    sf_strict = featurize(strict, vocab, {"idiots"}).dense
-    sf_loose = featurize(loose, vocab, {"idiots"}).dense
+    sf_strict = _surface_block(featurize(strict, vocab, {"idiots"}))
+    sf_loose = _surface_block(featurize(loose, vocab, {"idiots"}))
     assert sf_strict == sf_loose
 
 

@@ -76,9 +76,13 @@ def test_fit_transform_rows_are_the_feature_matrix():
 @settings(deadline=None, max_examples=200)
 @given(st.data())
 def test_columns_of_rows_equal_columns_of_the_matrix(data):
-    # Stored zeros of either sign are not entries of a column.
-    n, d = data.draw(st.integers(0, 8)), data.draw(st.integers(1, 5))
+    # Stored zeros of either sign are not entries of a column; no rows and
+    # no columns are shapes like any other.
+    n, d = data.draw(st.integers(0, 8)), data.draw(st.integers(0, 5))
     X = _matrix(data, n, d)
+    # -0.0 is not stored, so it comes back as 0.0.
+    back = SparseRows.from_dense(X).dense()
+    assert back.shape == X.shape and back.tobytes() == (X + 0.0).tobytes()
     zeros = data.draw(st.sets(st.sampled_from([(r, c) for r in range(n) for c in range(d)
                                                if X[r, c] == 0] or [(-1, -1)])))
     got, want = _columns(_hand_rows(X, zeros)), _columns(X)
