@@ -25,7 +25,7 @@ import numpy as np
 from . import __version__, manifest
 from .balance import BalancePlan, apply_plan
 from .config import ExperimentConfig, parse_bool
-from .corpus import (HEADER_LABELED, HEADER_TEXT_ONLY, classes_for,
+from .corpus import (HEADER_LABELED, HEADER_TEXT_ONLY, check_unique_ids, classes_for,
                      class_distribution, LEVELS, load_corpus, load_weak_labels,
                      names_file, read_lines, read_text, serialize_corpus)
 from .emolex import BASES, emotion_counts, emotion_report, load_emotion_lexicon
@@ -444,8 +444,11 @@ def _grid_from_config(cfg: ExperimentConfig, seed: int) -> list[ForestParams]:
     axes = []
     for name in _GRID_AXES:
         raw = cfg.get(f"grid.{name}", defaults.get(name))
-        axes.append([getattr(base, name)] if raw is None else
-                    [_forest_value(f"grid.{name}", v) for v in raw.split(",") if v.strip()])
+        values = [getattr(base, name)] if raw is None else [
+            _forest_value(f"grid.{name}", v) for v in raw.split(",") if v.strip()]
+        if not values:
+            raise ValidationError(f"grid.{name} lists no values")
+        axes.append(values)
     return [replace(base, **dict(zip(_GRID_AXES, point)))
             for point in itertools.product(*axes)]
 
@@ -549,18 +552,16 @@ def cmd_predict(args) -> int:
 
 @names_file
 def _load_predictions(path) -> dict[str, str]:
-    preds: dict[str, str] = {}
-    dupes = []
+    preds = []
     for lineno, raw in enumerate(read_lines(_require_file(path)), start=1):
         fields = raw.split("\t")
         if len(fields) != 2:
             raise ParseError(f"expected id<TAB>label, got {raw!r}", lineno)
-        if fields[0] in preds:
-            dupes.append(fields[0])
-        preds[fields[0]] = fields[1]
-    if dupes:
-        raise ValidationError("duplicate ids in predictions", dupes)
-    return preds
+        if fields[0] == "":
+            raise ParseError("empty id", lineno)
+        preds.append(fields)
+    check_unique_ids((pid for pid, _ in preds), "duplicate ids in predictions")
+    return dict(preds)
 
 
 def cmd_evaluate(args) -> int:
@@ -663,21 +664,19 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("config")
     p.set_defaults(func=cmd_balance)
 
-    p = sub.add_parser("train", help="train a random forest from a config")
-    p.add_argument("config")
-    p.add_argument("--threads", type=int, default=1)
+    experiment = argparse.ArgumentParser(add_help=False)
+    experiment.add_argument("config")
+    experiment.add_argument("--threads", type=int, default=1)
+    folds = argparse.ArgumentParser(add_help=False, parents=[experiment])
+    folds.add_argument("--k", type=int, default=10)
+
+    p = sub.add_parser("train", parents=[experiment], help="train a random forest from a config")
     p.set_defaults(func=cmd_train)
 
-    p = sub.add_parser("cv", help="stratified k-fold cross-validation")
-    p.add_argument("config")
-    p.add_argument("--k", type=int, default=10)
-    p.add_argument("--threads", type=int, default=1)
+    p = sub.add_parser("cv", parents=[folds], help="stratified k-fold cross-validation")
     p.set_defaults(func=cmd_cv)
 
-    p = sub.add_parser("gridsearch", help="cross-validate a parameter grid")
-    p.add_argument("config")
-    p.add_argument("--k", type=int, default=10)
-    p.add_argument("--threads", type=int, default=1)
+    p = sub.add_parser("gridsearch", parents=[folds], help="cross-validate a parameter grid")
     p.set_defaults(func=cmd_gridsearch)
 
     p = sub.add_parser("predict", help="label a corpus with a trained model")

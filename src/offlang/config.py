@@ -84,11 +84,8 @@ class ExperimentConfig:
 
     def seed(self) -> int:
         """The mandatory experiment seed."""
-        raw = self.require("seed")
-        try:
-            return int(raw)
-        except ValueError:
-            raise ValidationError(f"seed must be an integer, got {raw!r}")
+        self.require("seed")
+        return self.get_int("seed")
 
     def assert_known(self, exact: set[str], prefixes: tuple[str, ...] = ()) -> None:
         """Reject keys outside the command's vocabulary (typo guard)."""

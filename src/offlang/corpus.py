@@ -118,6 +118,18 @@ def names_file(reader):
     return read
 
 
+def check_unique_ids(ids, message: str) -> None:
+    """ValidationError(message) listing each id that occurs more than once
+    in ids, once, in order of its second occurrence."""
+    seen, dupes = set(), {}
+    for tid in ids:
+        if tid in seen:
+            dupes[tid] = None
+        seen.add(tid)
+    if dupes:
+        raise ValidationError(message, list(dupes))
+
+
 def read_text(source) -> str:
     """The text of source (bytes, a path, or a file object), which must be
     UTF-8; otherwise ParseError, naming the file when source has a name."""
@@ -197,14 +209,7 @@ def load_corpus(source, schema: str = "olid_labeled") -> Corpus:
         else:
             tweets.append(Tweet(id=tid, text=fields[1]))
 
-    seen: dict[str, int] = {}
-    dupes = []
-    for t in tweets:
-        seen[t.id] = seen.get(t.id, 0) + 1
-        if seen[t.id] == 2:
-            dupes.append(t.id)
-    if dupes:
-        raise ValidationError("duplicate tweet ids", dupes)
+    check_unique_ids((t.id for t in tweets), "duplicate tweet ids")
 
     bad = [t.id for t in tweets if not t.hierarchy_ok()]
     if bad:
@@ -239,8 +244,7 @@ def load_weak_labels(source) -> dict[str, WeakLabel]:
     Confidence must lie in [0, 1] and std must be >= 0 (ParseError with the
     line number otherwise); duplicate ids raise ValidationError.
     """
-    labels: dict[str, WeakLabel] = {}
-    dupes = []
+    labels = []
     for lineno, raw in enumerate(read_lines(source), start=1):
         fields = raw.split("\t")
         if len(fields) != 3:
@@ -258,12 +262,9 @@ def load_weak_labels(source) -> dict[str, WeakLabel]:
             raise ParseError(f"confidence {confidence} outside [0, 1]", lineno)
         if not std >= 0.0:
             raise ParseError(f"std {std} must be >= 0", lineno)
-        if tid in labels:
-            dupes.append(tid)
-        labels[tid] = WeakLabel(tid, confidence, std)
-    if dupes:
-        raise ValidationError("duplicate ids in weak-label file", dupes)
-    return labels
+        labels.append(WeakLabel(tid, confidence, std))
+    check_unique_ids((w.id for w in labels), "duplicate ids in weak-label file")
+    return {w.id: w for w in labels}
 
 
 def class_distribution(corpus: Corpus, level: str) -> dict[str, int]:

@@ -110,23 +110,19 @@ def fit_vocabulary(docs, min_df: int = 2) -> Vocabulary:
     """Fit a vocabulary over token lists.
 
     Terms seen in fewer than min_df documents are dropped; surviving terms
-    get indices in order of first occurrence.
+    get indices in order of first occurrence, which is the insertion order
+    of the document-frequency dict.
     """
     if min_df < 1:
         raise ValidationError(f"min_df must be >= 1, got {min_df}")
-    first_seen: dict[str, int] = {}
     df: dict[str, int] = {}
-    order = 0
     n_docs = 0
     for doc in docs:
         n_docs += 1
-        for term in set(doc):
+        # Each distinct term once, in order of its first occurrence.
+        for term in dict.fromkeys(doc):
             df[term] = df.get(term, 0) + 1
-        for term in doc:
-            if term not in first_seen:
-                first_seen[term] = order
-                order += 1
-    kept = sorted((t for t, c in df.items() if c >= min_df), key=first_seen.__getitem__)
+    kept = [t for t, c in df.items() if c >= min_df]
     return Vocabulary(terms=tuple(kept), df=tuple(df[t] for t in kept), n_docs=n_docs)
 
 
@@ -400,17 +396,15 @@ def feature_rows(vectors, vocab: Vocabulary) -> SparseRows:
     width = len(vocab)
     rows, ids, surface = _tweet_block(vectors, vocab)
     rows, ids, weights = _weights(rows, ids, n, vocab)
-    nonzero = surface != 0
-    lengths = np.column_stack([np.bincount(rows, minlength=n), nonzero.sum(axis=1)])
+    surface_rows, surface_cols = np.nonzero(surface)
+    # Both parts are in (row, column) order, so a stable sort by row puts
+    # each row's TF-IDF entries, then its surface entries.
+    all_rows = np.concatenate([rows, surface_rows])
+    order = np.argsort(all_rows, kind="stable")
     indptr = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(lengths.sum(axis=1), out=indptr[1:])
-    # Each row's TF-IDF slots, then its surface slots.
-    is_term = np.repeat(np.tile([True, False], n), lengths.reshape(-1))
-    indices = np.empty(indptr[-1], dtype=np.int64)
-    data = np.empty(indptr[-1])
-    indices[is_term], data[is_term] = ids, weights
-    indices[~is_term] = np.nonzero(nonzero)[1] + width
-    data[~is_term] = surface[nonzero]
+    np.cumsum(np.bincount(all_rows, minlength=n), out=indptr[1:])
+    indices = np.concatenate([ids, surface_cols + width])[order]
+    data = np.concatenate([weights, surface[surface_rows, surface_cols]])[order]
     return SparseRows(indptr, indices, data, width + N_SURFACE)
 
 

@@ -234,6 +234,28 @@ def test_bad_forest_or_grid_value_exits_2_naming_key(env, capsys, tmp_path, monk
     assert err == f"error: {key} must be {accepted}, got {bad!r}\n"
 
 
+@pytest.mark.parametrize("key, value", [
+    ("grid.n_trees", ""),
+    ("grid.max_depth", " ,"),
+    ("grid.max_features", ",,"),
+])
+def test_empty_grid_axis_exits_2_naming_key(env, capsys, tmp_path, monkeypatch, key, value):
+    # An axis with no values once emptied the whole grid, and the run
+    # failed with "parameter grid is empty", naming no key, after the
+    # corpus had been featurized.
+    def fit_transform(self, texts):
+        raise AssertionError("the corpus was featurized before the grid was read")
+
+    monkeypatch.setattr(cli.Pipeline, "fit_transform", fit_transform)
+    conf = tmp_path / "emptyaxis.conf"
+    conf.write_text((env / "train.conf").read_text(encoding="utf-8") + f"{key}={value}\n",
+                    encoding="utf-8")
+    code, out, err = run(capsys, "gridsearch", str(conf), "--k", "2")
+    assert code == 2
+    assert out == ""
+    assert err == f"error: {key} lists no values\n"
+
+
 @pytest.mark.parametrize("command", ["train", "cv", "gridsearch"])
 @pytest.mark.parametrize("stem", ["true", "false"])
 def test_unknown_stem_language_exits_2_naming_key(env, capsys, tmp_path, command, stem):
@@ -669,6 +691,27 @@ def test_evaluate_duplicate_prediction_ids_exit_2(env, capsys, tmp_path):
     code, _, err = run(capsys, "evaluate", str(env / "corpus.tsv"), str(preds))
     assert code == 2
     assert "duplicate" in err
+
+
+def test_evaluate_duplicate_prediction_id_listed_once(env, capsys, tmp_path):
+    # An id seen three times was once listed twice: "t0, t0".
+    preds = tmp_path / "preds.tsv"
+    preds.write_text("t0\tOFF\nt0\tNOT\nt1\tNOT\nt0\tOFF\n", encoding="utf-8")
+    code, out, err = run(capsys, "evaluate", str(env / "corpus.tsv"), str(preds))
+    assert code == 2
+    assert out == ""
+    assert err == "error: duplicate ids in predictions: t0\n"
+
+
+def test_evaluate_empty_prediction_id_exits_2(env, capsys, tmp_path):
+    # An empty id was once accepted, and then reported as an unknown id in
+    # a blank list.
+    preds = tmp_path / "preds.tsv"
+    preds.write_text("\tOFF\nt0\tNOT\n", encoding="utf-8")
+    code, out, err = run(capsys, "evaluate", str(env / "corpus.tsv"), str(preds))
+    assert code == 2
+    assert out == ""
+    assert "line 1: empty id" in err
 
 
 def test_evaluate_rejects_text_only_gold(env, capsys, tmp_path):

@@ -158,6 +158,14 @@ def test_weak_label_validation():
         load_weak_labels(b"10\t0.5\t0.1\n10\t0.6\t0.1\n")
 
 
+def test_weak_label_duplicates_listed_once_in_order():
+    # An id seen three times was once listed twice.
+    with pytest.raises(ValidationError) as exc:
+        load_weak_labels(b"10\t0.5\t0.1\n11\t0.5\t0.1\n10\t0.6\t0.1\n"
+                         b"10\t0.7\t0.1\n11\t0.5\t0.1\n")
+    assert exc.value.ids == ["10", "11"]
+
+
 _LABELS = st.sampled_from([("NOT", None, None), ("OFF", None, None),
                            ("OFF", "UNT", None), ("OFF", "TIN", None),
                            ("OFF", "TIN", "IND"), ("OFF", "TIN", "GRP"),

@@ -23,6 +23,7 @@ from offlang.textprep import PrepConfig, TextMemo, preprocess, tokenize
 from conftest import SPLIT_WHITESPACE
 from surface_oracle import oracle_surface
 from tfidf_oracle import oracle_tfidf_exact
+from vocab_oracle import oracle_fit_vocabulary
 
 
 def oracle_tfidf(doc, vocab):
@@ -55,6 +56,17 @@ def test_fit_vocabulary_min_df_cut():
 def test_fit_vocabulary_df_counts_documents_not_occurrences():
     vocab = fit_vocabulary([["a", "a", "a"], ["b"]], min_df=1)
     assert dict(zip(vocab.terms, vocab.df))["a"] == 1
+
+
+@given(st.lists(st.lists(st.sampled_from("abcdef"), max_size=8), max_size=10),
+       st.integers(1, 3))
+@example([["b", "a", "b"], [], ["c", "a"], ["a", "c", "c"]], 2)
+def test_fit_vocabulary_equals_the_two_pass_oracle(docs, min_df):
+    # Repeated terms, empty documents and terms below min_df; the documents
+    # are read once, from a generator.
+    vocab = fit_vocabulary((doc for doc in docs), min_df=min_df)
+    want = oracle_fit_vocabulary(docs, min_df=min_df)
+    assert (vocab.terms, vocab.df, vocab.n_docs) == (want.terms, want.df, want.n_docs)
 
 
 def test_fit_vocabulary_rejects_bad_min_df():

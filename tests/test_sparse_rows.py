@@ -8,11 +8,12 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from offlang.cli import Pipeline
 from offlang.errors import ValidationError
-from offlang.features import N_SURFACE, SparseRows, feature_matrix, featurize
+from offlang.features import (N_SURFACE, SparseRows, feature_matrix, feature_rows, featurize,
+                               fit_vocabulary)
 from offlang.forest import (ForestParams, _columns, cross_validate, grid_search,
                             predict_proba, save_model, train_forest)
 from offlang.textprep import PrepConfig, preprocess
@@ -71,6 +72,26 @@ def test_fit_transform_rows_are_the_feature_matrix():
     scan = SparseRows.from_dense(mat)
     for name in ("indptr", "indices", "data"):
         assert np.array_equal(getattr(rows, name), getattr(scan, name)), name
+
+
+@settings(deadline=None, max_examples=200)
+@given(st.lists(st.lists(st.sampled_from(["a", "b", "c", "q", "Q!", "😀"]), max_size=8)
+                .map(" ".join), max_size=12))
+@example(["a b a 😀", "q Q!", ""])
+@example(["", "b", "q", "c c", "", "a Q!"] * 4)
+def test_feature_rows_are_the_matrix_nonzeros_in_row_column_order(texts):
+    # Rows with TF-IDF entries and surface values, rows whose terms are all
+    # out of the vocabulary ("q") and empty texts, which have no entries.
+    pipe = _pipeline()
+    vocab = fit_vocabulary([["a", "b", "c", "a b"]], min_df=1)
+    vectors = [featurize(preprocess(t, pipe.prep, pipe.stopwords, pipe.emoji), vocab,
+                         pipe.abusive, pipe.ngram_max) for t in texts]
+    rows = feature_rows(vectors, vocab)
+    scan = SparseRows.from_dense(feature_matrix(vectors, vocab))
+    for name in ("indptr", "indices", "data"):
+        assert np.array_equal(getattr(rows, name), getattr(scan, name)), name
+    for start, stop in zip(rows.indptr[:-1], rows.indptr[1:]):
+        assert np.all(np.diff(rows.indices[start:stop]) > 0)
 
 
 @settings(deadline=None, max_examples=200)
