@@ -490,7 +490,7 @@ def cmd_gridsearch(args) -> int:
                         for p, cv in result.results],
             "best": best.to_jsonable(),
         }})
-    manifest_path = Path(str(out_best) + ".manifest.json")
+    manifest_path = Path(cfg.get("out.manifest") or str(out_best) + ".manifest.json")
     manifest.write(manifest_path, payload)
     print(f"wrote {out_best} and {manifest_path}")
     return 0

@@ -38,9 +38,9 @@ share it.
 
 The block's features are `SparseRows`, compressed sparse rows of
 (n, len(vocab) + 9) columns: each row's TF-IDF entries, then its nonzero
-surface values.  `train` and `cv` hold their features only in this form;
-`feature_matrix`, the same rows scattered into a dense matrix, serves
-`predict`'s bounded blocks.
+surface values.  `train`, `cv` and `gridsearch` hold their features only in
+this form; `feature_matrix`, the same rows scattered into a dense matrix,
+serves `predict`'s bounded blocks.
 """
 
 import math
@@ -312,8 +312,8 @@ class SparseRows:
     sit at data[indptr[r]:indptr[r + 1]], their columns, ascending, at
     indices[indptr[r]:indptr[r + 1]].  Every other cell is 0.0.
 
-    The forest reads it where it reads dense X: its shape, len(X) rows and
-    X[rows, columns], the value of each (row, column) cell.
+    The forest transposes it into compressed sparse columns once per fit
+    or prediction, and reads only those.
     """
     indptr: np.ndarray   # int64, n_rows + 1
     indices: np.ndarray  # int64
@@ -354,32 +354,6 @@ class SparseRows:
         mat = np.zeros(self.shape)
         mat[self.rows, self.indices] = self.data
         return mat
-
-    def take(self, rows) -> "SparseRows":
-        """The rows listed in `rows`, in turn."""
-        lengths = np.diff(self.indptr)
-        indptr = np.zeros(len(rows) + 1, dtype=np.int64)
-        np.cumsum(lengths[rows], out=indptr[1:])
-        return SparseRows(indptr, _spread(self.indices, lengths, rows),
-                          _spread(self.data, lengths, rows), self.n_cols)
-
-    @cached_property
-    def _cells(self) -> tuple[np.ndarray, np.ndarray]:
-        # Each stored value's row * n_cols + column, ascending, and the
-        # values, both closed by a key above every cell's and its 0.0.
-        return (np.append(self.rows * self.n_cols + self.indices, len(self) * self.n_cols),
-                np.append(self.data, 0.0))
-
-    def __getitem__(self, cells) -> np.ndarray:
-        """The value of each (row, column) of cells = (rows, columns), 0.0
-        where none is stored: the floats dense X[rows, columns] gives."""
-        rows, cols = cells
-        keys, values = self._cells
-        want = rows * self.n_cols + cols
-        at = np.searchsorted(keys, want)
-        out = values[at]
-        out[keys[at] != want] = 0.0
-        return out
 
 
 def feature_rows(vectors, vocab: Vocabulary) -> SparseRows:

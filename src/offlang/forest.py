@@ -3,9 +3,9 @@ stratified k-fold cross-validation and grid search.
 
 X is a dense 2-D array or `features.SparseRows`, the compressed sparse
 rows `train` and `cv` pass.  Training converts dense X to rows, so both
-take one path.  Prediction walks the trees reading X[rows, features] of
-either; SparseRows answers by binary search, with the floats the dense
-matrix holds.
+take one path.  Prediction routes rows through each tree in preorder, node
+by node (_leaves): on SparseRows or Columns with the split test growth uses
+(_goes_left), on dense X by reading the column at the node's rows.
 
 Trees read X as compressed sparse columns (`Columns`): each feature's
 nonzero entries in ascending value order, with their row numbers,
@@ -59,6 +59,7 @@ of one row multiplicity per (tree, corpus row); train_tree is a wave of
 one tree.
 """
 
+import functools
 import itertools
 import json
 import struct
@@ -166,18 +167,20 @@ class Columns(NamedTuple):
         return len(self.indptr) - 1
 
 
-def _rows(X) -> SparseRows:
-    """X as SparseRows: itself, or the rows of dense 2-D X."""
-    return X if isinstance(X, SparseRows) else SparseRows.from_dense(X)
+def _finite(values: np.ndarray) -> np.ndarray:
+    """values, unless one is NaN or infinite."""
+    if not np.isfinite(values).all():
+        raise ValidationError("X holds a non-finite value")
+    return values
 
 
 def _columns(X) -> Columns:
     """The Columns of X, dense or SparseRows: a transpose of its rows'
     nonzeros, each column ordered by value."""
-    X = _rows(X)
+    if not isinstance(X, SparseRows):
+        X = SparseRows.from_dense(X)
     rows, feats, values = X.rows, X.indices.astype(np.int64), X.data
-    if not np.isfinite(values).all():
-        raise ValidationError("X holds a non-finite value")
+    _finite(values)
     nonzero = values != 0
     if not nonzero.all():
         rows, feats, values = rows[nonzero], feats[nonzero], values[nonzero]
@@ -499,40 +502,60 @@ def _tree_job(params: ForestParams, rows, i: int):
     return rng, rows[rng.integers(0, n, size=n)] if params.bootstrap else rows
 
 
-def _tree_proba(tree: Tree, X) -> np.ndarray:
-    node = np.zeros(len(X), dtype=np.int64)
-    while True:
-        feat = tree.feature[node]
-        active = np.nonzero(feat >= 0)[0]
-        if active.size == 0:
-            break
-        cur = node[active]
-        go_left = X[active, feat[active]] <= tree.threshold[cur]
-        node[active] = np.where(go_left, tree.left[cur], tree.right[cur])
-    leaf_counts = tree.counts[node].astype(np.float64)
-    return leaf_counts / leaf_counts.sum(axis=1, keepdims=True)
+def _leaves(tree: Tree, rows, goes_left) -> np.ndarray:
+    """The leaf of `tree` each of `rows` reaches.  The rows are routed
+    through the nodes in preorder; goes_left(f, t, idx) says which of the
+    rows idx go left at a split on feature f at threshold t."""
+    leaf = np.zeros(len(rows), dtype=np.int64)
+    stack = [(0, np.arange(len(rows)))]
+    while stack:
+        node, at = stack.pop()
+        f = int(tree.feature[node])
+        if f < 0:
+            leaf[at] = node
+        elif at.size:
+            left = goes_left(f, tree.threshold[node], rows[at])
+            stack.append((tree.right[node], at[~left]))
+            stack.append((tree.left[node], at[left]))
+    return leaf
 
 
-def predict_proba(model: ForestModel, X) -> np.ndarray:
-    """Class-frequency estimates: mean of the leaf distributions over trees,
+def predict_proba(model: ForestModel, X, rows=None) -> np.ndarray:
+    """Class-frequency estimates for the rows of X listed in `rows` (repeats
+    allowed, default every row): mean of the leaf distributions over trees,
     accumulated in tree order (deterministic).
 
-    X is dense or SparseRows; the trees read both through X[rows, features].
+    X is dense, SparseRows or their Columns.  SparseRows are transposed
+    once for all trees.  Dense X is read in place, and a non-finite value
+    in a cell the walk reads is rejected, as training rejects one anywhere.
     """
-    if not isinstance(X, SparseRows):
+    if isinstance(X, SparseRows):
+        X = _columns(X)
+    if isinstance(X, Columns):
+        _finite(X.values)
+        width, n_rows = X.n_features, X.n_rows
+        goes_left = functools.partial(_goes_left, X)
+    else:
         X = np.asarray(X, dtype=np.float64)
-    width = X.shape[1] if len(X.shape) == 2 else "non-2D"
+        n_rows, width = X.shape if X.ndim == 2 else (0, "non-2D")
+
+        def goes_left(f, t, idx):
+            return _finite(X[idx, f]) <= t
     if width != model.n_features:
         raise ValidationError(f"expected {model.n_features} features, got {width}")
-    acc = np.zeros((len(X), len(model.classes)), dtype=np.float64)
+    rows = np.arange(n_rows) if rows is None else np.asarray(rows, dtype=np.int64)
+    if len(rows) and (rows.min() < 0 or rows.max() >= n_rows):
+        raise ValidationError(f"row indices must lie in 0..{n_rows - 1}")
+    acc = np.zeros((len(rows), len(model.classes)), dtype=np.float64)
     for tree in model.trees:
-        acc += _tree_proba(tree, X)
+        leaf_counts = tree.counts[_leaves(tree, rows, goes_left)].astype(np.float64)
+        acc += leaf_counts / leaf_counts.sum(axis=1, keepdims=True)
     return acc / len(model.trees)
 
 
-def predict(model: ForestModel, X) -> list[str]:
+def predict(model: ForestModel, X, rows=None) -> list[str]:
     """Argmax of predict_proba; probability ties go to the lowest class index."""
-    proba = predict_proba(model, X)
+    proba = predict_proba(model, X, rows)
     return [model.classes[i] for i in np.argmax(proba, axis=1)]
 
 
@@ -603,12 +626,12 @@ def grid_search(grid, X, y, k: int = 10, seed: int = 0, classes=None) -> GridSea
     seed inside each point is ignored), so every point is scored on
     identical folds.  X's Columns and the folds are built once for all
     points, and each point's k * n_trees trees grow in lock step (see the
-    module docstring).  A fold's test rows are taken from X's sparse rows.
+    module docstring).  A fold's test rows are routed through the same
+    Columns.
     """
     grid = list(grid)
     if not grid:
         raise ValidationError("parameter grid is empty")
-    X = _rows(X)
     cols, y, classes, codes = _fit_inputs(X, y, classes)
     folds = kfold(len(y), k, codes, seed)
     results = []
@@ -623,7 +646,7 @@ def grid_search(grid, X, y, k: int = 10, seed: int = 0, classes=None) -> GridSea
             model = ForestModel(classes=classes, params=p, n_features=cols.n_features,
                                 trees=list(itertools.islice(trees, params.n_trees)))
             gold = [y[j] for j in test_idx]
-            pred = predict(model, X.take(test_idx))
+            pred = predict(model, cols, test_idx)
             fold_scores.append(scores(confusion(gold, pred, classes), classes).macro_f1)
         arr = np.asarray(fold_scores, dtype=np.float64)
         results.append((params, CVResult(fold_scores=tuple(fold_scores), mean=float(arr.mean()),

@@ -819,6 +819,27 @@ def test_gridsearch_ranks_and_writes_best(env, capsys, tmp_path):
     assert (tmp_path / "best.conf.manifest.json").is_file()
 
 
+def test_gridsearch_writes_its_manifest_to_out_manifest(env, capsys, tmp_path):
+    # Without out.manifest the manifest goes next to out.best, as before.
+    conf = tmp_path / "grid.conf"
+    base = ((env / "train.conf").read_text(encoding="utf-8")
+            .replace("forest.n_trees=20", "grid.n_trees=2,3")
+            + f"out.best={tmp_path / 'best.conf'}\n")
+    manifests = []
+    for extra, path in (("", tmp_path / "best.conf.manifest.json"),
+                        (f"out.manifest={tmp_path / 'grid.manifest.json'}\n",
+                         tmp_path / "grid.manifest.json")):
+        conf.write_text(base + extra, encoding="utf-8")
+        code, out, _ = run(capsys, "gridsearch", str(conf), "--k", "2")
+        assert code == 0
+        assert out.splitlines()[-1] == f"wrote {tmp_path / 'best.conf'} and {path}"
+        manifests.append(json.loads(path.read_text(encoding="utf-8")))
+        path.unlink()
+    assert not (tmp_path / "best.conf.manifest.json").exists()
+    assert manifests[1]["outputs"] == manifests[0]["outputs"]
+    assert manifests[1]["gridsearch"] == manifests[0]["gridsearch"]
+
+
 def test_default_grid_axes(env):
     cfg = ExperimentConfig.from_text(
         f"seed=1\ncorpus.train={env / 'corpus.tsv'}\n")

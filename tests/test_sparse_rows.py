@@ -14,11 +14,12 @@ from offlang.cli import Pipeline
 from offlang.errors import ValidationError
 from offlang.features import (N_SURFACE, SparseRows, feature_matrix, feature_rows, featurize,
                                fit_vocabulary)
-from offlang.forest import (ForestParams, _columns, cross_validate, grid_search,
-                            predict_proba, save_model, train_forest)
+from offlang.forest import (Columns, ForestParams, _columns, cross_validate, grid_search,
+                            predict, predict_proba, save_model, train_forest)
 from offlang.textprep import PrepConfig, preprocess
 
 from conftest import separable_rows
+from predict_oracle import oracle_predict_proba
 
 # Zeros of both signs, subnormals, negatives and an odd-mantissa pair.
 _VALUES = (-2.5, -1.0, -5e-324, -0.0, 0.0, 0.0, 0.0, 5e-324, 0.5, 1.0,
@@ -114,17 +115,21 @@ def test_columns_of_rows_equal_columns_of_the_matrix(data):
 @settings(deadline=None, max_examples=100)
 @given(st.data())
 def test_predict_proba_on_rows_equals_the_dense_walk(data):
+    # Every form of X, every row or a drawn list of rows (repeats and the
+    # empty list included), against the level-wise walk of dense X[rows].
     n, d = data.draw(st.integers(2, 12)), data.draw(st.integers(1, 5))
     X = _matrix(data, n, d)
     y = data.draw(st.lists(st.sampled_from(["NOT", "OFF"]), min_size=n, max_size=n))
     model = train_forest(X, y, ForestParams(n_trees=3, max_features="all",
                                             seed=data.draw(st.integers(0, 99))))
-    rows = _hand_rows(X, set())
-    assert predict_proba(model, rows).tobytes() == predict_proba(model, X).tobytes()
-    take = np.asarray(data.draw(st.lists(st.integers(0, n - 1), max_size=2 * n)), dtype=np.int64)
-    assert np.array_equal(rows.take(take).dense(), X[take])
-    assert predict_proba(model, rows.take(take)).tobytes() == \
-        predict_proba(model, X[take]).tobytes()
+    zeros = data.draw(st.sets(st.sampled_from([(r, c) for r in range(n) for c in range(d)
+                                               if X[r, c] == 0] or [(-1, -1)])))
+    sparse = _hand_rows(X, zeros)
+    rows = data.draw(st.none() | st.lists(st.integers(0, n - 1), max_size=2 * n)
+                     .map(lambda r: np.asarray(r, dtype=np.int64)))
+    want = oracle_predict_proba(model, X if rows is None else X[rows]).tobytes()
+    for features in (X, sparse, _columns(sparse)):
+        assert predict_proba(model, features, rows).tobytes() == want
 
 
 def test_forest_from_rows_equals_forest_from_the_matrix():
@@ -154,6 +159,41 @@ def test_rows_with_a_non_finite_value_are_rejected(bad):
                     lambda: grid_search([ForestParams(n_trees=1)], features, y, k=2)):
             with pytest.raises(ValidationError, match="^X holds a non-finite value$"):
                 fit()
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_prediction_rejects_a_non_finite_value_as_training_does(bad):
+    X = np.array([[0.0, 1.0], [2.0, 0.0], [0.0, 3.0], [4.0, 0.0]])
+    model = train_forest(X, ["NOT", "OFF", "NOT", "OFF"], ForestParams(n_trees=1))
+    split = model.trees[0].feature
+    assert set(split[split >= 0].tolist()) == {0}
+    bad_X = X.copy()
+    bad_X[1, 0] = bad
+    cols = _columns(X)
+    bad_cols = Columns(cols.indptr, cols.rows, np.where(cols.values == 2.0, bad, cols.values),
+                       cols.n_rows)
+    for features in (bad_X, SparseRows.from_dense(bad_X), bad_cols):
+        with pytest.raises(ValidationError, match="^X holds a non-finite value$"):
+            predict(model, features)
+    # Dense X is checked only in the cells the walk reads: every split is on
+    # column 0, so column 1 is never read, and row 3's column 0 is read
+    # only when row 3 is predicted.
+    bad_X = X.copy()
+    bad_X[:, 1] = bad
+    assert predict(model, bad_X) == predict(model, X)
+    bad_X[3, 0] = bad
+    assert predict(model, bad_X, [0, 1]) == predict(model, X, [0, 1])
+    with pytest.raises(ValidationError, match="^X holds a non-finite value$"):
+        predict(model, bad_X, [3])
+
+
+def test_prediction_rows_out_of_range_are_rejected():
+    X = np.array([[0.0, 1.0], [2.0, 0.0], [0.0, 3.0]])
+    model = train_forest(X, ["NOT", "OFF", "OFF"], ForestParams(n_trees=1))
+    for features in (X, SparseRows.from_dense(X), _columns(X)):
+        for rows in ([3], [-1], [0, 2, 5]):
+            with pytest.raises(ValidationError, match=r"^row indices must lie in 0\.\.2$"):
+                predict(model, features, rows)
 
 
 def test_rows_of_the_wrong_width_are_rejected():
