@@ -3,9 +3,9 @@ stratified k-fold cross-validation and grid search.
 
 X is a dense 2-D array or `features.SparseRows`, the compressed sparse
 rows `train` and `cv` pass.  Training converts dense X to rows, so both
-take one path.  Prediction routes rows through each tree in preorder, node
-by node (_leaves): on SparseRows or Columns with the split test growth uses
-(_goes_left), on dense X by reading the column at the node's rows.
+take one path.  Prediction routes SparseRows or Columns through each
+tree in preorder, node by node, with the split test growth uses
+(_goes_left); dense X, `predict`'s small blocks, walks level by level.
 
 Trees read X as compressed sparse columns (`Columns`): each feature's
 nonzero entries in ascending value order, with their row numbers,
@@ -59,7 +59,6 @@ of one row multiplicity per (tree, corpus row); train_tree is a wave of
 one tree.
 """
 
-import functools
 import itertools
 import json
 import struct
@@ -167,20 +166,14 @@ class Columns(NamedTuple):
         return len(self.indptr) - 1
 
 
-def _finite(values: np.ndarray) -> np.ndarray:
-    """values, unless one is NaN or infinite."""
-    if not np.isfinite(values).all():
-        raise ValidationError("X holds a non-finite value")
-    return values
-
-
 def _columns(X) -> Columns:
     """The Columns of X, dense or SparseRows: a transpose of its rows'
     nonzeros, each column ordered by value."""
     if not isinstance(X, SparseRows):
         X = SparseRows.from_dense(X)
     rows, feats, values = X.rows, X.indices.astype(np.int64), X.data
-    _finite(values)
+    if not np.isfinite(values).all():
+        raise ValidationError("X holds a non-finite value")
     nonzero = values != 0
     if not nonzero.all():
         rows, feats, values = rows[nonzero], feats[nonzero], values[nonzero]
@@ -502,10 +495,9 @@ def _tree_job(params: ForestParams, rows, i: int):
     return rng, rows[rng.integers(0, n, size=n)] if params.bootstrap else rows
 
 
-def _leaves(tree: Tree, rows, goes_left) -> np.ndarray:
-    """The leaf of `tree` each of `rows` reaches.  The rows are routed
-    through the nodes in preorder; goes_left(f, t, idx) says which of the
-    rows idx go left at a split on feature f at threshold t."""
+def _leaves(tree: Tree, cols: Columns, rows) -> np.ndarray:
+    """The leaf of `tree` each of `rows` reaches, routed node by node in
+    preorder with the split test growth uses."""
     leaf = np.zeros(len(rows), dtype=np.int64)
     stack = [(0, np.arange(len(rows)))]
     while stack:
@@ -514,10 +506,24 @@ def _leaves(tree: Tree, rows, goes_left) -> np.ndarray:
         if f < 0:
             leaf[at] = node
         elif at.size:
-            left = goes_left(f, tree.threshold[node], rows[at])
+            left = _goes_left(cols, f, tree.threshold[node], rows[at])
             stack.append((tree.right[node], at[~left]))
             stack.append((tree.left[node], at[left]))
     return leaf
+
+
+def _dense_leaves(tree: Tree, X: np.ndarray) -> np.ndarray:
+    """The leaf of `tree` each row of dense X reaches, walked level by
+    level: each step moves every row not yet at a leaf one level down."""
+    node = np.zeros(len(X), dtype=np.int64)
+    while True:
+        feat = tree.feature[node]
+        active = np.nonzero(feat >= 0)[0]
+        if active.size == 0:
+            return node
+        cur = node[active]
+        go_left = X[active, feat[active]] <= tree.threshold[cur]
+        node[active] = np.where(go_left, tree.left[cur], tree.right[cur])
 
 
 def predict_proba(model: ForestModel, X, rows=None) -> np.ndarray:
@@ -525,31 +531,32 @@ def predict_proba(model: ForestModel, X, rows=None) -> np.ndarray:
     allowed, default every row): mean of the leaf distributions over trees,
     accumulated in tree order (deterministic).
 
-    X is dense, SparseRows or their Columns.  SparseRows are transposed
-    once for all trees.  Dense X is read in place, and a non-finite value
-    in a cell the walk reads is rejected, as training rejects one anywhere.
+    X is dense, SparseRows (transposed once for all trees) or Columns, with
+    no non-finite value, as in training.  Columns route rows node by node
+    (_leaves); dense X, `predict`'s small blocks, one level at a time.
     """
     if isinstance(X, SparseRows):
         X = _columns(X)
     if isinstance(X, Columns):
-        _finite(X.values)
-        width, n_rows = X.n_features, X.n_rows
-        goes_left = functools.partial(_goes_left, X)
+        n_rows, width = X.n_rows, X.n_features
     else:
         X = np.asarray(X, dtype=np.float64)
+        if not np.isfinite(X).all():
+            raise ValidationError("X holds a non-finite value")
         n_rows, width = X.shape if X.ndim == 2 else (0, "non-2D")
-
-        def goes_left(f, t, idx):
-            return _finite(X[idx, f]) <= t
     if width != model.n_features:
         raise ValidationError(f"expected {model.n_features} features, got {width}")
-    rows = np.arange(n_rows) if rows is None else np.asarray(rows, dtype=np.int64)
+    subset = rows is not None
+    rows = np.asarray(rows, dtype=np.int64) if subset else np.arange(n_rows)
     if len(rows) and (rows.min() < 0 or rows.max() >= n_rows):
         raise ValidationError(f"row indices must lie in 0..{n_rows - 1}")
-    acc = np.zeros((len(rows), len(model.classes)), dtype=np.float64)
+    if subset and not isinstance(X, Columns):
+        X = X[rows]
+    acc = 0.0
     for tree in model.trees:
-        leaf_counts = tree.counts[_leaves(tree, rows, goes_left)].astype(np.float64)
-        acc += leaf_counts / leaf_counts.sum(axis=1, keepdims=True)
+        leaf = _leaves(tree, X, rows) if isinstance(X, Columns) else _dense_leaves(tree, X)
+        leaf_counts = tree.counts[leaf].astype(np.float64)
+        acc = acc + leaf_counts / leaf_counts.sum(axis=1, keepdims=True)
     return acc / len(model.trees)
 
 
@@ -626,8 +633,7 @@ def grid_search(grid, X, y, k: int = 10, seed: int = 0, classes=None) -> GridSea
     seed inside each point is ignored), so every point is scored on
     identical folds.  X's Columns and the folds are built once for all
     points, and each point's k * n_trees trees grow in lock step (see the
-    module docstring).  A fold's test rows are routed through the same
-    Columns.
+    module docstring).  Each fold's test rows are routed through X's Columns.
     """
     grid = list(grid)
     if not grid:

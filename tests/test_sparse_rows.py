@@ -14,7 +14,7 @@ from offlang.cli import Pipeline
 from offlang.errors import ValidationError
 from offlang.features import (N_SURFACE, SparseRows, feature_matrix, feature_rows, featurize,
                                fit_vocabulary)
-from offlang.forest import (Columns, ForestParams, _columns, cross_validate, grid_search,
+from offlang.forest import (ForestParams, _columns, cross_validate, grid_search,
                             predict, predict_proba, save_model, train_forest)
 from offlang.textprep import PrepConfig, preprocess
 
@@ -116,7 +116,7 @@ def test_columns_of_rows_equal_columns_of_the_matrix(data):
 @given(st.data())
 def test_predict_proba_on_rows_equals_the_dense_walk(data):
     # Every form of X, every row or a drawn list of rows (repeats and the
-    # empty list included), against the level-wise walk of dense X[rows].
+    # empty list included), against a row-by-row walk of dense X[rows].
     n, d = data.draw(st.integers(2, 12)), data.draw(st.integers(1, 5))
     X = _matrix(data, n, d)
     y = data.draw(st.lists(st.sampled_from(["NOT", "OFF"]), min_size=n, max_size=n))
@@ -167,24 +167,15 @@ def test_prediction_rejects_a_non_finite_value_as_training_does(bad):
     model = train_forest(X, ["NOT", "OFF", "NOT", "OFF"], ForestParams(n_trees=1))
     split = model.trees[0].feature
     assert set(split[split >= 0].tolist()) == {0}
-    bad_X = X.copy()
-    bad_X[1, 0] = bad
-    cols = _columns(X)
-    bad_cols = Columns(cols.indptr, cols.rows, np.where(cols.values == 2.0, bad, cols.values),
-                       cols.n_rows)
-    for features in (bad_X, SparseRows.from_dense(bad_X), bad_cols):
-        with pytest.raises(ValidationError, match="^X holds a non-finite value$"):
-            predict(model, features)
-    # Dense X is checked only in the cells the walk reads: every split is on
-    # column 0, so column 1 is never read, and row 3's column 0 is read
-    # only when row 3 is predicted.
-    bad_X = X.copy()
-    bad_X[:, 1] = bad
-    assert predict(model, bad_X) == predict(model, X)
-    bad_X[3, 0] = bad
-    assert predict(model, bad_X, [0, 1]) == predict(model, X, [0, 1])
-    with pytest.raises(ValidationError, match="^X holds a non-finite value$"):
-        predict(model, bad_X, [3])
+    # As in training, a non-finite value anywhere in X is rejected: in a
+    # cell the walk reads, in column 1, which no split reads, and in row 3
+    # when only rows 0 and 1 are predicted.
+    for cell in ((1, 0), (0, 1), (3, 0)):
+        bad_X = X.copy()
+        bad_X[cell] = bad
+        for features in (bad_X, SparseRows.from_dense(bad_X)):
+            with pytest.raises(ValidationError, match="^X holds a non-finite value$"):
+                predict(model, features, [0, 1])
 
 
 def test_prediction_rows_out_of_range_are_rejected():
