@@ -514,16 +514,17 @@ def _leaves(tree: Tree, cols: Columns, rows) -> np.ndarray:
 
 def _dense_leaves(tree: Tree, X: np.ndarray) -> np.ndarray:
     """The leaf of `tree` each row of dense X reaches, walked level by
-    level: each step moves every row not yet at a leaf one level down."""
+    level: each step moves every row not yet at a leaf one level down.  A
+    non-finite value among the cells the walk read is rejected."""
     node = np.zeros(len(X), dtype=np.int64)
-    while True:
-        feat = tree.feature[node]
-        active = np.nonzero(feat >= 0)[0]
-        if active.size == 0:
-            return node
+    read = [np.zeros(0)]
+    while (active := np.nonzero(tree.feature[node] >= 0)[0]).size:
         cur = node[active]
-        go_left = X[active, feat[active]] <= tree.threshold[cur]
-        node[active] = np.where(go_left, tree.left[cur], tree.right[cur])
+        read.append(X[active, tree.feature[cur]])
+        node[active] = np.where(read[-1] <= tree.threshold[cur], tree.left[cur], tree.right[cur])
+    if not np.isfinite(np.concatenate(read)).all():
+        raise ValidationError("X holds a non-finite value")
+    return node
 
 
 def predict_proba(model: ForestModel, X, rows=None) -> np.ndarray:
@@ -531,9 +532,11 @@ def predict_proba(model: ForestModel, X, rows=None) -> np.ndarray:
     allowed, default every row): mean of the leaf distributions over trees,
     accumulated in tree order (deterministic).
 
-    X is dense, SparseRows (transposed once for all trees) or Columns, with
-    no non-finite value, as in training.  Columns route rows node by node
-    (_leaves); dense X, `predict`'s small blocks, one level at a time.
+    X is dense, SparseRows (transposed once for all trees) or Columns.
+    Columns route rows node by node (_leaves); dense X, `predict`'s small
+    blocks, one level at a time (_dense_leaves).  A non-finite value is
+    rejected, as in training: in SparseRows anywhere, in dense X where the
+    walk reads it.
     """
     if isinstance(X, SparseRows):
         X = _columns(X)
@@ -541,8 +544,6 @@ def predict_proba(model: ForestModel, X, rows=None) -> np.ndarray:
         n_rows, width = X.n_rows, X.n_features
     else:
         X = np.asarray(X, dtype=np.float64)
-        if not np.isfinite(X).all():
-            raise ValidationError("X holds a non-finite value")
         n_rows, width = X.shape if X.ndim == 2 else (0, "non-2D")
     if width != model.n_features:
         raise ValidationError(f"expected {model.n_features} features, got {width}")

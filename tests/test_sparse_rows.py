@@ -167,15 +167,21 @@ def test_prediction_rejects_a_non_finite_value_as_training_does(bad):
     model = train_forest(X, ["NOT", "OFF", "NOT", "OFF"], ForestParams(n_trees=1))
     split = model.trees[0].feature
     assert set(split[split >= 0].tolist()) == {0}
-    # As in training, a non-finite value anywhere in X is rejected: in a
-    # cell the walk reads, in column 1, which no split reads, and in row 3
-    # when only rows 0 and 1 are predicted.
-    for cell in ((1, 0), (0, 1), (3, 0)):
-        bad_X = X.copy()
-        bad_X[cell] = bad
-        for features in (bad_X, SparseRows.from_dense(bad_X)):
-            with pytest.raises(ValidationError, match="^X holds a non-finite value$"):
-                predict(model, features, [0, 1])
+    bad_X = X.copy()
+    bad_X[1, 0] = bad
+    for features in (bad_X, SparseRows.from_dense(bad_X)):
+        with pytest.raises(ValidationError, match="^X holds a non-finite value$"):
+            predict(model, features)
+    # Dense X is checked only in the cells the walk reads: every split is on
+    # column 0, so column 1 is never read, and row 3's column 0 is read
+    # only when row 3 is predicted.
+    bad_X = X.copy()
+    bad_X[:, 1] = bad
+    assert predict(model, bad_X) == predict(model, X)
+    bad_X[3, 0] = bad
+    assert predict(model, bad_X, [0, 1]) == predict(model, X, [0, 1])
+    with pytest.raises(ValidationError, match="^X holds a non-finite value$"):
+        predict(model, bad_X, [3])
 
 
 def test_prediction_rows_out_of_range_are_rejected():
