@@ -30,9 +30,9 @@ from .corpus import (HEADER_LABELED, HEADER_TEXT_ONLY, check_unique_ids, classes
                      names_file, read_lines, read_text, serialize_corpus)
 from .emolex import BASES, emotion_counts, emotion_report, load_emotion_lexicon
 from .errors import OfflangError, ParseError, ValidationError
-from .features import (N_SURFACE, SparseRows, Vocabulary, expand_ngrams, feature_matrix,
-                       feature_rows, featurize, fit_vocabulary)
-from .forest import (ForestParams, MAX_FEATURES_CHOICES, cross_validate,
+from .features import (N_SURFACE, Vocabulary, expand_ngrams, feature_matrix, feature_rows,
+                       featurize, fit_vocabulary)
+from .forest import (Columns, ForestParams, MAX_FEATURES_CHOICES, cross_validate,
                      grid_search, load_model, predict as forest_predict,
                      save_model, train_forest)
 from .metrics import confusion, render_confusion, scores
@@ -103,11 +103,11 @@ class Pipeline:
     """Tweet text to forest input: the preprocessing settings, the lexicons,
     the feature settings and, once fitted, the vocabulary.
 
-    `fit_transform` returns the features of `train` and `cv` as sparse
-    rows; `transform` returns a dense matrix, for `predict`'s bounded
-    blocks.  Its JSON form is the `.meta.json` sidecar written next to a
-    model, from which `predict` rebuilds the featurization the model was
-    trained on.
+    `fit_transform` returns the features of `train` and `cv` as the
+    forest's `Columns`; `transform` returns a dense matrix, for
+    `predict`'s bounded blocks.  Its JSON form is the `.meta.json`
+    sidecar written next to a model, from which `predict` rebuilds the
+    featurization the model was trained on.
     """
     level: str
     prep: PrepConfig
@@ -130,14 +130,14 @@ class Pipeline:
     def _vectors(self, tweets) -> list:
         return [featurize(tt, self.vocabulary, self.abusive, self.ngram_max) for tt in tweets]
 
-    def fit_transform(self, texts) -> tuple["Pipeline", SparseRows]:
+    def fit_transform(self, texts) -> tuple["Pipeline", Columns]:
         """Fit the vocabulary on texts; returns the fitted pipeline and the
-        feature rows of texts, sparse (`feature_rows`)."""
+        features of texts as Columns, built from `feature_rows`' entries."""
         prepped = [self._preprocess(t) for t in texts]
         vocab = fit_vocabulary((expand_ngrams(tt.tokens, self.ngram_max)
                                 for tt in prepped), min_df=self.min_df)
         fitted = replace(self, vocabulary=vocab)
-        return fitted, feature_rows(fitted._vectors(prepped), vocab)
+        return fitted, Columns.from_entries(*feature_rows(fitted._vectors(prepped), vocab))
 
     def transform(self, texts) -> np.ndarray:
         """Dense feature matrix of texts.  Each is preprocessed and

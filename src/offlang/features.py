@@ -36,11 +36,11 @@ textprep's module docstring says why these equal what the whole text
 gives.  A block counts abusive tokens with one lexicon, so its vectors must
 share it.
 
-The block's features are `SparseRows`, compressed sparse rows of
-(n, len(vocab) + 9) columns: each row's TF-IDF entries, then its nonzero
-surface values.  `train`, `cv` and `gridsearch` hold their features only in
-this form; `feature_matrix`, the same rows scattered into a dense matrix,
-serves `predict`'s bounded blocks.
+The block's features are the entries of an (n, len(vocab) + 9) matrix
+in (row, column) order: each row's TF-IDF entries, then its nonzero
+surface values.  `train`, `cv` and `gridsearch` pass them to the forest's
+`Columns`; `feature_matrix`, the same entries scattered into a dense
+matrix, serves `predict`'s bounded blocks.
 """
 
 import math
@@ -306,58 +306,9 @@ def _tweet_block(vectors, vocab: Vocabulary):
     return rows, ids, dense
 
 
-@dataclass(frozen=True, eq=False)
-class SparseRows:
-    """Feature rows in compressed sparse row form: row r's stored values
-    sit at data[indptr[r]:indptr[r + 1]], their columns, ascending, at
-    indices[indptr[r]:indptr[r + 1]].  Every other cell is 0.0.
-
-    The forest transposes it into compressed sparse columns once per fit
-    or prediction, and reads only those.
-    """
-    indptr: np.ndarray   # int64, n_rows + 1
-    indices: np.ndarray  # int64
-    data: np.ndarray     # float64
-    n_cols: int
-
-    @property
-    def shape(self) -> tuple[int, int]:
-        return len(self), self.n_cols
-
-    @property
-    def itemsize(self) -> int:
-        """Bytes per stored value.  perfbench's traced `train` reads it for
-        `forest.bootstrap_mb`."""
-        return self.data.itemsize
-
-    def __len__(self) -> int:
-        return len(self.indptr) - 1
-
-    @property
-    def rows(self) -> np.ndarray:
-        """The row of each stored value."""
-        return np.repeat(np.arange(len(self)), np.diff(self.indptr))
-
-    @classmethod
-    def from_dense(cls, X) -> "SparseRows":
-        """The rows of dense 2-D X, its nonzeros in (row, column) order."""
-        X = np.asarray(X, dtype=np.float64)
-        if X.ndim != 2:
-            raise ValidationError("X must be 2-D")
-        rows, cols = np.nonzero(X)
-        indptr = np.zeros(len(X) + 1, dtype=np.int64)
-        np.cumsum(np.bincount(rows, minlength=len(X)), out=indptr[1:])
-        return cls(indptr, cols, X[rows, cols], X.shape[1])
-
-    def dense(self) -> np.ndarray:
-        """The rows as a dense float64 matrix."""
-        mat = np.zeros(self.shape)
-        mat[self.rows, self.indices] = self.data
-        return mat
-
-
-def feature_rows(vectors, vocab: Vocabulary) -> SparseRows:
-    """The (n, len(vocab) + 9) feature rows of feature vectors, sparse.
+def feature_rows(vectors, vocab: Vocabulary):
+    """The entries of the (n, len(vocab) + 9) feature matrix of feature
+    vectors, as (rows, cols, values, shape).
 
     The vectors are featurized together from their chunks (`_tweet_block`),
     then the TF-IDF of all the rows is computed at once (`_weights`).  Each
@@ -373,16 +324,17 @@ def feature_rows(vectors, vocab: Vocabulary) -> SparseRows:
     surface_rows, surface_cols = np.nonzero(surface)
     # Both parts are in (row, column) order, so a stable sort by row puts
     # each row's TF-IDF entries, then its surface entries.
-    all_rows = np.concatenate([rows, surface_rows])
-    order = np.argsort(all_rows, kind="stable")
-    indptr = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(np.bincount(all_rows, minlength=n), out=indptr[1:])
-    indices = np.concatenate([ids, surface_cols + width])[order]
-    data = np.concatenate([weights, surface[surface_rows, surface_cols]])[order]
-    return SparseRows(indptr, indices, data, width + N_SURFACE)
+    rows = np.concatenate([rows, surface_rows])
+    order = np.argsort(rows, kind="stable")
+    return (rows[order], np.concatenate([ids, surface_cols + width])[order],
+            np.concatenate([weights, surface[surface_rows, surface_cols]])[order],
+            (n, width + N_SURFACE))
 
 
 def feature_matrix(vectors, vocab: Vocabulary) -> np.ndarray:
     """Stack feature vectors into a dense (n, len(vocab) + 9) float64
-    matrix: `feature_rows`, scattered (`SparseRows.dense`)."""
-    return feature_rows(vectors, vocab).dense()
+    matrix: `feature_rows`' entries, scattered."""
+    rows, cols, values, shape = feature_rows(vectors, vocab)
+    mat = np.zeros(shape)
+    mat[rows, cols] = values
+    return mat

@@ -1,18 +1,17 @@
 """From-scratch random forest over Gini-impurity decision trees, plus
 stratified k-fold cross-validation and grid search.
 
-X is a dense 2-D array or `features.SparseRows`, the compressed sparse
-rows `train` and `cv` pass.  Training converts dense X to rows, so both
-take one path.  Prediction routes SparseRows or Columns through each
-tree in preorder, node by node, with the split test growth uses
-(_goes_left); dense X, `predict`'s small blocks, walks level by level.
+X is a dense 2-D array or `Columns`, the compressed sparse columns
+`train` and `cv` pass.  Training transposes dense X into Columns, so both
+take one path.  Prediction routes Columns through each tree in preorder,
+node by node, with the split test growth uses (_goes_left); dense X,
+`predict`'s small blocks, walks level by level.
 
-Trees read X as compressed sparse columns (`Columns`): each feature's
-nonzero entries in ascending value order, with their row numbers,
-transposed from the rows and sorted once per fit.  The TF-IDF features
-are over 99 % zeros, so a node's split search reads only its nonzeros,
-and it sorts nothing.  At a node, the entries of the sampled
-columns that fall on the node's rows are weighted by each row's
+Trees read X as `Columns`: each feature's nonzero entries in ascending
+value order, with their row numbers, sorted once when they are built.
+The TF-IDF features are over 99 % zeros, so a node's split search reads
+only its nonzeros, and it sorts nothing.  At a node, the entries of the
+sampled columns that fall on the node's rows are weighted by each row's
 multiplicity (bootstrap repeats rows); they stay in (feature, value)
 order, equal (feature, value) runs are summed, and each feature gets one
 zero run at value 0.0, after its negative runs (emoji scores), holding the
@@ -73,7 +72,6 @@ import numpy as np
 from .errors import (ModelFormatError, ModelTruncatedError, ModelVersionError,
                      ValidationError)
 from .corpus import LEVELS
-from .features import SparseRows
 from .metrics import confusion, scores
 from .rng import MASK64, TAG_FOLD, TAG_SHUFFLE, TAG_TREE, stream
 
@@ -165,32 +163,53 @@ class Columns(NamedTuple):
     def n_features(self) -> int:
         return len(self.indptr) - 1
 
+    @property
+    def shape(self) -> tuple[int, int]:
+        return self.n_rows, self.n_features
+
+    @property
+    def itemsize(self) -> int:
+        """Bytes per stored value.  perfbench's traced `train` reads it for
+        `forest.bootstrap_mb`."""
+        return self.values.itemsize
+
+    @classmethod
+    def from_entries(cls, rows, cols, values, shape) -> "Columns":
+        """The Columns of a shape = (n_rows, n_features) matrix whose
+        entries are (rows[i], cols[i], values[i]), every other cell 0.0.
+        A non-finite value is rejected and stored zeros of either sign are
+        dropped."""
+        cols = np.array(cols, dtype=np.int64)
+        if not np.isfinite(values).all():
+            raise ValidationError("X holds a non-finite value")
+        nonzero = values != 0
+        if not nonzero.all():
+            rows, cols, values = rows[nonzero], cols[nonzero], values[nonzero]
+        n_rows, n_features = shape
+        indptr = np.zeros(n_features + 1, dtype=np.int64)
+        np.cumsum(np.bincount(cols, minlength=n_features), out=indptr[1:])
+        # Order by (feature, value rank): one integer sort, faster than a
+        # lexsort, and equal values need no particular order.  The key
+        # reuses cols' memory and temporaries are freed early, so no more
+        # nnz-long arrays are alive at once than for an unsorted build.
+        key = np.multiply(cols, len(values), out=cols)
+        rank = np.empty_like(key)
+        rank[np.argsort(values)] = np.arange(len(values))
+        key += rank
+        order = np.argsort(key)
+        del cols, key, rank
+        return cls(indptr, rows[order], values[order], n_rows)
+
 
 def _columns(X) -> Columns:
-    """The Columns of X, dense or SparseRows: a transpose of its rows'
-    nonzeros, each column ordered by value."""
-    if not isinstance(X, SparseRows):
-        X = SparseRows.from_dense(X)
-    rows, feats, values = X.rows, X.indices.astype(np.int64), X.data
-    if not np.isfinite(values).all():
-        raise ValidationError("X holds a non-finite value")
-    nonzero = values != 0
-    if not nonzero.all():
-        rows, feats, values = rows[nonzero], feats[nonzero], values[nonzero]
-    n_features = X.n_cols
-    indptr = np.zeros(n_features + 1, dtype=np.int64)
-    np.cumsum(np.bincount(feats, minlength=n_features), out=indptr[1:])
-    # Order by (feature, value rank): one integer sort, faster than a
-    # lexsort, and equal values need no particular order.  The key reuses
-    # feats' memory and temporaries are freed early, so no more nnz-long
-    # arrays are alive at once than for an unsorted build.
-    key = np.multiply(feats, len(values), out=feats)
-    rank = np.empty_like(key)
-    rank[np.argsort(values)] = np.arange(len(values))
-    key += rank
-    order = np.argsort(key)
-    del feats, key, rank
-    return Columns(indptr, rows[order], values[order], len(X))
+    """X's Columns: Columns as given, dense 2-D X's nonzeros transposed."""
+    if isinstance(X, Columns):
+        return X
+    X = np.asarray(X, dtype=np.float64)
+    if X.ndim != 2:
+        raise ValidationError("X must be 2-D")
+    rows, cols = np.nonzero(X)
+    return Columns.from_entries(rows, cols, X[rows, cols], X.shape)
 
 
 def _goes_left(cols: Columns, f: int, t: float, idx) -> np.ndarray:
@@ -413,14 +432,13 @@ def train_tree(X, y, params: ForestParams, rng, n_classes: int | None = None,
     """Grow one tree on the rows of (X, y) listed in `rows` (repeats allowed,
     default every row); y holds class codes 0..k-1.
 
-    X is a dense 2-D array, SparseRows or their Columns, as train_forest
-    passes them.
+    X is a dense 2-D array or Columns, as train_forest passes them.
     The tree equals the one grown on the copy (X[rows], y[rows]): a node
     depends on its rows as a multiset, not on their order.  `rng` supplies
     the per-node feature subsets, consumed in preorder.  Bootstrap
     resampling is the forest's job, not this function's.
     """
-    cols = X if isinstance(X, Columns) else _columns(X)
+    cols = _columns(X)
     y = np.asarray(y, dtype=np.int64)
     if y.ndim != 1 or cols.n_rows != len(y):
         raise ValidationError("X must be 2-D and row-aligned with y")
@@ -532,16 +550,13 @@ def predict_proba(model: ForestModel, X, rows=None) -> np.ndarray:
     allowed, default every row): mean of the leaf distributions over trees,
     accumulated in tree order (deterministic).
 
-    X is dense, SparseRows (transposed once for all trees) or Columns.
-    Columns route rows node by node (_leaves); dense X, `predict`'s small
-    blocks, one level at a time (_dense_leaves).  A non-finite value is
-    rejected, as in training: in SparseRows anywhere, in dense X where the
-    walk reads it.
+    X is dense or Columns.  Columns route rows node by node (_leaves);
+    dense X, `predict`'s small blocks, one level at a time (_dense_leaves).
+    A non-finite value in dense X is rejected, as in training, where the
+    walk reads it; Columns hold none.
     """
-    if isinstance(X, SparseRows):
-        X = _columns(X)
     if isinstance(X, Columns):
-        n_rows, width = X.n_rows, X.n_features
+        n_rows, width = X.shape
     else:
         X = np.asarray(X, dtype=np.float64)
         n_rows, width = X.shape if X.ndim == 2 else (0, "non-2D")
@@ -632,8 +647,8 @@ def grid_search(grid, X, y, k: int = 10, seed: int = 0, classes=None) -> GridSea
 
     Fold membership and per-fold training seeds derive from `seed` (the
     seed inside each point is ignored), so every point is scored on
-    identical folds.  X's Columns and the folds are built once for all
-    points, and each point's k * n_trees trees grow in lock step (see the
+    identical folds.  X's Columns (X itself if it is Columns) and the folds
+    are built once for all points, and each point's k * n_trees trees grow in lock step (see the
     module docstring).  Each fold's test rows are routed through X's Columns.
     """
     grid = list(grid)

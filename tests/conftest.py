@@ -10,6 +10,7 @@ import re
 import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 # A failing Hypothesis test imports hypothesis.extra._patching to print a
@@ -96,6 +97,13 @@ def separable_rows(n_rows: int, seed: int = 13) -> list[tuple[str, str, str, str
         else:
             rows.append((f"t{i}", text, "NOT", "NULL", "NULL"))
     return rows
+
+
+def scatter(cols) -> np.ndarray:
+    """Columns scattered into the dense float64 matrix they hold."""
+    mat = np.zeros(cols.shape)
+    mat[cols.rows, np.repeat(np.arange(cols.n_features), np.diff(cols.indptr))] = cols.values
+    return mat
 
 
 def rows_to_tsv(rows) -> str:

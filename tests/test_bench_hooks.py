@@ -5,6 +5,10 @@ name (spans.TARGETS) and counts at their boundaries, its checks call
 features.featurize(...).sparse, and its workloads pass --threads 1.  A
 rename that breaks any of these fails here, in the tier-1 run, rather than
 only in a full benchmark run.
+
+Its train_forest hook also reads the X that `train` passes, the forest's
+Columns: that X must carry `shape` (rows, features) and `itemsize` (bytes
+per stored value), from which the hook computes forest.bootstrap_mb.
 """
 
 import importlib

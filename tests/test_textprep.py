@@ -20,7 +20,7 @@ from offlang.textprep import (_EMOJI_CHAR, PrepConfig, TextMemo, TokenizedTweet,
                               is_placeholder, preprocess, reduce_elongation,
                               split_hashtag, tokenize)
 
-from conftest import SPLIT_WHITESPACE
+from conftest import SPLIT_WHITESPACE, scatter
 from emoji_oracle import _is_emoji_char, oracle_emoji_spans
 from prep_oracle import oracle_preprocess, view
 from surface_oracle import oracle_surface
@@ -474,9 +474,9 @@ def test_pipelines_used_in_alternation_match_the_oracle(texts):
     # a time; every matrix is the one the memo-free oracles give.
     fitted = []
     for lowercase in (False, True):
-        pipe, sparse = _pipeline(lowercase).fit_transform(texts)
+        pipe, cols = _pipeline(lowercase).fit_transform(texts)
         assert pipe.vocabulary == _oracle_vocabulary(pipe, texts)
-        assert np.array_equal(sparse.dense(), _oracle_rows(pipe, texts, pipe.vocabulary))
+        assert np.array_equal(scatter(cols), _oracle_rows(pipe, texts, pipe.vocabulary))
         fitted.append(pipe)
     rows = [[], []]
     for text in texts:
@@ -519,9 +519,9 @@ def test_pipelines_on_text_memos_match_the_memo_free_oracles(texts, cfg):
     for ngram_max in (1, 2, 3):
         fitted = []
         for abusive in (["idiot"], ["url", "the"]):
-            pipe, sparse = _chunk_pipeline(cfg, abusive, ngram_max).fit_transform(texts)
+            pipe, cols = _chunk_pipeline(cfg, abusive, ngram_max).fit_transform(texts)
             assert pipe.vocabulary == _oracle_vocabulary(pipe, texts)
-            assert np.array_equal(sparse.dense(), _oracle_rows(pipe, texts, pipe.vocabulary))
+            assert np.array_equal(scatter(cols), _oracle_rows(pipe, texts, pipe.vocabulary))
             fitted.append(pipe)
         rows = [[], []]
         for text in texts:
