@@ -36,7 +36,6 @@ from .forest import (Columns, ForestParams, MAX_FEATURES_CHOICES, cross_validate
                      grid_search, load_model, predict as forest_predict,
                      save_model, train_forest)
 from .metrics import confusion, render_confusion, scores
-from .stemming import supported_languages
 from .textprep import PrepConfig, TextMemo, preprocess
 
 
@@ -118,6 +117,14 @@ class Pipeline:
     ngram_max: int
     vocabulary: Vocabulary | None = None
 
+    def __post_init__(self):
+        classes_for(self.level)
+        for key in ("min_df", "ngram_max"):
+            value = getattr(self, key)
+            # JSON true is a Python int; it must not pass as 1.
+            if not (type(value) is int and value >= 1):
+                raise ValidationError(f"features.{key} must be an integer >= 1, got {value!r}")
+
     # The text memo, bounded by the run's input like the vocabulary; valid
     # because prep and the lexicons are fixed.
     @cached_property
@@ -171,21 +178,16 @@ class Pipeline:
                     and all(isinstance(v, (int, float)) and math.isfinite(v)
                             for v in emoji.values())):
                 raise TypeError("lexicons must be two word lists and an emoji-to-finite-number map")
-            min_df, ngram_max = meta["features"]["min_df"], meta["features"]["ngram_max"]
-            # JSON true is a Python int; it must not pass as 1.
-            if not all(type(v) is int and v >= 1 for v in (min_df, ngram_max)):
-                raise TypeError(f"min_df and ngram_max must be integers >= 1, "
-                                f"got {min_df!r} and {ngram_max!r}")
-            level = meta["level"]
-            if not (isinstance(level, str) and level in LEVELS):
-                raise ValueError(f"level must be one of {', '.join(LEVELS)}, got {level!r}")
-            if meta["classes"] != list(LEVELS[level]):
-                raise ValueError(f"classes must be {list(LEVELS[level])} at level {level}, "
+            pipeline = cls(level=meta["level"], prep=PrepConfig(**meta["prep"]),
+                           stopwords=stopwords, abusive=abusive, emoji=emoji,
+                           min_df=meta["features"]["min_df"],
+                           ngram_max=meta["features"]["ngram_max"],
+                           vocabulary=Vocabulary.from_jsonable(meta["vocabulary"]))
+            classes = list(classes_for(pipeline.level))
+            if meta["classes"] != classes:
+                raise ValueError(f"classes must be {classes} at level {pipeline.level}, "
                                  f"got {meta['classes']!r}")
-            return cls(level=level, prep=PrepConfig(**meta["prep"]),
-                       stopwords=stopwords, abusive=abusive, emoji=emoji,
-                       min_df=min_df, ngram_max=ngram_max,
-                       vocabulary=Vocabulary.from_jsonable(meta["vocabulary"]))
+            return pipeline
         except KeyError as exc:
             raise ValidationError(f"missing key {exc}") from None
         except (TypeError, ValueError) as exc:
@@ -195,22 +197,9 @@ class Pipeline:
 def _pipeline_from_config(cfg: ExperimentConfig, level: str) -> Pipeline:
     """The unfitted pipeline a training config describes.  Each PrepConfig
     field is read from its `prep.<field>` key."""
-    flags = {f.name: cfg.get_bool(f"prep.{f.name}", f.default)
-             for f in fields(PrepConfig) if isinstance(f.default, bool)}
-    language = cfg.get("corpus.language", "english")
-    stem_language = cfg.get("prep.stem_language")
-    if stem_language is None:
-        if language in supported_languages():
-            stem_language = language
-        elif flags["stem"]:
-            raise ValidationError(
-                f"no stemmer for corpus.language={language!r}; set "
-                f"prep.stem_language to one of {', '.join(supported_languages())} "
-                f"or prep.stem=false")
-        else:
-            stem_language = "identity"
-    prep = PrepConfig(**flags, emoji_mode=cfg.get("prep.emoji_mode", PrepConfig.emoji_mode),
-                      stem_language=stem_language)
+    read = {bool: cfg.get_bool, str: cfg.get}
+    prep = PrepConfig(**{f.name: read[type(f.default)](f"prep.{f.name}", f.default)
+                         for f in fields(PrepConfig)})
     stop_path = cfg.get("lexicon.stopwords")
     if stop_path:
         stoplist = _read_wordlist(stop_path)
@@ -261,7 +250,7 @@ def _forest_params_from(cfg: ExperimentConfig, seed: int) -> ForestParams:
 
 
 _TRAIN_KEYS = {
-    "seed", "corpus.train", "corpus.schema", "corpus.language", "train.level",
+    "seed", "corpus.train", "train.level",
     "lexicon.stopwords", "lexicon.abusive", "lexicon.emoji",
     "features.min_df", "features.ngram_max", "out.model", "out.manifest",
     *(f"prep.{f.name}" for f in fields(PrepConfig)),
@@ -270,11 +259,20 @@ _TRAIN_KEYS = {
 _GRID_KEYS = {"out.best", *(f"grid.{name}" for name in _GRID_AXES)}
 
 
+def _read_experiment(args, keys=_TRAIN_KEYS, forest=_forest_params_from):
+    """The config of a train, cv or gridsearch run, its seed, its forest
+    values as `forest` reads them, and its unfitted pipeline.  Every key
+    these take is read and checked here, before any corpus file is opened."""
+    cfg = ExperimentConfig.from_file(_require_file(args.config))
+    cfg.assert_known(keys, ("external.",))
+    seed = cfg.seed()
+    return cfg, seed, forest(cfg, seed), _pipeline_from_config(cfg, cfg.get("train.level", "A"))
+
+
 def _training_rows(cfg: ExperimentConfig, level: str):
     """The training corpus's path, its rows labeled at level, and their labels."""
     corpus_path = _require_file(cfg.require("corpus.train"))
-    corpus, _ = _load_corpus_file(corpus_path, cfg.get("corpus.schema"))
-    rows = corpus.labeled_at(level)
+    rows = load_corpus(corpus_path).labeled_at(level)
     if len(rows) == 0:
         raise ValidationError(f"no rows labeled at level {level} in {corpus_path}")
     return corpus_path, rows, [t.label_at(level) for t in rows]
@@ -319,33 +317,25 @@ def cmd_balance(args) -> int:
     cfg = ExperimentConfig.from_file(_require_file(args.config))
     cfg.assert_known(
         {"seed", "corpus.base", "corpus.pool", "corpus.weak_labels",
-         "corpus.language", "balance.level", "balance.target_per_class",
-         "out.corpus"},
+         "balance.level", "balance.target_per_class", "out.corpus"},
         ("balance.add.", "external."))
-    seed = cfg.seed()
-    level = cfg.get("balance.level", "C")
-    base, _ = _load_corpus_file(cfg.require("corpus.base"), "olid_labeled")
-    pool, _ = _load_corpus_file(cfg.require("corpus.pool"), "olid_labeled")
-    weak = load_weak_labels(_require_file(cfg.require("corpus.weak_labels")))
-    additions = {}
-    for key, value in cfg.values.items():
-        if key.startswith("balance.add."):
-            additions[key.removeprefix("balance.add.")] = cfg.get_int(key)
-    plan = BalancePlan(level=level,
+    plan = BalancePlan(seed=cfg.seed(), level=cfg.get("balance.level", "C"),
                        target_per_class=cfg.get_int("balance.target_per_class", 1),
-                       seed=seed, additions=additions)
+                       additions={key.removeprefix("balance.add."): cfg.get_int(key)
+                                  for key in cfg.values if key.startswith("balance.add.")})
+    inputs = {role: cfg.require(f"corpus.{role}") for role in ("base", "pool", "weak_labels")}
+    out_corpus = Path(cfg.require("out.corpus"))
+    base, _ = _load_corpus_file(inputs["base"], "olid_labeled")
+    pool, _ = _load_corpus_file(inputs["pool"], "olid_labeled")
+    weak = load_weak_labels(_require_file(inputs["weak_labels"]))
     report = apply_plan(base, pool, weak, plan)
 
-    out_corpus = Path(cfg.require("out.corpus"))
     out_corpus.write_bytes(serialize_corpus(report.corpus, "olid_labeled"))
     payload = manifest.build(
-        "balance", cfg.values, seed,
-        inputs={"config": cfg.path, "base": cfg.require("corpus.base"),
-                "pool": cfg.require("corpus.pool"),
-                "weak_labels": cfg.require("corpus.weak_labels")},
+        "balance", cfg.values, plan.seed, inputs={"config": cfg.path, **inputs},
         outputs={"corpus": out_corpus},
         extra={"balance": {
-            "level": level, "target_per_class": plan.target_per_class,
+            "level": plan.level, "target_per_class": plan.target_per_class,
             "before": report.before, "after_selection": report.after_selection,
             "after": report.after,
             "selected": [{"id": i, "label": l, "confidence": c, "std": s}
@@ -355,7 +345,7 @@ def cmd_balance(args) -> int:
     manifest_path = Path(str(out_corpus) + ".manifest.json")
     manifest.write(manifest_path, payload)
 
-    for c in classes_for(level):
+    for c in classes_for(plan.level):
         print(f"{c}: {report.before[c]} -> {report.after_selection[c]} -> {report.after[c]}")
     print(f"total rows: {len(report.corpus)}")
     print(f"wrote {out_corpus} and {manifest_path}")
@@ -363,18 +353,15 @@ def cmd_balance(args) -> int:
 
 
 def cmd_train(args) -> int:
-    cfg = ExperimentConfig.from_file(_require_file(args.config))
-    cfg.assert_known(_TRAIN_KEYS, ("external.",))
-    seed = cfg.seed()
-    level = cfg.get("train.level", "A")
-    classes = classes_for(level)
-    params = _forest_params_from(cfg, seed)
+    cfg, seed, params, pipeline = _read_experiment(args)
+    out_model = Path(cfg.require("out.model"))
+    manifest_path = Path(cfg.get("out.manifest") or str(out_model) + ".manifest.json")
+    level, classes = pipeline.level, classes_for(pipeline.level)
     corpus_path, rows, y = _training_rows(cfg, level)
-    pipeline, X = _pipeline_from_config(cfg, level).fit_transform(t.text for t in rows)
+    pipeline, X = pipeline.fit_transform(t.text for t in rows)
     model = train_forest(X, y, params, classes=classes)
 
     train_scores = scores(confusion(y, forest_predict(model, X), classes), classes)
-    out_model = Path(cfg.require("out.model"))
     save_model(model, out_model)
     meta_path = Path(str(out_model) + ".meta.json")
     meta = {**pipeline.to_jsonable(), "model_sha256": manifest.file_digest(out_model)}
@@ -391,7 +378,6 @@ def cmd_train(args) -> int:
             "training_accuracy": train_scores.accuracy,
             "training_macro_f1": train_scores.macro_f1,
         }})
-    manifest_path = Path(str(out_model) + ".manifest.json")
     manifest.write(manifest_path, payload)
 
     print(f"trained on {len(rows)} rows at level {level}; "
@@ -403,15 +389,13 @@ def cmd_train(args) -> int:
 
 
 def cmd_cv(args) -> int:
-    cfg = ExperimentConfig.from_file(_require_file(args.config))
-    cfg.assert_known(_TRAIN_KEYS, ("external.",))
-    seed = cfg.seed()
-    level = cfg.get("train.level", "A")
-    classes = classes_for(level)
-    params = _forest_params_from(cfg, seed)
+    cfg, seed, params, pipeline = _read_experiment(args)
+    out_manifest = cfg.get("out.manifest")
+    level = pipeline.level
     corpus_path, rows, y = _training_rows(cfg, level)
-    _, X = _pipeline_from_config(cfg, level).fit_transform(t.text for t in rows)
-    result = cross_validate(X, y, params, k=args.k, seed=seed, classes=classes)
+    # Rebound so that the unfitted pipeline's text memo is freed before the forests grow.
+    pipeline, X = pipeline.fit_transform(t.text for t in rows)
+    result = cross_validate(X, y, params, k=args.k, seed=seed, classes=classes_for(level))
 
     print(f"{args.k}-fold cross-validation on {len(rows)} rows (level {level})")
     print("fold  macro_f1")
@@ -419,7 +403,6 @@ def cmd_cv(args) -> int:
         print(f"{i:>4}  {score:.4f}")
     print(f"mean {result.mean:.4f}  std {result.std:.4f}")
 
-    out_manifest = cfg.get("out.manifest")
     if out_manifest:
         payload = manifest.build(
             "cv", cfg.values, seed, inputs=_config_inputs(cfg, corpus_path),
@@ -454,15 +437,15 @@ def _grid_from_config(cfg: ExperimentConfig, seed: int) -> list[ForestParams]:
 
 
 def cmd_gridsearch(args) -> int:
-    cfg = ExperimentConfig.from_file(_require_file(args.config))
-    cfg.assert_known(_TRAIN_KEYS | _GRID_KEYS, ("external.",))
-    seed = cfg.seed()
-    level = cfg.get("train.level", "A")
-    classes = classes_for(level)
-    grid = _grid_from_config(cfg, seed)
+    cfg, seed, grid, pipeline = _read_experiment(args, _TRAIN_KEYS | _GRID_KEYS,
+                                                 _grid_from_config)
+    out_best = Path(cfg.get("out.best") or str(cfg.path) + ".best.conf")
+    manifest_path = Path(cfg.get("out.manifest") or str(out_best) + ".manifest.json")
+    level = pipeline.level
     corpus_path, rows, y = _training_rows(cfg, level)
-    _, X = _pipeline_from_config(cfg, level).fit_transform(t.text for t in rows)
-    result = grid_search(grid, X, y, k=args.k, seed=seed, classes=classes)
+    # Rebound so that the unfitted pipeline's text memo is freed before the forests grow.
+    pipeline, X = pipeline.fit_transform(t.text for t in rows)
+    result = grid_search(grid, X, y, k=args.k, seed=seed, classes=classes_for(level))
 
     print(f"grid search over {len(grid)} settings, {args.k}-fold CV, "
           f"{len(rows)} rows (level {level})")
@@ -474,7 +457,6 @@ def cmd_gridsearch(args) -> int:
               f"{params.min_samples_leaf:>8}  {str(params.max_features):>12}  "
               f"{cv.mean:.4f}  {cv.std:.4f}{star}")
 
-    out_best = Path(cfg.get("out.best") or str(cfg.path) + ".best.conf")
     best = result.best
     # str() lowercased writes None and the booleans as none, true and false.
     out_best.write_text("".join(f"forest.{name}={str(getattr(best, name)).lower()}\n"
@@ -490,7 +472,6 @@ def cmd_gridsearch(args) -> int:
                         for p, cv in result.results],
             "best": best.to_jsonable(),
         }})
-    manifest_path = Path(cfg.get("out.manifest") or str(out_best) + ".manifest.json")
     manifest.write(manifest_path, payload)
     print(f"wrote {out_best} and {manifest_path}")
     return 0
@@ -666,7 +647,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     experiment = argparse.ArgumentParser(add_help=False)
     experiment.add_argument("config")
-    experiment.add_argument("--threads", type=int, default=1)
+    experiment.add_argument("--threads", type=int, default=1, metavar="N",
+                            help="must be >= 1 and has no effect: training runs in "
+                                 "one thread whatever N is")
     folds = argparse.ArgumentParser(add_help=False, parents=[experiment])
     folds.add_argument("--k", type=int, default=10)
 

@@ -36,7 +36,7 @@ SCHEMAS = ("olid_labeled", "text_only")
 def classes_for(level: str) -> tuple[str, ...]:
     try:
         return LEVELS[level]
-    except KeyError:
+    except (KeyError, TypeError):  # TypeError: an unhashable level, as JSON can give
         raise ValidationError(f"unknown label level {level!r}, expected one of A, B, C")
 
 

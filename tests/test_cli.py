@@ -140,6 +140,45 @@ def test_train_is_reproducible(env, capsys, tmp_path):
     assert first == (env / "model.bin").read_bytes()
 
 
+def test_train_writes_its_manifest_to_out_manifest(env, capsys, tmp_path):
+    # train once wrote <out.model>.manifest.json whatever out.manifest said.
+    conf = tmp_path / "train.conf"
+    conf.write_text((env / "train.conf").read_text(encoding="utf-8")
+                    .replace(str(env / "model.bin"), str(tmp_path / "model.bin"))
+                    + f"out.manifest={tmp_path / 'run.json'}\n", encoding="utf-8")
+    code, out, err = run(capsys, "train", str(conf))
+    assert (code, err) == (0, "")
+    assert out.splitlines()[-1] == (f"wrote {tmp_path / 'model.bin'}, "
+                                    f"{tmp_path / 'model.bin.meta.json'} "
+                                    f"and {tmp_path / 'run.json'}")
+    assert not (tmp_path / "model.bin.manifest.json").exists()
+    written = json.loads((tmp_path / "run.json").read_text(encoding="utf-8"))
+    default = json.loads((env / "model.bin.manifest.json").read_text(encoding="utf-8"))
+    assert written["command"] == "train"
+    assert written["training"] == default["training"]
+    assert written["outputs"]["model"]["sha256"] == default["outputs"]["model"]["sha256"]
+
+
+@pytest.mark.parametrize("argv", [
+    pytest.param(lambda conf, corpus: ["train", str(conf)], id="train"),
+    pytest.param(lambda conf, corpus: ["cv", str(conf), "--k", "2"], id="cv"),
+    pytest.param(lambda conf, corpus: ["evaluate", str(corpus), str(corpus), "--level", "B"],
+                 id="evaluate"),
+])
+def test_corpus_with_no_rows_at_the_level_exits_2(env, capsys, tmp_path, argv):
+    # Only level-A NOT rows, so nothing is labeled at level B.
+    corpus = tmp_path / "not.tsv"
+    corpus.write_text(rows_to_tsv([r for r in separable_rows(40, seed=99) if r[2] == "NOT"]),
+                      encoding="utf-8")
+    conf = tmp_path / "b.conf"
+    conf.write_text((env / "train.conf").read_text(encoding="utf-8")
+                    .replace(str(env / "corpus.tsv"), str(corpus))
+                    .replace("train.level=A", "train.level=B"), encoding="utf-8")
+    code, out, err = run(capsys, *argv(conf, corpus))
+    assert (code, out) == (2, "")
+    assert err == f"error: no rows labeled at level B in {corpus}\n"
+
+
 def test_huge_ngram_max_means_every_ngram(env, capsys, tmp_path):
     # An n-gram is no longer than its tweet, so an ngram_max beyond int64
     # gives what the longest tweet's token count gives; it once ended in an
@@ -254,6 +293,54 @@ def test_empty_grid_axis_exits_2_naming_key(env, capsys, tmp_path, monkeypatch, 
     assert code == 2
     assert out == ""
     assert err == f"error: {key} lists no values\n"
+
+
+def _missing_emoji_lexicon(text, tmp_path):
+    return text.replace(str(DATA_DIR / "emoji_sentiment.csv"), str(tmp_path / "missing.csv"))
+
+
+# Config edits that must fail before any corpus file is opened, with the
+# exit code and the error.  Each once failed only after the corpus had been
+# read: a bad min_df or ngram_max after it had been preprocessed, a missing
+# out.model after the forest had grown.  The removed corpus.* keys were
+# accepted.
+_BAD_TRAINING_CONFIGS = {
+    "min_df-0": (lambda text, tmp_path: text + "features.min_df=0\n",
+                 2, "features.min_df must be an integer >= 1, got 0"),
+    "ngram_max-0": (lambda text, tmp_path: text + "features.ngram_max=0\n",
+                    2, "features.ngram_max must be an integer >= 1, got 0"),
+    "emoji_mode-bogus": (lambda text, tmp_path: text + "prep.emoji_mode=bogus\n",
+                         2, "emoji_mode must be one of "),
+    "missing-lexicon": (_missing_emoji_lexicon, 1, "no such file: {tmp_path}/missing.csv"),
+    "corpus.language": (lambda text, tmp_path: text + "corpus.language=danish\n",
+                        2, "unknown config keys: corpus.language"),
+    "corpus.schema": (lambda text, tmp_path: text + "corpus.schema=olid_labeled\n",
+                      2, "unknown config keys: corpus.schema"),
+    "no-out.model": (lambda text, tmp_path: "".join(
+        line for line in text.splitlines(keepends=True) if not line.startswith("out.model=")),
+        2, "config is missing required key 'out.model'"),
+}
+
+
+@pytest.mark.parametrize("command, case", [
+    *[(command, case) for command in ("train", "cv", "gridsearch")
+      for case in _BAD_TRAINING_CONFIGS if case != "no-out.model"],
+    ("train", "no-out.model"),
+])
+def test_bad_training_config_fails_before_the_corpus_is_read(env, capsys, tmp_path,
+                                                             monkeypatch, command, case):
+    def load_corpus(*args, **kwargs):
+        raise AssertionError("a corpus was read before the config was checked")
+
+    monkeypatch.setattr(cli, "load_corpus", load_corpus)
+    edit, want_code, message = _BAD_TRAINING_CONFIGS[case]
+    conf = tmp_path / "bad.conf"
+    conf.write_text(edit((env / "train.conf").read_text(encoding="utf-8"), tmp_path),
+                    encoding="utf-8")
+    argv = [command, str(conf)] + ([] if command == "train" else ["--k", "2"])
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (want_code, "")
+    assert err.startswith("error: " + message.format(tmp_path=tmp_path))
 
 
 @pytest.mark.parametrize("command", ["train", "cv", "gridsearch"])
@@ -384,10 +471,21 @@ def _balance_with_weak_labels(env, bad, tmp_path):
                  id="corpus"),
     pytest.param(lambda env, bad, tmp_path: ["validate", str(bad)],
                  "completely wrong\n", "line 1: unrecognized corpus header", id="sniffed-corpus"),
+    pytest.param(lambda env, bad, tmp_path: ["validate", "--schema", "text_only", str(bad)],
+                 "", "line 1: empty file, expected a header row", id="empty-corpus"),
     pytest.param(_balance_with_weak_labels, "p0\t2\t0\n", "line 1: confidence 2.0 outside",
                  id="weak-labels"),
+    pytest.param(_balance_with_weak_labels, "p0\t0.5\t0\n\t0.5\t0\n", "line 2: empty id",
+                 id="weak-labels-empty-id"),
+    pytest.param(_balance_with_weak_labels, "p0\t0.5\tlow\n",
+                 "line 1: confidence/std must be numbers, got '0.5', 'low'",
+                 id="weak-labels-std-text"),
     pytest.param(_train_with_lexicon("emoji_sentiment.csv"), "😂,0.2\n😡;0.1\n",
                  "line 2: expected emoji,score", id="emoji-lexicon"),
+    pytest.param(_train_with_lexicon("emoji_sentiment.csv"), "😂,high\n",
+                 "line 1: score must be a number, got 'high'", id="emoji-score-text"),
+    pytest.param(_train_with_lexicon("emoji_sentiment.csv"), "😂,0.2\n😡,0.1\n😂,0.3\n",
+                 "line 3: duplicate emoji entry '😂'", id="emoji-duplicate"),
     pytest.param(lambda env, bad, tmp_path: ["emostats", str(env / "corpus.tsv"), str(bad)],
                  "word\tanger\n", "line 1: expected 3 tab-separated fields, got 2",
                  id="emotion-lexicon"),
@@ -925,6 +1023,37 @@ def test_balance_pool_shortfall_exits_2(env, capsys, tmp_path):
     code, _, err = run(capsys, "balance", str(conf))
     assert code == 2
     assert "shortfall" in err
+
+
+@pytest.mark.parametrize("edit, message", [
+    pytest.param(lambda lines: lines[:-1], "config is missing required key 'out.corpus'",
+                 id="no-out.corpus"),
+    pytest.param(lambda lines: lines + ["balance.level=D"],
+                 "unknown label level 'D', expected one of A, B, C", id="level-D"),
+    pytest.param(lambda lines: lines + ["balance.add.XYZ=1"],
+                 "addition label 'XYZ' is not a level-C class", id="add-XYZ"),
+    pytest.param(lambda lines: lines + ["balance.target_per_class=0"],
+                 "target_per_class must be >= 1, got 0", id="target-0"),
+    pytest.param(lambda lines: lines + ["corpus.language=english"],
+                 "unknown config keys: corpus.language", id="corpus.language"),
+])
+def test_bad_balance_config_fails_before_any_corpus_is_read(env, capsys, tmp_path,
+                                                            monkeypatch, edit, message):
+    # Each once failed only after the base, pool and weak-label files had
+    # been read, or, for corpus.language, was accepted and ignored.
+    def read(*args, **kwargs):
+        raise AssertionError("an input file was read before the config was checked")
+
+    monkeypatch.setattr(cli, "load_corpus", read)
+    monkeypatch.setattr(cli, "load_weak_labels", read)
+    (tmp_path / "weak.tsv").write_text("t0\t0.9\t0.1\n", encoding="utf-8")
+    conf = tmp_path / "balance.conf"
+    conf.write_text("\n".join(edit([
+        "seed=1", f"corpus.base={env / 'corpus.tsv'}", f"corpus.pool={env / 'corpus.tsv'}",
+        f"corpus.weak_labels={tmp_path / 'weak.tsv'}", f"out.corpus={tmp_path / 'out.tsv'}"]))
+        + "\n", encoding="utf-8")
+    code, out, err = run(capsys, "balance", str(conf))
+    assert (code, out, err) == (2, "", f"error: {message}\n")
 
 
 # ---------------------------------------------------------------------------

@@ -388,6 +388,12 @@ def test_featurize_is_insensitive_to_stopword_and_stem_config():
     assert sf_strict == sf_loose
 
 
+def test_featurize_rejects_ngram_max_below_1():
+    vocab = fit_vocabulary([["good"]], min_df=1)
+    with pytest.raises(ValidationError, match="^ngram_max must be >= 1, got 0$"):
+        featurize(preprocess("good", _IDENTITY), vocab, set(), ngram_max=0)
+
+
 def test_featurize_ngram_terms_hit_vocabulary():
     vocab = fit_vocabulary([["not", "good", "not good"]], min_df=1)
     tweet = preprocess("not good", _IDENTITY)

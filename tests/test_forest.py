@@ -207,6 +207,14 @@ def test_tree_input_validation():
                        stream(0, TAG_TREE, 0), rows=rows)
 
 
+def test_forest_rejects_x_not_2d_and_no_rows():
+    params = ForestParams(n_trees=1)
+    with pytest.raises(ValidationError, match="^X must be 2-D$"):
+        train_forest(np.zeros(2), ["NOT", "OFF"], params)
+    with pytest.raises(ValidationError, match="^cannot train on an empty dataset$"):
+        train_forest(np.zeros((2, 2)), ["NOT", "OFF"], params, rows=[])
+
+
 def test_tree_and_forest_reject_non_finite_features():
     params = ForestParams(n_trees=1)
     for bad in (np.nan, np.inf, -np.inf):
