@@ -52,7 +52,10 @@ def _require_file(path) -> Path:
 
 @names_file
 def _sniff_schema(path) -> str:
-    first = read_text(path).partition("\n")[0].rstrip("\r")
+    text = read_text(path)
+    if not text:
+        raise ParseError("empty file, expected a header row", 1)
+    first = text.partition("\n")[0].rstrip("\r")
     if first == HEADER_LABELED:
         return "olid_labeled"
     if first == HEADER_TEXT_ONLY:
@@ -131,28 +134,35 @@ class Pipeline:
     def _memo(self) -> TextMemo:
         return TextMemo(self.prep, self.stopwords, self.emoji)
 
-    def _preprocess(self, text: str):
-        return preprocess(text, self.prep, memo=self._memo)
+    def _prepped(self, texts) -> list:
+        """texts preprocessed one by one, once the text memo has computed
+        their new raw chunks in batches."""
+        texts = list(texts)
+        self._memo.fill(texts)
+        return [preprocess(t, self.prep, memo=self._memo) for t in texts]
 
     def _vectors(self, tweets) -> list:
         return [featurize(tt, self.vocabulary, self.abusive, self.ngram_max) for tt in tweets]
 
     def fit_transform(self, texts) -> tuple["Pipeline", Columns]:
         """Fit the vocabulary on texts; returns the fitted pipeline and the
-        features of texts as Columns, built from `feature_rows`' entries."""
-        prepped = [self._preprocess(t) for t in texts]
+        features of texts as Columns, built from `feature_rows`' entries.
+        The text memo computes the texts' new raw chunks in batches before
+        each text is preprocessed."""
+        prepped = self._prepped(texts)
         vocab = fit_vocabulary((expand_ngrams(tt.tokens, self.ngram_max)
                                 for tt in prepped), min_df=self.min_df)
         fitted = replace(self, vocabulary=vocab)
         return fitted, Columns.from_entries(*feature_rows(fitted._vectors(prepped), vocab))
 
     def transform(self, texts) -> np.ndarray:
-        """Dense feature matrix of texts.  Each is preprocessed and
-        featurized in turn, which finds its raw chunks in the text memo and
+        """Dense feature matrix of texts.  The text memo computes their new
+        raw chunks in batches, then each text is preprocessed and
+        featurized in turn, which finds its raw chunks in the memo and
         keeps the tweet; `feature_matrix` then computes every row at once
         from tables of the block's distinct chunks, and the TF-IDF of all
         of them."""
-        return feature_matrix(self._vectors(self._preprocess(t) for t in texts), self.vocabulary)
+        return feature_matrix(self._vectors(self._prepped(texts)), self.vocabulary)
 
     def to_jsonable(self) -> dict:
         return {
@@ -198,8 +208,12 @@ def _pipeline_from_config(cfg: ExperimentConfig, level: str) -> Pipeline:
     """The unfitted pipeline a training config describes.  Each PrepConfig
     field is read from its `prep.<field>` key."""
     read = {bool: cfg.get_bool, str: cfg.get}
-    prep = PrepConfig(**{f.name: read[type(f.default)](f"prep.{f.name}", f.default)
-                         for f in fields(PrepConfig)})
+    try:
+        prep = PrepConfig(**{f.name: read[type(f.default)](f"prep.{f.name}", f.default)
+                             for f in fields(PrepConfig)})
+    except ValidationError as exc:
+        # Each PrepConfig message starts with the field's name.
+        raise ValidationError(f"prep.{exc}") from None
     stop_path = cfg.get("lexicon.stopwords")
     if stop_path:
         stoplist = _read_wordlist(stop_path)
@@ -259,6 +273,13 @@ _TRAIN_KEYS = {
 _GRID_KEYS = {"out.best", *(f"grid.{name}" for name in _GRID_AXES)}
 
 
+def _level(cfg: ExperimentConfig, key: str, default: str) -> str:
+    level = cfg.get(key, default)
+    if level not in LEVELS:
+        raise ValidationError(f"{key} must be one of {', '.join(LEVELS)}, got {level!r}")
+    return level
+
+
 def _read_experiment(args, keys=_TRAIN_KEYS, forest=_forest_params_from):
     """The config of a train, cv or gridsearch run, its seed, its forest
     values as `forest` reads them, and its unfitted pipeline.  Every key
@@ -266,7 +287,7 @@ def _read_experiment(args, keys=_TRAIN_KEYS, forest=_forest_params_from):
     cfg = ExperimentConfig.from_file(_require_file(args.config))
     cfg.assert_known(keys, ("external.",))
     seed = cfg.seed()
-    return cfg, seed, forest(cfg, seed), _pipeline_from_config(cfg, cfg.get("train.level", "A"))
+    return cfg, seed, forest(cfg, seed), _pipeline_from_config(cfg, _level(cfg, "train.level", "A"))
 
 
 def _training_rows(cfg: ExperimentConfig, level: str):
@@ -319,10 +340,23 @@ def cmd_balance(args) -> int:
         {"seed", "corpus.base", "corpus.pool", "corpus.weak_labels",
          "balance.level", "balance.target_per_class", "out.corpus"},
         ("balance.add.", "external."))
-    plan = BalancePlan(seed=cfg.seed(), level=cfg.get("balance.level", "C"),
-                       target_per_class=cfg.get_int("balance.target_per_class", 1),
-                       additions={key.removeprefix("balance.add."): cfg.get_int(key)
-                                  for key in cfg.values if key.startswith("balance.add.")})
+    seed = cfg.seed()
+    level = _level(cfg, "balance.level", "C")
+    target = cfg.get_int("balance.target_per_class", 1)
+    if target < 1:
+        raise ValidationError(f"balance.target_per_class must be >= 1, got {target}")
+    additions = {}
+    for key in cfg.values:
+        if key.startswith("balance.add."):
+            label, count = key.removeprefix("balance.add."), cfg.get_int(key)
+            if label not in LEVELS[level]:
+                raise ValidationError(f"{key}: {label!r} is not a level-{level} class, "
+                                      f"expected one of {', '.join(LEVELS[level])}")
+            if count < 0:
+                raise ValidationError(f"{key} must be >= 0, got {count}")
+            additions[label] = count
+    plan = BalancePlan(seed=seed, level=level, target_per_class=target,
+                       additions=additions)
     inputs = {role: cfg.require(f"corpus.{role}") for role in ("base", "pool", "weak_labels")}
     out_corpus = Path(cfg.require("out.corpus"))
     base, _ = _load_corpus_file(inputs["base"], "olid_labeled")

@@ -97,6 +97,7 @@ def emotion_counts(corpus: Corpus, lexicon: dict[str, frozenset],
     buckets = {c: {"posts": 0, "tokens": 0, "raw": {cat: 0 for cat in CATEGORIES}}
                for c in classes_for("A")}
     memo = TextMemo(EMOTION_PREP)
+    memo.fill(tweet.text for tweet in corpus if tweet.label_a is not None)
     for tweet in corpus:
         label = tweet.label_a
         if label is None:

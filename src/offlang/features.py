@@ -23,7 +23,7 @@ statistics are computed over all-alphabetic tokens excluding the @user/url
 placeholders; placeholder counts are taken from the raw text with letter
 boundaries so e.g. CURL does not count as URL.  All but the character
 count, the abusive count and the emoji score come from seven integer
-counts (`textprep.surface_counts`).
+counts per raw chunk, which `textprep.TextMemo` computes.
 
 `featurize` keeps a preprocessed tweet whole, with its vocabulary, n-gram
 length and abusive lexicon, a `FeatureVector`.  `feature_rows` featurizes

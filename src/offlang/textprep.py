@@ -14,13 +14,13 @@ steps untouched.
 `preprocess` runs the steps once per distinct raw whitespace chunk of the
 text, through a `TextMemo` from chunk to everything the chunk contributes:
 its base tokens, its final tokens, its emoji scores in text order and the
-integer counts behind the surface features (`surface_counts`).  A tweet
-keeps only its raw text and its chunks' memo entries.  Its tokens, base
-tokens and mean emoji score are its chunks' values concatenated, joined
-on each read, and the mean sums the concatenated scores left to right, as
-a whole-text pass does; `features.feature_matrix` computes the same values
-for a whole block of tweets from their chunks, without joining them.  That
-is exact because every step acts within one chunk:
+seven integer counts behind the surface features.  A tweet keeps only its
+raw text and its chunks' memo entries.  Its tokens, base tokens and mean
+emoji score are its chunks' values concatenated, joined on each read, and
+the mean sums the concatenated scores left to right, as a whole-text pass
+does; `features.feature_matrix` computes the same values for a whole block
+of tweets from their chunks, without joining them.  That is exact because
+every step acts within one chunk:
 
 * hashtag splitting splits one chunk into words;
 * a run that elongation reduces is either all whitespace, which `str.split`
@@ -33,19 +33,42 @@ is exact because every step acts within one chunk:
   letters, no whitespace character is punctuation or a letter, and the
   counts are integer sums.
 
-A TextMemo is valid for the PrepConfig, stoplist and emoji lexicon it was
-made with; `cli.Pipeline` keeps one per pipeline.
-It also holds a piece -> final token memo, so that `_final_token` runs once
-per distinct `tokenize` piece, and a word -> stem memo, so that each
-distinct word is stemmed once.  Other repeated work is skipped too, each
-time with the same output:
+One code path computes chunks: `TextMemo.fill` takes a batch of new
+chunks at a time (a lookup of a missing chunk is a batch of one), and
+`cli.Pipeline`, `emolex` and a memo-less `preprocess` fill their memo
+before they preprocess tweet by tweet.  Some steps run once over the whole
+batch, joined by "\\n", and give each chunk what the step alone gives it:
 
-* each character is classified as punctuation once, in a process-wide
-  table that the character set bounds;
-* the emoji scan is skipped on an ASCII chunk, since every emoji unit is
-  non-ASCII, and the punctuation strip and count are skipped on an
-  alphanumeric token or chunk, since no alphanumeric character is
-  punctuation.
+* elongation reduction runs one substitution over the joined works (a
+  work is a chunk after hashtag splitting).  No work holds "\\n", since a
+  chunk holds no whitespace and split words are joined by " ", and no
+  work is empty, so no run of one repeated character takes in a
+  separator, and splitting on "\\n" gives the works back;
+* the URL and @USER patterns each run once over the joined chunks, and
+  each match counts for the chunk it starts in; a lookaround sees "\\n",
+  not a letter, where it saw a string edge;
+* the joined chunks are translated to one class code per character
+  (punctuation, letter, capital letter or none), and each chunk's codes
+  are summed as one segment; "\\n" is in no class.
+
+The rest runs per chunk.  A TextMemo is valid for the
+PrepConfig, stoplist and emoji lexicon it was made with; `cli.Pipeline`
+keeps one per pipeline.  It also holds a piece -> final token memo, so
+that `_final_token` runs once per distinct `tokenize` piece, and a word ->
+stem memo, so that each distinct word is stemmed once.  Other repeated
+work is skipped too, each time with the same output:
+
+* each character is classified as punctuation once, and into its class
+  code once, in process-wide tables that the character set bounds;
+* the emoji scan is skipped on an ASCII work, and `tokenize`'s emoji scan
+  on an ASCII core, since every emoji unit and stray modifier is
+  non-ASCII;
+* `tokenize` is skipped on an ASCII alphanumeric work, its only piece,
+  since no ASCII alphanumeric character is punctuation or emoji (an
+  alphanumeric test alone would not do: U+2776 is numeric and an emoji
+  base);
+* the punctuation strip is skipped on an alphanumeric token, since no
+  alphanumeric character is punctuation.
 
 Conventions used throughout:
 
@@ -70,13 +93,14 @@ token and one lexicon lookup; a stray run is removed and never scored.
 """
 
 import re
-import struct
 import unicodedata
 from dataclasses import dataclass, fields
 from functools import reduce
-from itertools import chain
+from itertools import accumulate, chain
 from operator import add, itemgetter
 from typing import NamedTuple
+
+import numpy as np
 
 from . import stemming
 from .errors import ValidationError
@@ -188,7 +212,8 @@ def tokenize(text: str) -> list[str]:
             tokens.append(chunk[:i])
         core = chunk[i:j]
         pos = 0
-        for s, e, unit, has_base in emoji_spans(core):
+        # Every emoji unit and stray modifier is non-ASCII.
+        for s, e, unit, has_base in () if core.isascii() else emoji_spans(core):
             if core[pos:s]:
                 tokens.append(core[pos:s])
             if has_base:
@@ -305,37 +330,73 @@ _URL_RE = re.compile(r"(?<![A-Za-z])URL(?![A-Za-z])")
 _MENTION_RE = re.compile(r"@USER(?![A-Za-z])")
 
 
-def surface_counts(text: str, tokens) -> tuple[int, ...]:
-    """Seven integer counts behind the surface features: URL and @USER
-    matches, punctuation, letters and capitals in text, then words (the
-    all-alphabetic tokens but the placeholders) and their letters among
-    tokens.  Placeholders are matched with letter boundaries, so CURL is
-    no URL."""
-    letters = list(filter(str.isalpha, text))
-    words = [t for t in tokens if t.isalpha() and not is_placeholder(t)]
-    return (len(_URL_RE.findall(text)), len(_MENTION_RE.findall(text)),
-            0 if text.isalnum() else sum(map(_is_punct, text)),
-            len(letters), sum(map(str.isupper, letters)),
-            len(words), sum(map(len, words)))
+class _CharClasses(dict):
+    """Code point -> the class code of its character, as a character: 1
+    punctuation, 2 a letter, 3 a capital letter, 0 anything else.  Each
+    code point is classified on its first lookup and kept for the whole
+    process, as in _PunctTable; no character is both punctuation and a
+    letter."""
+
+    def __missing__(self, point: int) -> str:
+        ch = chr(point)
+        value = self[point] = ("\1" if _is_punct(ch) else "\0" if not ch.isalpha()
+                               else "\3" if ch.isupper() else "\2")
+        return value
+
+
+_CHAR_CLASSES = _CharClasses()
+# What a character of each class code adds to the punctuation, letter and
+# capital counts; int32 sums are exact below 2**31 characters a chunk.
+_CLASS_COUNTS = np.array([[0, 0, 0], [1, 0, 0], [0, 1, 0], [0, 1, 1]], dtype=np.int32)
+
+
+def _char_counts(raws: list[str]) -> np.ndarray:
+    """(len(raws), 5) int64: URL and @USER matches, punctuation, letters
+    and capitals in each raw chunk.  Placeholders are matched with letter
+    boundaries, so CURL is no URL.
+
+    Each chunk is followed by "\\n", which no chunk holds, and the whole is
+    scanned at once: each pattern runs once, its lookarounds seeing "\\n",
+    no letter, where they saw a string edge, and a match counts for the
+    chunk it starts in.  The characters are translated to their class
+    codes, and each chunk's class counts, with its "\\n" (in no class), are
+    summed in one `reduceat`."""
+    n = len(raws)
+    joined = "\n".join(raws) + "\n"
+    starts = np.fromiter(accumulate((len(raw) + 1 for raw in raws), initial=0),
+                         dtype=np.intp, count=n + 1)
+    counts = np.empty((n, 5), dtype=np.int64)
+    for column, pattern in enumerate((_URL_RE, _MENTION_RE)):
+        at = [m.start() for m in pattern.finditer(joined)]
+        counts[:, column] = np.bincount(starts.searchsorted(at, "right") - 1, minlength=n)
+    codes = np.frombuffer(joined.translate(_CHAR_CLASSES).encode("ascii"), dtype=np.uint8)
+    counts[:, 2:] = np.add.reduceat(_CLASS_COUNTS[codes], starts[:-1])
+    return counts
 
 
 # What one raw whitespace chunk contributes to its tweet: its lowercased
-# tokenize pieces, its final tokens, its emoji scores in text order and the
-# surface_counts of the chunk and its pieces, packed as seven native int64
-# (`_COUNTS`), so that `features.feature_matrix` reads a block's counts with
-# one join.  A plain tuple of tuples of strings and numbers and of bytes,
-# which the cyclic garbage collector stops tracking, so its full collections
-# do not walk one object per distinct chunk; a NamedTuple, like any tuple
-# subclass, would stay tracked.
+# tokenize pieces, its final tokens, its emoji scores in text order and
+# seven integer counts behind the surface features, packed as native int64:
+# the `_char_counts` of the chunk, then the words (the all-alphabetic
+# pieces but the placeholders) and their letters.  `features.feature_matrix`
+# reads a block's counts with one join.  A plain tuple of tuples of strings
+# and numbers and of bytes, which the cyclic garbage collector stops
+# tracking, so its full collections do not walk one object per distinct
+# chunk; a NamedTuple, like any tuple subclass, would stay tracked.
 Chunk = tuple[tuple[str, ...], tuple[str, ...], tuple[float, ...], bytes]
-_COUNTS = struct.Struct("7q")
+_COUNTS_BYTES = 7 * 8
+
+# Raw chunks that `TextMemo.fill` computes in one batch.  A batch's
+# temporaries take about 50 bytes a character; with 4,096 chunks a batch,
+# `train` on 13,240 tweets peaked about 2 MB higher than with 1,024.
+_FILL_CHUNKS = 1 << 10
 
 
 class TextMemo(dict):
-    """Raw whitespace chunk -> its Chunk, each chunk computed on its first
-    lookup under one PrepConfig, stoplist and emoji lexicon, with a piece ->
-    final token memo and a word -> stem memo that fill as chunks are
-    computed."""
+    """Raw whitespace chunk -> its Chunk under one PrepConfig, stoplist and
+    emoji lexicon, with a piece -> final token memo and a word -> stem memo
+    that fill as chunks are computed.  `fill` computes chunks in batches; a
+    lookup of a missing chunk computes it as a batch of one."""
 
     def __init__(self, cfg: PrepConfig, stoplist=frozenset(), emoji_lexicon=None):
         super().__init__()
@@ -346,27 +407,62 @@ class TextMemo(dict):
         self.stems: dict[str, str] = {}
 
     def __missing__(self, raw: str) -> Chunk:
+        self._add([raw])
+        return self[raw]
+
+    def fill(self, texts) -> None:
+        """Compute every raw whitespace chunk of texts that the memo lacks,
+        each once, in batches of at most _FILL_CHUNKS in text order."""
+        batch = {}
+        for raw in chain.from_iterable(map(str.split, texts)):
+            if raw not in self:
+                batch[raw] = None
+                if len(batch) == _FILL_CHUNKS:
+                    self._add(list(batch))
+                    batch.clear()
+        if batch:
+            self._add(list(batch))
+
+    def _add(self, raws: list[str]) -> None:
+        """Compute the Chunks of distinct raw whitespace chunks, the
+        module docstring's steps, each over the whole batch or per chunk."""
         cfg, finals = self.cfg, self.finals
-        work = raw
-        if cfg.split_hashtags and raw.startswith("#") and len(raw) > 1:
-            work = " ".join(split_hashtag(raw))
+        # A fresh list even when no step rewrites it: the emoji removal
+        # below replaces its items, and raws become the memo's keys.
+        works = [" ".join(split_hashtag(raw))
+                 if cfg.split_hashtags and raw.startswith("#") and len(raw) > 1 else raw
+                 for raw in raws]
         if cfg.reduce_elongation:
-            work = reduce_elongation(work)
-        scores = []
+            reduced = reduce_elongation("\n".join(works)).split("\n")
+            # An unchanged work stays the object it was, often its raw chunk,
+            # so that the piece memo's keys share the memo's strings.
+            works = [work if work == new else new for work, new in zip(works, reduced)]
+        scores = [()] * len(works)
         if cfg.emoji_mode == "remove_and_score":
-            work, scores = emoji_scores(work, self.emoji)
-        pieces = tokenize(work)
-        kept = []
-        for piece in pieces if cfg.strip_punct else work.split():
-            token = finals.get(piece)
-            if token is None:
-                token = finals[piece] = _final_token(piece, cfg, self.stops, self.stems)
-            if token:
-                kept.append(token)
-        base = tuple(t.lower() for t in pieces)
-        value = self[raw] = (base, tuple(kept), tuple(scores),
-                             _COUNTS.pack(*surface_counts(raw, base)))
-        return value
+            for i, work in enumerate(works):
+                works[i], found = emoji_scores(work, self.emoji)
+                scores[i] = tuple(found)
+        counts = np.empty((len(raws), 7), dtype=np.int64)
+        counts[:, :5] = _char_counts(raws)
+        values, word_counts = [], []
+        for work, found in zip(works, scores):
+            # An ASCII alphanumeric work is its only piece.
+            pieces = [work] if work.isascii() and work.isalnum() else tokenize(work)
+            kept = []
+            for piece in pieces if cfg.strip_punct else work.split():
+                token = finals.get(piece)
+                if token is None:
+                    token = finals[piece] = _final_token(piece, cfg, self.stops, self.stems)
+                if token:
+                    kept.append(token)
+            base = tuple(map(str.lower, pieces))
+            words = [t for t in base if t.isalpha() and t not in PLACEHOLDERS]
+            word_counts.append((len(words), sum(map(len, words))))
+            values.append((base, tuple(kept), found))
+        counts[:, 5:] = word_counts
+        packed = counts.tobytes()
+        for i, (raw, value) in enumerate(zip(raws, values)):
+            self[raw] = (*value, packed[i * _COUNTS_BYTES:(i + 1) * _COUNTS_BYTES])
 
 
 _BASE, _FINAL, _SCORES = itemgetter(0), itemgetter(1), itemgetter(2)
@@ -409,8 +505,10 @@ def preprocess(text: str, cfg: PrepConfig = PrepConfig(),
 
     `memo`, a TextMemo such as `cli.Pipeline` keeps, is used with its own
     settings in place of cfg, stoplist and emoji_lexicon; None makes a
-    fresh one from them.  The tweet keeps its raw chunks' memo entries.
+    fresh one from them and fills it with the whole text in one batch.  The
+    tweet keeps its raw chunks' memo entries.
     """
     if memo is None:
         memo = TextMemo(cfg, stoplist, emoji_lexicon)
+        memo.fill((text,))
     return TokenizedTweet(text, tuple(map(memo.__getitem__, text.split())))

@@ -185,8 +185,8 @@ def test_huge_ngram_max_means_every_ngram(env, capsys, tmp_path):
     # OverflowError traceback in train, cv and predict.
     base = (env / "train.conf").read_text(encoding="utf-8")
     pipeline = cli._pipeline_from_config(ExperimentConfig.from_text(base), "A")
-    longest = max(len(pipeline._preprocess(row[1]).tokens)
-                  for row in separable_rows(40, seed=99))
+    longest = max(len(tt.tokens)
+                  for tt in pipeline._prepped(row[1] for row in separable_rows(40, seed=99)))
     outputs = []
     for ngram_max in ("99999999999999999999", str(longest)):
         d = tmp_path / ngram_max
@@ -310,7 +310,9 @@ _BAD_TRAINING_CONFIGS = {
     "ngram_max-0": (lambda text, tmp_path: text + "features.ngram_max=0\n",
                     2, "features.ngram_max must be an integer >= 1, got 0"),
     "emoji_mode-bogus": (lambda text, tmp_path: text + "prep.emoji_mode=bogus\n",
-                         2, "emoji_mode must be one of "),
+                         2, "prep.emoji_mode must be one of remove_and_score, keep, got 'bogus'"),
+    "level-D": (lambda text, tmp_path: text.replace("train.level=A", "train.level=D"),
+                2, "train.level must be one of A, B, C, got 'D'"),
     "missing-lexicon": (_missing_emoji_lexicon, 1, "no such file: {tmp_path}/missing.csv"),
     "corpus.language": (lambda text, tmp_path: text + "corpus.language=danish\n",
                         2, "unknown config keys: corpus.language"),
@@ -355,7 +357,7 @@ def test_unknown_stem_language_exits_2_naming_key(env, capsys, tmp_path, command
     code, out, err = run(capsys, *argv)
     assert code == 2
     assert out == ""
-    assert err == ("error: stem_language must be one of danish, english, identity, "
+    assert err == ("error: prep.stem_language must be one of danish, english, identity, "
                    "got 'klingon'\n")
 
 
@@ -473,6 +475,8 @@ def _balance_with_weak_labels(env, bad, tmp_path):
                  "completely wrong\n", "line 1: unrecognized corpus header", id="sniffed-corpus"),
     pytest.param(lambda env, bad, tmp_path: ["validate", "--schema", "text_only", str(bad)],
                  "", "line 1: empty file, expected a header row", id="empty-corpus"),
+    pytest.param(lambda env, bad, tmp_path: ["validate", str(bad)],
+                 "", "line 1: empty file, expected a header row", id="empty-sniffed-corpus"),
     pytest.param(_balance_with_weak_labels, "p0\t2\t0\n", "line 1: confidence 2.0 outside",
                  id="weak-labels"),
     pytest.param(_balance_with_weak_labels, "p0\t0.5\t0\n\t0.5\t0\n", "line 2: empty id",
@@ -1029,11 +1033,14 @@ def test_balance_pool_shortfall_exits_2(env, capsys, tmp_path):
     pytest.param(lambda lines: lines[:-1], "config is missing required key 'out.corpus'",
                  id="no-out.corpus"),
     pytest.param(lambda lines: lines + ["balance.level=D"],
-                 "unknown label level 'D', expected one of A, B, C", id="level-D"),
+                 "balance.level must be one of A, B, C, got 'D'", id="level-D"),
     pytest.param(lambda lines: lines + ["balance.add.XYZ=1"],
-                 "addition label 'XYZ' is not a level-C class", id="add-XYZ"),
+                 "balance.add.XYZ: 'XYZ' is not a level-C class, expected one of IND, GRP, OTH",
+                 id="add-XYZ"),
+    pytest.param(lambda lines: lines + ["balance.add.GRP=-1"],
+                 "balance.add.GRP must be >= 0, got -1", id="add-GRP--1"),
     pytest.param(lambda lines: lines + ["balance.target_per_class=0"],
-                 "target_per_class must be >= 1, got 0", id="target-0"),
+                 "balance.target_per_class must be >= 1, got 0", id="target-0"),
     pytest.param(lambda lines: lines + ["corpus.language=english"],
                  "unknown config keys: corpus.language", id="corpus.language"),
 ])

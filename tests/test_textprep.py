@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from offlang import stemming
+from offlang import stemming, textprep
 from offlang.cli import Pipeline
 from offlang.errors import ValidationError
 from offlang.features import (N_SURFACE, SURFACE_FIELDS, expand_ngrams, feature_matrix,
@@ -23,7 +23,7 @@ from offlang.textprep import (_EMOJI_CHAR, PrepConfig, TextMemo, TokenizedTweet,
 from conftest import SPLIT_WHITESPACE, scatter
 from emoji_oracle import _is_emoji_char, oracle_emoji_spans
 from prep_oracle import oracle_preprocess, view
-from surface_oracle import oracle_surface
+from surface_oracle import oracle_counts, oracle_surface
 from tfidf_oracle import oracle_tfidf_exact
 
 
@@ -425,6 +425,61 @@ def test_preprocess_with_shared_memo_matches_oracle(texts):
         for text in texts:
             assert view(preprocess(text, cfg, _STOPLIST, _LEXICON, memo=memo)) == \
                 oracle_preprocess(text, cfg, _STOPLIST, _LEXICON), (text, cfg)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(_BOUNDARY_TEXT | st.text(), max_size=6), st.sampled_from(_CONFIGS),
+       st.integers(0, 6))
+# U+2776 is numeric, so "a❶b" is alphanumeric, and an emoji base: kept, it
+# is a piece of its own.
+@example(["a\u2776b"], PrepConfig(emoji_mode="keep"), 0)
+# A lone surrogate is a legal str, and a code point like any other.
+@example(["\ud83d", "x\ud83dURL"], PrepConfig(), 1)
+# Placeholders glued to letters, at chunk edges and before punctuation.
+@example(["xURLx URL, @USERx", "URL@USER"], PrepConfig(), 1)
+# Whitespace other than "\n" separates chunks too.
+@example(["URL \x85@USER\x1cyyy!", "\x1c\x85 "], PrepConfig(), 1)
+# An elongated run of punctuation, and a hashtag whose only part is "_".
+@example(["aaa!!! #_"], PrepConfig(), 0)
+# A skin-toned emoji glued to a word.
+@example(["Running\U0001F44D\U0001F3FD The"], PrepConfig(), 0)
+def test_filled_memo_matches_the_oracles(texts, cfg, cut):
+    # One fill computes every chunk of the texts, in one batch.  Each tweet
+    # then preprocesses from the memo alone as prep_oracle does, each
+    # chunk's counts are surface_oracle's of the raw chunk, and filling the
+    # texts in two batches gives the same memo.
+    memo = TextMemo(cfg, _STOPLIST, _LEXICON)
+    memo.fill(texts)
+    raws = set(itertools.chain.from_iterable(map(str.split, texts)))
+    assert set(memo) == raws
+    for text in texts:
+        assert view(preprocess(text, memo=memo)) == \
+            oracle_preprocess(text, cfg, _STOPLIST, _LEXICON), text
+    assert set(memo) == raws
+    for raw, chunk in memo.items():
+        base = oracle_preprocess(raw, cfg, _STOPLIST, _LEXICON).base_tokens
+        assert np.frombuffer(chunk[3], dtype=np.int64).tolist() == \
+            list(oracle_counts(raw, base)), raw
+    twice = TextMemo(cfg, _STOPLIST, _LEXICON)
+    twice.fill(texts[:cut])
+    twice.fill(texts[cut:])
+    assert twice == memo
+
+
+def test_fill_computes_each_new_chunk_once_in_bounded_batches(monkeypatch):
+    texts = ["a b c a", "d #GoHome b e!!! URL", "f g a \U0001F602 h"]
+    whole = TextMemo(PrepConfig(), _STOPLIST, _LEXICON)
+    whole.fill(texts)
+    batches = []
+    add = TextMemo._add
+    monkeypatch.setattr(textprep, "_FILL_CHUNKS", 2)
+    monkeypatch.setattr(TextMemo, "_add", lambda memo, raws: batches.append(raws) or add(memo, raws))
+    memo = TextMemo(PrepConfig(), _STOPLIST, _LEXICON)
+    memo.fill(texts[:1])
+    memo.fill(texts)
+    assert batches == [["a", "b"], ["c"], ["d", "#GoHome"], ["e!!!", "URL"], ["f", "g"],
+                       ["\U0001F602", "h"]]
+    assert memo == whole
 
 
 def test_memo_entries_leave_the_garbage_collector():
