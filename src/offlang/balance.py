@@ -101,10 +101,10 @@ class BalancePlan:
                 f"target_per_class must be >= 1, got {self.target_per_class}")
         for label, count in self.additions.items():
             if label not in classes:
-                raise ValidationError(
-                    f"addition label {label!r} is not a level-{self.level} class")
+                raise ValidationError(f"add.{label}: {label!r} is not a level-{self.level} "
+                                      f"class, expected one of {', '.join(classes)}")
             if count < 0:
-                raise ValidationError(f"addition count for {label} must be >= 0, got {count}")
+                raise ValidationError(f"add.{label} must be >= 0, got {count}")
 
 
 @dataclass(frozen=True)

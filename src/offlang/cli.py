@@ -185,7 +185,8 @@ class Pipeline:
             if not (isinstance(stopwords, list) and isinstance(abusive, list)
                     and all(isinstance(w, str) for w in stopwords + abusive)
                     and isinstance(emoji, dict)
-                    and all(isinstance(v, (int, float)) and math.isfinite(v)
+                    # type() rather than isinstance: JSON true is a Python int.
+                    and all(type(v) in (int, float) and math.isfinite(v)
                             for v in emoji.values())):
                 raise TypeError("lexicons must be two word lists and an emoji-to-finite-number map")
             pipeline = cls(level=meta["level"], prep=PrepConfig(**meta["prep"]),
@@ -343,20 +344,15 @@ def cmd_balance(args) -> int:
     seed = cfg.seed()
     level = _level(cfg, "balance.level", "C")
     target = cfg.get_int("balance.target_per_class", 1)
-    if target < 1:
-        raise ValidationError(f"balance.target_per_class must be >= 1, got {target}")
-    additions = {}
-    for key in cfg.values:
-        if key.startswith("balance.add."):
-            label, count = key.removeprefix("balance.add."), cfg.get_int(key)
-            if label not in LEVELS[level]:
-                raise ValidationError(f"{key}: {label!r} is not a level-{level} class, "
-                                      f"expected one of {', '.join(LEVELS[level])}")
-            if count < 0:
-                raise ValidationError(f"{key} must be >= 0, got {count}")
-            additions[label] = count
-    plan = BalancePlan(seed=seed, level=level, target_per_class=target,
-                       additions=additions)
+    additions = {key.removeprefix("balance.add."): cfg.get_int(key)
+                 for key in cfg.values if key.startswith("balance.add.")}
+    try:
+        plan = BalancePlan(seed=seed, level=level, target_per_class=target,
+                           additions=additions)
+    except ValidationError as exc:
+        # The level is checked above; each other BalancePlan message starts
+        # with the field's name.
+        raise ValidationError(f"balance.{exc}") from None
     inputs = {role: cfg.require(f"corpus.{role}") for role in ("base", "pool", "weak_labels")}
     out_corpus = Path(cfg.require("out.corpus"))
     base, _ = _load_corpus_file(inputs["base"], "olid_labeled")

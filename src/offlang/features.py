@@ -93,6 +93,10 @@ class Vocabulary:
 
     @classmethod
     def from_jsonable(cls, data: dict) -> "Vocabulary":
+        # tuple() of a JSON object or string would give its keys or
+        # characters; those of df already fail the df check.
+        if not isinstance(data["terms"], list):
+            raise ValidationError("terms must be a list")
         return cls(terms=tuple(data["terms"]), df=tuple(data["df"]), n_docs=data["n_docs"])
 
 

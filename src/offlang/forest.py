@@ -268,34 +268,28 @@ def _best_splits(cols: Columns, y, nodes, n_classes, min_leaf):
     run_seg, run_value = seg[run], value[run]
     run_counts = np.bincount(label * n_runs + run_id, weights=w, minlength=n_classes * n_runs)
 
-    # One zero run per segment that has zeros in its node, placed after the
-    # segment's negative runs.
+    # One zero run per segment that has zeros in its node, inserted after
+    # its negative runs; the runs sort by (segment, sign).  A segment with
+    # no runs shares its insertion point with the next one, and np.insert
+    # keeps equal indices in the given order, which zs ascends in.
     seg_total = total[seg_node].T
     nonzero = np.bincount(label * n_segs + seg, weights=w, minlength=n_classes * n_segs)
     zero = seg_total - nonzero.astype(np.int64).reshape(n_classes, n_segs)
-    has_zero = zero.any(axis=0)
-    zs = np.nonzero(has_zero)[0]
-    seg_runs = np.bincount(run_seg, minlength=n_segs)
-    negative = np.bincount(run_seg[run_value < 0], minlength=n_segs)
-    zero_at = (np.cumsum(seg_runs) - seg_runs + negative)[zs] + np.arange(len(zs))
-    nonzero_slot = np.ones(n_runs + len(zs), dtype=bool)
-    nonzero_slot[zero_at] = False
-    seg = np.empty(len(nonzero_slot), dtype=np.int64)
-    seg[nonzero_slot], seg[zero_at] = run_seg, zs
-    value = np.zeros(len(nonzero_slot))
-    value[nonzero_slot] = run_value
-    counts = np.empty((n_classes, len(nonzero_slot)), dtype=np.int64)
-    counts[:, nonzero_slot] = run_counts.reshape(n_classes, n_runs)
-    counts[:, zero_at] = zero[:, zs]
-    # Every segment's runs sum to its node's totals, so subtracting the
-    # previous segment's totals at each segment's first run leaves the
-    # cumulative sum cumulative within the segment.
-    seg_size = seg_runs + has_zero
-    counts[:, (np.cumsum(seg_size) - seg_size)[1:]] -= seg_total[:, :-1]
+    zs = np.nonzero(zero.any(axis=0))[0]
+    zero_at = np.searchsorted(2 * run_seg + (run_value > 0), 2 * zs + 1)
+    seg = np.insert(run_seg, zero_at, zs)
+    value = np.insert(run_value, zero_at, 0.0)
+    counts = np.insert(run_counts.reshape(n_classes, n_runs).astype(np.int64), zero_at,
+                       zero[:, zs], axis=1)
+    # Every segment has a run, since a node has rows, and its runs sum to
+    # its node's totals, so subtracting the previous segment's totals at
+    # each segment's first run leaves the cumulative sum cumulative within
+    # the segment.  A boundary follows every value but the last of its
+    # segment.
+    inner = seg[:-1] == seg[1:]
+    counts[:, np.nonzero(~inner)[0] + 1] -= seg_total[:, :-1]
     cum = counts.cumsum(axis=1)
-
-    # A boundary follows every value but the last of its segment.
-    g = np.nonzero(seg[:-1] == seg[1:])[0]
+    g = np.nonzero(inner)[0]
     node = seg_node[seg[g]]
     left_counts = cum[:, g]
     pos = left_counts.sum(axis=0)

@@ -58,8 +58,9 @@ that `_final_token` runs once per distinct `tokenize` piece, and a word ->
 stem memo, so that each distinct word is stemmed once.  Other repeated
 work is skipped too, each time with the same output:
 
-* each character is classified as punctuation once, and into its class
-  code once, in process-wide tables that the character set bounds;
+* each character is classified once, into its class code, in one
+  process-wide table that the character set bounds; `tokenize`, the
+  punctuation strip and the surface counts all read it;
 * the emoji scan is skipped on an ASCII work, and `tokenize`'s emoji scan
   on an ASCII core, since every emoji unit and stray modifier is
   non-ASCII;
@@ -118,17 +119,26 @@ def is_placeholder(token: str) -> bool:
 # Character classes
 
 
-class _PunctTable(dict):
-    """Character -> whether it is punctuation, each character classified on
-    its first lookup.  Shared by the whole process: it is bounded by the
-    character set, not by the input."""
+class _CharClasses(dict):
+    """Code point -> the class code of its character, as a character: 1
+    punctuation, 2 a letter, 3 a capital letter, 0 anything else.  Each
+    code point is classified on its first lookup and kept for the whole
+    process: the table is bounded by the character set, not by the input.
+    No character is both punctuation and a letter."""
 
-    def __missing__(self, ch: str) -> bool:
-        value = self[ch] = unicodedata.category(ch).startswith("P")
+    def __missing__(self, point: int) -> str:
+        ch = chr(point)
+        value = self[point] = ("\1" if unicodedata.category(ch).startswith("P")
+                               else "\0" if not ch.isalpha()
+                               else "\3" if ch.isupper() else "\2")
         return value
 
 
-_is_punct = _PunctTable().__getitem__
+_CHAR_CLASSES = _CharClasses()
+
+
+def _is_punct(ch: str) -> bool:
+    return _CHAR_CLASSES[ord(ch)] == "\1"
 
 
 # The emoji unit grammar of the module docstring; group 1 is a unit with a
@@ -330,21 +340,6 @@ _URL_RE = re.compile(r"(?<![A-Za-z])URL(?![A-Za-z])")
 _MENTION_RE = re.compile(r"@USER(?![A-Za-z])")
 
 
-class _CharClasses(dict):
-    """Code point -> the class code of its character, as a character: 1
-    punctuation, 2 a letter, 3 a capital letter, 0 anything else.  Each
-    code point is classified on its first lookup and kept for the whole
-    process, as in _PunctTable; no character is both punctuation and a
-    letter."""
-
-    def __missing__(self, point: int) -> str:
-        ch = chr(point)
-        value = self[point] = ("\1" if _is_punct(ch) else "\0" if not ch.isalpha()
-                               else "\3" if ch.isupper() else "\2")
-        return value
-
-
-_CHAR_CLASSES = _CharClasses()
 # What a character of each class code adds to the punctuation, letter and
 # capital counts; int32 sums are exact below 2**31 characters a chunk.
 _CLASS_COUNTS = np.array([[0, 0, 0], [1, 0, 0], [0, 1, 0], [0, 1, 1]], dtype=np.int32)

@@ -166,12 +166,20 @@ def test_oversample_distribution_property(n_ind, n_grp, n_oth, target, seed):
 
 def test_balance_plan_validation():
     BalancePlan(level="C", target_per_class=5, seed=0, additions={"GRP": 2})
-    with pytest.raises(ValidationError):
-        BalancePlan(level="C", target_per_class=0, seed=0)
-    with pytest.raises(ValidationError):
-        BalancePlan(level="C", target_per_class=5, seed=0, additions={"OFF": 1})
-    with pytest.raises(ValidationError):
-        BalancePlan(level="C", target_per_class=5, seed=0, additions={"GRP": -1})
+
+
+@pytest.mark.parametrize("target, additions, message", [
+    pytest.param(0, {}, "target_per_class must be >= 1, got 0", id="target-0"),
+    pytest.param(5, {"OFF": 1},
+                 "add.OFF: 'OFF' is not a level-C class, expected one of IND, GRP, OTH",
+                 id="add-OFF"),
+    pytest.param(5, {"GRP": -1}, "add.GRP must be >= 0, got -1", id="add-GRP--1"),
+])
+def test_balance_plan_errors_name_the_field(target, additions, message):
+    # `balance` prefixes each message with "balance." to name its config key.
+    with pytest.raises(ValidationError) as exc:
+        BalancePlan(level="C", target_per_class=target, seed=0, additions=additions)
+    assert str(exc.value) == message
 
 
 def test_apply_plan_end_to_end():

@@ -580,6 +580,13 @@ def _duplicate_first_term(meta):
     return json.dumps(meta)
 
 
+def _terms_as(convert):
+    def edit(meta):
+        meta["vocabulary"]["terms"] = convert(meta["vocabulary"]["terms"])
+        return json.dumps(meta)
+    return edit
+
+
 @pytest.mark.parametrize("corrupt", [
     pytest.param(lambda meta: "{not json", id="not-json"),
     *[pytest.param(_sidecar_without(key), id=f"no-{key}")
@@ -591,6 +598,13 @@ def _duplicate_first_term(meta):
     pytest.param(_sidecar_with("vocabulary", "n_docs", 0), id="df-above-n-docs"),
     pytest.param(_duplicate_first_term, id="duplicate-term"),
     pytest.param(_sidecar_with("lexicons", "emoji", {"😂": float("nan")}), id="emoji-score-nan"),
+    # Each once accepted with exit 0: true read as the score 1, and an
+    # object or a string of distinct characters read as its keys or its
+    # characters.
+    pytest.param(_sidecar_with("lexicons", "emoji", {"😂": True}), id="emoji-score-bool"),
+    pytest.param(_terms_as(lambda terms: dict.fromkeys(terms, 0)), id="terms-object"),
+    pytest.param(_terms_as(lambda terms: "".join(chr(0x4E00 + i) for i in range(len(terms)))),
+                 id="terms-string"),
     pytest.param(_sidecar_with("prep", "lowercase", "false"), id="prep-flag-string"),
     pytest.param(_sidecar_with("prep", "stem_language", "klingon"), id="unknown-stem-language"),
     pytest.param(lambda meta: json.dumps({**meta, "model_sha256": "0" * 64}), id="other-model"),

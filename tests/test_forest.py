@@ -257,39 +257,6 @@ def test_best_split_mirror_tie_goes_to_lower_feature():
     assert oracle_best_split(X, y, idx, np.array([0, 1]), 2, 1) == (0, 0.5)
 
 
-@settings(deadline=None, max_examples=500)
-@given(st.data())
-def test_best_split_equals_dense_oracle(data):
-    n = data.draw(st.integers(1, 10))
-    d = data.draw(st.integers(1, 5))
-    cell = st.sampled_from(_SPLIT_VALUES)
-    X = np.zeros((n, d))
-    for f in range(d):
-        kind = data.draw(st.sampled_from(["dense", "sparse", "negated"]))
-        if kind == "dense":
-            X[:, f] = data.draw(st.lists(cell, min_size=n, max_size=n))
-        elif kind == "sparse":
-            for r, v in data.draw(st.dictionaries(st.integers(0, n - 1), cell, max_size=2)).items():
-                X[r, f] = v
-        elif f > 0:
-            # The mirror of an earlier column ties its best split at a
-            # threshold of the other sign, so ties must go by feature.
-            X[:, f] = -X[:, data.draw(st.integers(0, f - 1))]
-    k = data.draw(st.integers(2, 3))
-    y = np.asarray(data.draw(st.lists(st.integers(0, k - 1), min_size=n, max_size=n)))
-    idx = np.sort(np.asarray(data.draw(st.lists(st.integers(0, n - 1), min_size=1,
-                                                max_size=2 * n)), dtype=np.int64))
-    feats = np.asarray(sorted(data.draw(st.sets(st.integers(0, d - 1), min_size=1))))
-    min_leaf = data.draw(st.integers(1, 3))
-    got = best_split(X, y, idx, feats, k, min_leaf)
-    want = oracle_best_split(X, y, idx, feats, k, min_leaf)
-    if want is None:
-        assert got is None
-    else:
-        assert got is not None and got[0] == want[0]
-        assert struct.pack("<d", got[1]) == struct.pack("<d", want[1])
-
-
 def _split_matrix(data, n, d):
     """An n x d matrix of _SPLIT_VALUES: per column dense, sparse or the
     mirror of an earlier column."""
@@ -303,8 +270,31 @@ def _split_matrix(data, n, d):
             for r, v in data.draw(st.dictionaries(st.integers(0, n - 1), cell, max_size=2)).items():
                 X[r, f] = v
         elif f > 0:
+            # The mirror of an earlier column ties its best split at a
+            # threshold of the other sign, so ties must go by feature.
             X[:, f] = -X[:, data.draw(st.integers(0, f - 1))]
     return X
+
+
+@settings(deadline=None, max_examples=500)
+@given(st.data())
+def test_best_split_equals_dense_oracle(data):
+    n = data.draw(st.integers(1, 10))
+    d = data.draw(st.integers(1, 5))
+    X = _split_matrix(data, n, d)
+    k = data.draw(st.integers(2, 3))
+    y = np.asarray(data.draw(st.lists(st.integers(0, k - 1), min_size=n, max_size=n)))
+    idx = np.sort(np.asarray(data.draw(st.lists(st.integers(0, n - 1), min_size=1,
+                                                max_size=2 * n)), dtype=np.int64))
+    feats = np.asarray(sorted(data.draw(st.sets(st.integers(0, d - 1), min_size=1))))
+    min_leaf = data.draw(st.integers(1, 3))
+    got = best_split(X, y, idx, feats, k, min_leaf)
+    want = oracle_best_split(X, y, idx, feats, k, min_leaf)
+    if want is None:
+        assert got is None
+    else:
+        assert got is not None and got[0] == want[0]
+        assert struct.pack("<d", got[1]) == struct.pack("<d", want[1])
 
 
 @settings(deadline=None, max_examples=300)
@@ -338,6 +328,25 @@ def test_batched_split_search_equals_dense_oracle_per_node(data):
         else:
             assert split is not None and split[0] == want[0]
             assert struct.pack("<d", split[1]) == struct.pack("<d", want[1])
+
+
+def test_batched_split_search_places_shared_zero_runs():
+    # Feature 0 is zero on every row but 6 and 7, so on the first and
+    # fourth nodes its segment has no runs and its zero run shares an
+    # insertion point with the next segment's.  On the fourth node feature
+    # 1 is all zero too, so three zero runs share one point, the last of
+    # them the fifth node's.  Feature 2 holds negatives, zeros and
+    # positives.
+    X = np.array([[0.0, 0.0, -1.0], [0.0, 0.0, 0.0], [0.0, 1.0, 0.5], [0.0, 2.0, -2.0],
+                  [0.0, 0.0, 1.0], [0.0, 0.5, 0.0], [1.0, 0.0, 3.0], [2.0, 0.0, -0.5]])
+    y = np.array([0, 0, 1, 1, 0, 1, 0, 2])
+    nodes = [(np.array(idx), np.array(feats), np.bincount(y[idx], minlength=3))
+             for idx, feats in (([0, 1, 2, 3, 3], [0, 1, 2]), ([4, 5, 5, 6], [0, 2]),
+                                ([0, 2, 4, 6, 7], [0, 1, 2]), ([1, 4], [0, 1]),
+                                ([0, 1, 5, 7], [1, 2]))]
+    got = _best_splits(_columns(X), y, nodes, 3, 1)
+    assert got == [oracle_best_split(X, y, idx, feats, 3, 1) for idx, feats, _ in nodes]
+    assert got == [(1, 0.5), (2, 0.5), (0, 1.5), None, (1, 0.25)]
 
 
 def _row_draw(data, n):
