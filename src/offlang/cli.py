@@ -249,13 +249,20 @@ _GRID_AXES = tuple(name for name in _FOREST_FIELDS if name != "bootstrap")
 
 
 def _forest_value(key: str, raw: str):
-    """The value of forest.<field> or grid.<field> text `raw`."""
-    parse, accepted = _FOREST_PARSERS[key.partition(".")[2]]
+    """The value of forest.<field> or grid.<field> text `raw`, checked as
+    ForestParams checks its field."""
+    family, _, field = key.partition(".")
+    parse, accepted = _FOREST_PARSERS[field]
     raw = raw.strip()
     try:
-        return parse(raw)
+        value = parse(raw)
     except ValueError:
         raise ValidationError(f"{key} must be {accepted}, got {raw!r}") from None
+    try:
+        return getattr(ForestParams(**{field: value}), field)
+    except ValidationError as exc:
+        # Each ForestParams message starts with the field's name.
+        raise ValidationError(f"{family}.{exc}") from None
 
 
 def _forest_params_from(cfg: ExperimentConfig, seed: int) -> ForestParams:

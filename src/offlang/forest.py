@@ -49,7 +49,10 @@ advances every unfinished tree to its next node that needs a split search,
 drawing that node's features from the tree's own stream, and searches all
 of those nodes at once (_best_splits): every (node, sampled feature) pair
 is one segment of the same arrays, and each node keeps its own float
-minimum, margin and exact re-score.  This changes no byte.  Trees share
+minimum, margin and exact re-score.  The search also owns the class
+counts: each tree's root is counted once from its rows, and a split hands
+its left child the chosen split's left counts and its right child the
+rest, so no node is counted again.  This changes no byte.  Trees share
 no stream (Breiman 2001 grows them independently), and within a tree the
 nodes are still visited, and their features drawn, in preorder, so each
 tree is the one grown alone.  Trees are grown in waves of at most
@@ -225,17 +228,18 @@ def _best_splits(cols: Columns, y, nodes, n_classes, min_leaf):
     list of (idx, feat_ids, total): the node's rows (repeats allowed), the
     ascending features to search and the rows' class counts.
 
-    Returns one (feature, threshold) or None per node.  The nodes are
-    searched together: every (node, sampled feature) pair is one segment,
-    already in (segment, value) order because the columns are sorted.  Two
-    passes per node: a float64 scan for its near-minimal score, then exact
-    re-scoring of its candidates within the node's float margin when there
-    are several.
+    Returns one (feature, threshold, left_counts) or None per node, where
+    left_counts are the class counts of the node's rows with a value at or
+    below the threshold.  The nodes are searched together: every (node,
+    sampled feature) pair is one segment, already in (segment, value) order
+    because the columns are sorted.  Two passes per node: a float64 scan for
+    its near-minimal score, then exact re-scoring of its candidates within
+    the node's float margin when there are several.
     """
     n_nodes = len(nodes)
     n_rows = cols.n_rows
-    n = np.array([len(idx) for idx, _, _ in nodes], dtype=np.int64)
     total = np.array([t for _, _, t in nodes], dtype=np.int64).reshape(n_nodes, n_classes)
+    n = total.sum(axis=1)
     # Row multiplicities, one n_rows-long block per node.
     weight = np.bincount(np.concatenate([idx + b * n_rows
                                          for b, (idx, _, _) in enumerate(nodes)]),
@@ -271,7 +275,9 @@ def _best_splits(cols: Columns, y, nodes, n_classes, min_leaf):
     # One zero run per segment that has zeros in its node, inserted after
     # its negative runs; the runs sort by (segment, sign).  A segment with
     # no runs shares its insertion point with the next one, and np.insert
-    # keeps equal indices in the given order, which zs ascends in.
+    # keeps equal indices in the given order, which zs ascends in.  The
+    # counts take one flat insert into their class-major layout, so class
+    # c's trailing zero run also lands before class c + 1's leading one.
     seg_total = total[seg_node].T
     nonzero = np.bincount(label * n_segs + seg, weights=w, minlength=n_classes * n_segs)
     zero = seg_total - nonzero.astype(np.int64).reshape(n_classes, n_segs)
@@ -279,8 +285,9 @@ def _best_splits(cols: Columns, y, nodes, n_classes, min_leaf):
     zero_at = np.searchsorted(2 * run_seg + (run_value > 0), 2 * zs + 1)
     seg = np.insert(run_seg, zero_at, zs)
     value = np.insert(run_value, zero_at, 0.0)
-    counts = np.insert(run_counts.reshape(n_classes, n_runs).astype(np.int64), zero_at,
-                       zero[:, zs], axis=1)
+    counts = np.insert(run_counts.astype(np.int64),
+                       (zero_at + n_runs * np.arange(n_classes)[:, None]).ravel(),
+                       zero[:, zs].ravel()).reshape(n_classes, -1)
     # Every segment has a run, since a node has rows, and its runs sum to
     # its node's totals, so subtracting the previous segment's totals at
     # each segment's first run leaves the cumulative sum cumulative within
@@ -324,24 +331,27 @@ def _best_splits(cols: Columns, y, nodes, n_classes, min_leaf):
         # Strict improvement keeps the lowest feature, lowest threshold.
         if best_q[b] is None or q > best_q[b]:
             best_q[b] = q
-            best[b] = (int(seg_feat[seg[g[j]]]), t)
+            # A copy, so that the node's candidate table can be freed.
+            best[b] = (int(seg_feat[seg[g[j]]]), t, left_counts[:, j].copy())
     return best
 
 
 class _Growing:
     """A tree being grown: its preorder node lists, the stack of nodes still
-    to visit, and the stream its feature subsets are drawn from."""
+    to visit with their class counts, and the stream its feature subsets are
+    drawn from.  Only the root's counts are counted from its rows; each
+    child's come from its parent's split search."""
 
-    def __init__(self, rng, rows):
+    def __init__(self, rng, rows, counts):
         self.rng = rng
         self.feature: list[int] = []
         self.threshold: list[float] = []
         self.left: list[int] = []
         self.right: list[int] = []
         self.counts: list[np.ndarray] = []
-        self.stack = [(rows, 0, -1, False)]
+        self.stack = [(rows, counts, 0, -1, False)]
 
-    def next_search(self, y, k, params: ForestParams, m: int, n_features: int):
+    def next_search(self, params: ForestParams, m: int, n_features: int):
         """Visit nodes until one needs a split search and return (node, idx,
         depth, features); None once the tree is complete.
 
@@ -349,17 +359,17 @@ class _Growing:
         so indices and RNG draws both follow preorder.
         """
         while self.stack:
-            idx, depth, parent, is_right = self.stack.pop()
+            idx, counts, depth, parent, is_right = self.stack.pop()
             node = len(self.feature)
             self.feature.append(-1)
             self.threshold.append(0.0)
             self.left.append(-1)
             self.right.append(-1)
-            self.counts.append(np.bincount(y[idx], minlength=k).astype(np.int64))
+            self.counts.append(counts)
             if parent >= 0:
                 (self.right if is_right else self.left)[parent] = node
             n = len(idx)
-            if n < 2 or int(self.counts[node].max()) == n:
+            if n < 2 or int(counts.max()) == n:
                 continue
             if params.max_depth is not None and depth >= params.max_depth:
                 continue
@@ -398,26 +408,22 @@ def _grow(cols: Columns, y, k: int, params: ForestParams, jobs):
     m = _n_subset_features(params, n_features)
     wave = max(1, _WAVE_CELLS // max(cols.n_rows, 1))
     jobs = iter(jobs)
-    while growing := [_Growing(rng, rows) for rng, rows in itertools.islice(jobs, wave)]:
-        pending = growing
-        while pending:
-            steps = [(t, s) for t in pending
-                     if (s := t.next_search(y, k, params, m, n_features)) is not None]
-            if not steps:
-                break
+    while growing := [_Growing(rng, rows, np.bincount(y[rows], minlength=k).astype(np.int64))
+                      for rng, rows in itertools.islice(jobs, wave)]:
+        while steps := [(t, s) for t in growing
+                        if (s := t.next_search(params, m, n_features)) is not None]:
             splits = _best_splits(cols, y, [(idx, feats, t.counts[node])
                                             for t, (node, idx, _, feats) in steps],
                                   k, params.min_samples_leaf)
             for (t, (node, idx, depth, _)), split in zip(steps, splits):
                 if split is None:
                     continue
-                f, th = split
+                f, th, left = split
                 go_left = _goes_left(cols, f, th, idx)
                 t.feature[node] = f
                 t.threshold[node] = th
-                t.stack.append((idx[~go_left], depth + 1, node, True))
-                t.stack.append((idx[go_left], depth + 1, node, False))
-            pending = [t for t, _ in steps if t.stack]
+                t.stack.append((idx[~go_left], t.counts[node] - left, depth + 1, node, True))
+                t.stack.append((idx[go_left], left, depth + 1, node, False))
         yield from (t.tree() for t in growing)
 
 
@@ -524,15 +530,15 @@ def _leaves(tree: Tree, cols: Columns, rows) -> np.ndarray:
     return leaf
 
 
-def _dense_leaves(tree: Tree, X: np.ndarray) -> np.ndarray:
-    """The leaf of `tree` each row of dense X reaches, walked level by
+def _dense_leaves(tree: Tree, X: np.ndarray, rows) -> np.ndarray:
+    """The leaf of `tree` each of `rows` of dense X reaches, walked level by
     level: each step moves every row not yet at a leaf one level down.  A
     non-finite value among the cells the walk read is rejected."""
-    node = np.zeros(len(X), dtype=np.int64)
+    node = np.zeros(len(rows), dtype=np.int64)
     read = [np.zeros(0)]
     while (active := np.nonzero(tree.feature[node] >= 0)[0]).size:
         cur = node[active]
-        read.append(X[active, tree.feature[cur]])
+        read.append(X[rows[active], tree.feature[cur]])
         node[active] = np.where(read[-1] <= tree.threshold[cur], tree.left[cur], tree.right[cur])
     if not np.isfinite(np.concatenate(read)).all():
         raise ValidationError("X holds a non-finite value")
@@ -556,15 +562,13 @@ def predict_proba(model: ForestModel, X, rows=None) -> np.ndarray:
         n_rows, width = X.shape if X.ndim == 2 else (0, "non-2D")
     if width != model.n_features:
         raise ValidationError(f"expected {model.n_features} features, got {width}")
-    subset = rows is not None
-    rows = np.asarray(rows, dtype=np.int64) if subset else np.arange(n_rows)
+    rows = np.arange(n_rows) if rows is None else np.asarray(rows, dtype=np.int64)
     if len(rows) and (rows.min() < 0 or rows.max() >= n_rows):
         raise ValidationError(f"row indices must lie in 0..{n_rows - 1}")
-    if subset and not isinstance(X, Columns):
-        X = X[rows]
+    leaves = _leaves if isinstance(X, Columns) else _dense_leaves
     acc = 0.0
     for tree in model.trees:
-        leaf = _leaves(tree, X, rows) if isinstance(X, Columns) else _dense_leaves(tree, X)
+        leaf = leaves(tree, X, rows)
         leaf_counts = tree.counts[leaf].astype(np.float64)
         acc = acc + leaf_counts / leaf_counts.sum(axis=1, keepdims=True)
     return acc / len(model.trees)

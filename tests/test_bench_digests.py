@@ -5,7 +5,9 @@ runs in-process, and the sha256 of each pinned output must equal the one
 recorded here: `train-A`'s model and its manifest (which holds the
 training accuracy and macro-F1 of train's scoring pass), `cv-C`'s manifest
 and `predict-emoji`'s predictions.  A grid search on the `cv-C` corpus
-pins its best setting and its manifest.  A change meant to keep the
+pins its best setting and its manifest, and a forest of ten unbounded
+trees on the `train-A` corpus pins its model and its predictions on that
+corpus.  A change meant to keep the
 outputs byte-identical that does not fails here, not only in a full
 benchmark run.  Fitting the CV features inside each fold (ROADMAP item 2)
 will change the `cv-C` and grid search pins on purpose.
@@ -40,6 +42,14 @@ GRID_PINS = {
     "grid.conf.best.conf": "6b3968550ee51bafeed8606db1207608105e1272ab28dc84c407b08a4040c661",
     "grid.conf.best.conf.manifest.json":
         "c16550b3c08156afec07ba28263e23aa18f82472b8715261c23042322c4e12b2",
+}
+
+
+# The workloads' three depth-16 trees make about 230 split searches; ten
+# unbounded trees grow through thousands of small nodes.
+DEEP_PINS = {
+    "model.bin": "03e69146ddd74dd551883d71a6a21cec73ad5c637999b8706b19897e8b1773ef",
+    "pred.tsv": "b8aeaf4d3c09eb3f8669d9c241ad9d9df68f7374a245bc461e338388c0c4c280",
 }
 
 
@@ -79,3 +89,14 @@ def test_seed_1_grid_search_on_the_cv_corpus_is_pinned(monkeypatch, tmp_path, ca
     assert main(["gridsearch", "grid.conf", "--k", "5"]) == 0
     capsys.readouterr()
     assert _digests(tmp_path, GRID_PINS) == GRID_PINS
+
+
+def test_seed_1_deep_forest_on_the_train_corpus_is_pinned(monkeypatch, tmp_path, capsys):
+    _, corpora = _prepare("train-A", monkeypatch, tmp_path)
+    (tmp_path / "train.conf").write_text(
+        corpora.config_text(1, "train.tsv", "A", 10, "none", out_model="model.bin"),
+        encoding="utf-8")
+    assert main(["train", "train.conf", "--threads", "1"]) == 0
+    assert main(["predict", "model.bin", "train.tsv", "--out", "pred.tsv"]) == 0
+    capsys.readouterr()
+    assert _digests(tmp_path, DEEP_PINS) == DEEP_PINS

@@ -273,6 +273,28 @@ def test_bad_forest_or_grid_value_exits_2_naming_key(env, capsys, tmp_path, monk
     assert err == f"error: {key} must be {accepted}, got {bad!r}\n"
 
 
+@pytest.mark.parametrize("key, value, message", [
+    ("grid.n_trees", "2,0", f"must be in 1..{sys.maxsize}, got 0"),
+    ("grid.max_depth", "none,0", "must be >= 1 or None, got 0"),
+    ("grid.min_samples_leaf", "1,0", "must be >= 1, got 0"),
+    ("grid.max_features", "sqrt,1.5", "fraction must be in (0, 1], got 1.5"),
+])
+def test_grid_value_out_of_range_exits_2_naming_key(env, capsys, tmp_path, monkeypatch,
+                                                   key, value, message):
+    # A grid value out of its ForestParams range was once reported without
+    # its key.
+    def fit_transform(self, texts):
+        raise AssertionError("the corpus was featurized before the grid was read")
+
+    monkeypatch.setattr(cli.Pipeline, "fit_transform", fit_transform)
+    conf = tmp_path / "badrange.conf"
+    conf.write_text((env / "train.conf").read_text(encoding="utf-8") + f"{key}={value}\n",
+                    encoding="utf-8")
+    code, out, err = run(capsys, "gridsearch", str(conf), "--k", "2")
+    assert (code, out) == (2, "")
+    assert err == f"error: {key} {message}\n"
+
+
 @pytest.mark.parametrize("key, value", [
     ("grid.n_trees", ""),
     ("grid.max_depth", " ,"),
@@ -303,7 +325,8 @@ def _missing_emoji_lexicon(text, tmp_path):
 # exit code and the error.  Each once failed only after the corpus had been
 # read: a bad min_df or ngram_max after it had been preprocessed, a missing
 # out.model after the forest had grown.  The removed corpus.* keys were
-# accepted.
+# accepted, and a forest.* value out of its range was reported without its
+# key.
 _BAD_TRAINING_CONFIGS = {
     "min_df-0": (lambda text, tmp_path: text + "features.min_df=0\n",
                  2, "features.min_df must be an integer >= 1, got 0"),
@@ -318,6 +341,14 @@ _BAD_TRAINING_CONFIGS = {
                         2, "unknown config keys: corpus.language"),
     "corpus.schema": (lambda text, tmp_path: text + "corpus.schema=olid_labeled\n",
                       2, "unknown config keys: corpus.schema"),
+    "n_trees-0": (lambda text, tmp_path: text.replace("forest.n_trees=20", "forest.n_trees=0"),
+                  2, f"forest.n_trees must be in 1..{sys.maxsize}, got 0"),
+    "max_depth-0": (lambda text, tmp_path: text + "forest.max_depth=0\n",
+                    2, "forest.max_depth must be >= 1 or None, got 0"),
+    "min_samples_leaf-0": (lambda text, tmp_path: text + "forest.min_samples_leaf=0\n",
+                           2, "forest.min_samples_leaf must be >= 1, got 0"),
+    "max_features-1.5": (lambda text, tmp_path: text + "forest.max_features=1.5\n",
+                         2, "forest.max_features fraction must be in (0, 1], got 1.5"),
     "no-out.model": (lambda text, tmp_path: "".join(
         line for line in text.splitlines(keepends=True) if not line.startswith("out.model=")),
         2, "config is missing required key 'out.model'"),
@@ -897,7 +928,8 @@ def test_n_trees_beyond_sys_maxsize_exits_2(env, capsys, tmp_path, command, line
     argv = [command, str(conf)] + ([] if command == "train" else ["--k", "2"])
     code, out, err = run(capsys, *argv)
     assert code == 2
-    assert err == f"error: n_trees must be in 1..{sys.maxsize}, got {sys.maxsize + 1}\n"
+    key = line.partition("=")[0]
+    assert err == f"error: {key} must be in 1..{sys.maxsize}, got {sys.maxsize + 1}\n"
 
 
 def test_cv_manifest_is_the_same_at_every_thread_count(env, capsys, tmp_path):

@@ -243,7 +243,8 @@ _SPLIT_VALUES = (-2.5, -1.0, -5e-324, -0.0, 0.0, 5e-324, 0.5, 1.0,
 
 
 def best_split(X, y, idx, feats, k, min_leaf):
-    """_best_splits for the one node of rows idx over the features feats."""
+    """_best_splits for the one node of rows idx over the features feats:
+    (feature, threshold, left class counts) or None."""
     return _best_splits(_columns(X), y, [(idx, feats, np.bincount(y[idx], minlength=k))],
                         k, min_leaf)[0]
 
@@ -253,8 +254,17 @@ def test_best_split_mirror_tie_goes_to_lower_feature():
     X = np.array([[0.0, 0.0], [1.0, -1.0]])
     y = np.array([0, 1])
     idx = np.array([0, 1])
-    assert best_split(X, y, idx, np.array([0, 1]), 2, 1) == (0, 0.5)
+    f, t, left = best_split(X, y, idx, np.array([0, 1]), 2, 1)
+    assert (f, t, left.tolist()) == (0, 0.5, [1, 0])
     assert oracle_best_split(X, y, idx, np.array([0, 1]), 2, 1) == (0, 0.5)
+
+
+def assert_left_counts(X, y, idx, split, k):
+    """The split's left counts are the class counts of the rows idx (repeats
+    counted) whose value of its feature is at or below its threshold."""
+    f, t, left = split
+    assert left.dtype == np.int64
+    assert left.tolist() == np.bincount(y[idx][X[idx, f] <= t], minlength=k).tolist()
 
 
 def _split_matrix(data, n, d):
@@ -295,6 +305,7 @@ def test_best_split_equals_dense_oracle(data):
     else:
         assert got is not None and got[0] == want[0]
         assert struct.pack("<d", got[1]) == struct.pack("<d", want[1])
+        assert_left_counts(X, y, idx, got, k)
 
 
 @settings(deadline=None, max_examples=300)
@@ -328,6 +339,7 @@ def test_batched_split_search_equals_dense_oracle_per_node(data):
         else:
             assert split is not None and split[0] == want[0]
             assert struct.pack("<d", split[1]) == struct.pack("<d", want[1])
+            assert_left_counts(X, y, idx, split, k)
 
 
 def test_batched_split_search_places_shared_zero_runs():
@@ -345,8 +357,10 @@ def test_batched_split_search_places_shared_zero_runs():
                                 ([0, 2, 4, 6, 7], [0, 1, 2]), ([1, 4], [0, 1]),
                                 ([0, 1, 5, 7], [1, 2]))]
     got = _best_splits(_columns(X), y, nodes, 3, 1)
-    assert got == [oracle_best_split(X, y, idx, feats, 3, 1) for idx, feats, _ in nodes]
-    assert got == [(1, 0.5), (2, 0.5), (0, 1.5), None, (1, 0.25)]
+    assert [s and s[:2] for s in got] == [oracle_best_split(X, y, idx, feats, 3, 1)
+                                          for idx, feats, _ in nodes]
+    assert [s and (s[0], s[1], s[2].tolist()) for s in got] == [
+        (1, 0.5, [2, 0, 0]), (2, 0.5, [0, 2, 0]), (0, 1.5, [3, 1, 0]), None, (1, 0.25, [2, 0, 1])]
 
 
 def _row_draw(data, n):
@@ -371,6 +385,30 @@ def test_tree_on_rows_equals_tree_on_their_copy(data):
     for name in ("feature", "threshold", "left", "right", "counts"):
         got, want = getattr(tree, name), getattr(copy, name)
         assert got.dtype == want.dtype and np.array_equal(got, want), name
+
+
+@settings(deadline=None, max_examples=200)
+@given(st.data())
+def test_tree_on_split_values_and_repeated_rows_matches_oracle(data):
+    # Only the root's class counts are counted from its rows; every other
+    # node's come down from its parent's split search.  Signed zeros,
+    # subnormals, negatives and clamped midpoints, on rows repeated as a
+    # bootstrap repeats them, must still give the oracle's counts at every
+    # node.
+    n = data.draw(st.integers(1, 8))
+    d = data.draw(st.integers(1, 4))
+    X = _split_matrix(data, n, d)
+    k = data.draw(st.integers(2, 3))
+    y = np.asarray(data.draw(st.lists(st.integers(0, k - 1), min_size=n, max_size=n)))
+    rows = _row_draw(data, n)
+    params = ForestParams(n_trees=1, max_features="all",
+                          min_samples_leaf=data.draw(st.integers(1, 3)),
+                          max_depth=data.draw(st.sampled_from([None, 1, 3])))
+    tree = train_tree(X, y, params, stream(0, TAG_TREE, 0), n_classes=k, rows=rows)
+    expected = oracle_tree(X[rows].tolist(), y[rows].tolist(), k,
+                           min_samples_leaf=params.min_samples_leaf,
+                           max_depth=params.max_depth)
+    assert_tree_matches_oracle(tree, expected)
 
 
 @settings(deadline=None, max_examples=30)
