@@ -30,8 +30,10 @@ from .corpus import (HEADER_LABELED, HEADER_TEXT_ONLY, check_unique_ids, classes
                      names_file, read_lines, read_text, serialize_corpus)
 from .emolex import BASES, emotion_counts, emotion_report, load_emotion_lexicon
 from .errors import OfflangError, ParseError, ValidationError
-from .features import (N_SURFACE, Vocabulary, expand_ngrams, feature_matrix, feature_rows,
-                       featurize, fit_vocabulary)
+# fit_vocabulary is not called here, but perfbench's traced pass wraps it
+# here by name (tests/test_bench_hooks.py).
+from .features import (N_SURFACE, Vocabulary, feature_matrix, featurize, fit_rows,  # noqa: F401
+                       fit_vocabulary)
 from .forest import (Columns, ForestParams, MAX_FEATURES_CHOICES, cross_validate,
                      grid_search, load_model, predict as forest_predict,
                      save_model, train_forest)
@@ -105,11 +107,14 @@ class Pipeline:
     """Tweet text to forest input: the preprocessing settings, the lexicons,
     the feature settings and, once fitted, the vocabulary.
 
-    `fit_transform` returns the features of `train` and `cv` as the
-    forest's `Columns`; `transform` returns a dense matrix, for
-    `predict`'s bounded blocks.  Its JSON form is the `.meta.json`
-    sidecar written next to a model, from which `predict` rebuilds the
-    featurization the model was trained on.
+    `fit_transform` returns the features of `train`, `cv` and
+    `gridsearch` as the forest's `Columns`, built with the vocabulary from
+    one run-level table of the texts' distinct raw chunks
+    (`features.fit_rows`); `transform` preprocesses and featurizes tweet
+    by tweet and returns a dense matrix, for `predict`'s bounded blocks.
+    Its JSON form is the `.meta.json` sidecar written next to a model,
+    from which `predict` rebuilds the featurization the model was trained
+    on.
     """
     level: str
     prep: PrepConfig
@@ -141,19 +146,16 @@ class Pipeline:
         self._memo.fill(texts)
         return [preprocess(t, self.prep, memo=self._memo) for t in texts]
 
-    def _vectors(self, tweets) -> list:
-        return [featurize(tt, self.vocabulary, self.abusive, self.ngram_max) for tt in tweets]
-
     def fit_transform(self, texts) -> tuple["Pipeline", Columns]:
         """Fit the vocabulary on texts; returns the fitted pipeline and the
-        features of texts as Columns, built from `feature_rows`' entries.
-        The text memo computes the texts' new raw chunks in batches before
-        each text is preprocessed."""
-        prepped = self._prepped(texts)
-        vocab = fit_vocabulary((expand_ngrams(tt.tokens, self.ngram_max)
-                                for tt in prepped), min_df=self.min_df)
-        fitted = replace(self, vocabulary=vocab)
-        return fitted, Columns.from_entries(*feature_rows(fitted._vectors(prepped), vocab))
+        features of texts as Columns.  The text memo computes the texts'
+        new raw chunks in batches; then `fit_rows` builds the vocabulary
+        and the Columns' entries from one table of the texts' distinct raw
+        chunks, with no object per text."""
+        texts = list(texts)
+        self._memo.fill(texts)
+        vocab, entries = fit_rows(texts, self._memo, self.abusive, self.ngram_max, self.min_df)
+        return replace(self, vocabulary=vocab), Columns.from_entries(*entries)
 
     def transform(self, texts) -> np.ndarray:
         """Dense feature matrix of texts.  The text memo computes their new
@@ -162,7 +164,8 @@ class Pipeline:
         keeps the tweet; `feature_matrix` then computes every row at once
         from tables of the block's distinct chunks, and the TF-IDF of all
         of them."""
-        return feature_matrix(self._vectors(self._prepped(texts)), self.vocabulary)
+        return feature_matrix([featurize(tt, self.vocabulary, self.abusive, self.ngram_max)
+                               for tt in self._prepped(texts)], self.vocabulary)
 
     def to_jsonable(self) -> dict:
         return {

@@ -25,29 +25,39 @@ boundaries so e.g. CURL does not count as URL.  All but the character
 count, the abusive count and the emoji score come from seven integer
 counts per raw chunk, which `textprep.TextMemo` computes.
 
-`featurize` keeps a preprocessed tweet whole, with its vocabulary, n-gram
-length and abusive lexicon, a `FeatureVector`.  `feature_rows` featurizes
-a block of them at once, from tables of the block's distinct raw
-whitespace chunks: each chunk's seven counts, abusive tokens, emoji scores
-and final tokens' vocabulary indices.  A row's counts are then integer
-sums over its chunks, its emoji scores are added left to right as
-`textprep._mean` adds them, and its tokens are its chunks' tokens in turn;
-textprep's module docstring says why these equal what the whole text
-gives.  A block counts abusive tokens with one lexicon, so its vectors must
-share it.
+Rows are featurized a block at a time, from tables of the block's
+distinct raw whitespace chunks (`_block`): each chunk's seven counts,
+abusive tokens, emoji scores and final tokens' term ids.  A row's counts
+are then integer sums over its chunks, its emoji scores are added left to
+right as `textprep._mean` adds them, and its tokens are its chunks' tokens
+in turn; textprep's module docstring says why these equal what the whole
+text gives.  A block counts abusive tokens with one lexicon.  The table
+has two callers:
 
-The block's features are the entries of an (n, len(vocab) + 9) matrix
-in (row, column) order: each row's TF-IDF entries, then its nonzero
-surface values.  `train`, `cv` and `gridsearch` pass them to the forest's
-`Columns`; `feature_matrix`, the same entries scattered into a dense
-matrix, serves `predict`'s bounded blocks.
+* `fit_rows`, for `train`, `cv` and `gridsearch`, reads a run's texts and
+  its filled `textprep.TextMemo`.  It numbers the texts' distinct raw
+  chunks with one dict and gives each distinct term a run-local id.  The
+  vocabulary comes from those ids (`_vocabulary`, the rule that
+  `fit_vocabulary` applies to token lists too), and one array index maps
+  them to vocabulary indices.  No object is made per text.
+* `feature_rows` reads FeatureVectors: `featurize` keeps a preprocessed
+  tweet whole, with its vocabulary, n-gram length and abusive lexicon.
+  Their chunks are found by `id`, since vectors may come from several
+  memos, and their vectors must share one abusive lexicon.
+
+Either way the block's features are the entries of an (n, len(vocab) + 9)
+matrix in (row, column) order: each row's TF-IDF entries, then its nonzero
+surface values.  `train`, `cv` and `gridsearch` pass `fit_rows`' entries
+to the forest's `Columns`; `feature_matrix`, `feature_rows`' entries
+scattered into a dense matrix, serves `predict`'s bounded blocks.
 """
 
 import math
+from collections import defaultdict
 from collections.abc import Collection
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain, repeat
+from itertools import chain, count, repeat
 from operator import attrgetter, itemgetter
 from typing import NamedTuple
 
@@ -110,24 +120,47 @@ def expand_ngrams(tokens, ngram_max: int = 1) -> list[str]:
     return terms
 
 
+def _vocabulary(terms, rows, ids, n_docs: int, min_df: int) -> tuple[Vocabulary, np.ndarray]:
+    """The vocabulary of n_docs documents, and the vocabulary index of each
+    term id, -1 for a term below min_df.  `terms` lists the distinct terms
+    by id, numbered in order of first occurrence, and (rows, ids) are the
+    documents' term occurrences, in any order.  A term's document frequency
+    is the number of distinct (row, id) pairs it is in."""
+    if min_df < 1:
+        raise ValidationError(f"min_df must be >= 1, got {min_df}")
+    n_terms = len(terms)
+    keys = np.sort(rows * n_terms + ids)
+    # Each distinct key once.  A sort, because numpy 2.4's np.unique finds
+    # bare unique values by hashing: 22 ms against 1 ms for a sort on
+    # 130,000 keys like these (numpy 2.4.6).
+    # With no terms there are no keys, so `%` divides nothing by zero.
+    df = np.bincount(keys[np.diff(keys, prepend=-1) != 0] % n_terms, minlength=n_terms)
+    kept = np.flatnonzero(df >= min_df)
+    index = np.full(n_terms, -1, dtype=np.int64)
+    index[kept] = np.arange(len(kept))
+    vocab = Vocabulary(terms=tuple(map(terms.__getitem__, kept.tolist())),
+                       df=tuple(df[kept].tolist()), n_docs=n_docs)
+    return vocab, index
+
+
+def _numbers(keys, n_keys: int) -> tuple[np.ndarray, list]:
+    """The number of each of n_keys keys among the distinct keys, numbered
+    in order of first occurrence, and the distinct keys in that order."""
+    number = defaultdict(count().__next__)
+    return np.fromiter(map(number.__getitem__, keys), dtype=np.int64, count=n_keys), list(number)
+
+
 def fit_vocabulary(docs, min_df: int = 2) -> Vocabulary:
     """Fit a vocabulary over token lists.
 
     Terms seen in fewer than min_df documents are dropped; surviving terms
-    get indices in order of first occurrence, which is the insertion order
-    of the document-frequency dict.
+    get indices in order of first occurrence.
     """
-    if min_df < 1:
-        raise ValidationError(f"min_df must be >= 1, got {min_df}")
-    df: dict[str, int] = {}
-    n_docs = 0
-    for doc in docs:
-        n_docs += 1
-        # Each distinct term once, in order of its first occurrence.
-        for term in dict.fromkeys(doc):
-            df[term] = df.get(term, 0) + 1
-    kept = [t for t, c in df.items() if c >= min_df]
-    return Vocabulary(terms=tuple(kept), df=tuple(df[t] for t in kept), n_docs=n_docs)
+    docs = list(map(tuple, docs))
+    lengths = _lengths(docs)
+    ids, terms = _numbers(chain.from_iterable(docs), int(lengths.sum()))
+    return _vocabulary(terms, np.repeat(np.arange(len(docs)), lengths), ids, len(docs),
+                       min_df)[0]
 
 
 def _row_sums(rows, values, n_rows: int) -> np.ndarray:
@@ -239,46 +272,37 @@ def _ratio(num, den) -> np.ndarray:
     return np.divide(num, den, out=np.zeros(len(num)), where=den != 0)
 
 
-def _spread(values, lengths, chunk) -> np.ndarray:
-    """The values of each chunk that `chunk` lists, in turn.  `values`
-    holds every chunk's values back to back and `lengths` how many each
-    has; `chunk` lists chunks by their position in `lengths`."""
+def _spread(lengths, chunk) -> np.ndarray:
+    """Where each value of each chunk that `chunk` lists lies, in turn,
+    among every chunk's values back to back; `lengths` says how many values
+    each chunk has, and `chunk` lists chunks by their position in it."""
     counts = lengths[chunk]
     offsets = np.cumsum(lengths) - lengths
-    return values[np.repeat(offsets[chunk] - (np.cumsum(counts) - counts), counts)
-                  + np.arange(counts.sum())]
+    return (np.repeat(offsets[chunk] - (np.cumsum(counts) - counts), counts)
+            + np.arange(counts.sum()))
 
 
-def _tweet_block(vectors, vocab: Vocabulary):
-    """Row and vocabulary index (-1 out of vocabulary) of every term, and
-    the surface block, of FeatureVectors, from tables of their chunks.
+def _block(distinct, chunk, lengths, text_lengths, ngram_max, term_ids, is_abusive):
+    """Row and term id of every term, and the surface block, of rows given
+    by tables of their distinct chunks.
 
-    Each distinct chunk is found once, by `id`: the vectors hold every
-    chunk, so no two distinct chunks share one, even across memos.  A
-    row's surface counts are the sums of its chunks' integer counts, exact
-    in float64 in any order; a chunk's abusive tokens are counted among
-    its base tokens, which are lowercase, with the block's one lexicon; its
-    emoji scores are added left to right (`_row_sums`) as `_mean` adds
-    them; its final tokens are looked up once per distinct chunk.  N-grams
-    span chunks, so they are made from each tweet's tokens; an n-gram is no
-    longer than its tweet, so any ngram_max is the tweet's length at most.
+    `distinct` lists the distinct Chunks, and `chunk` the position in it
+    of each chunk occurrence, row after row in text order; `lengths` says
+    how many occurrences each row has, `text_lengths` how many characters
+    its text has and `ngram_max` its n-gram length.  `term_ids(terms,
+    count)` gives count terms their ids: every distinct chunk's final
+    tokens in turn, then each row's n-grams in turn.
+
+    A row's surface counts are the sums of its chunks' integer counts,
+    exact in float64 in any order; a chunk's abusive tokens are counted
+    among its base tokens, which are lowercase; its emoji scores are added
+    left to right (`_row_sums`) as `_mean` adds them; its final tokens get
+    their ids once per distinct chunk.  N-grams span chunks, so they are
+    made from each row's tokens; an n-gram is no longer than its tweet, so
+    any ngram_max is the tweet's length at most.
     """
-    lexicons = set(map(WordSet, {id(v.abusive): v.abusive for v in vectors}.values()))
-    if len(lexicons) > 1:
-        raise ValidationError("the vectors of one block must share one abusive lexicon")
-    is_abusive = (lexicons.pop() if lexicons else WordSet()).__contains__
-    n = len(vectors)
-    tweets = list(map(attrgetter("tweet"), vectors))
-    per_row = list(map(attrgetter("chunks"), tweets))
-    occurrences = list(chain.from_iterable(per_row))
-    row = np.repeat(np.arange(n), _lengths(per_row))
-    keys, chunk = np.unique(np.fromiter(map(id, occurrences), dtype=np.uintp,
-                                        count=len(occurrences)), return_inverse=True)
-    # Any occurrence of a chunk is that chunk.
-    some = np.empty(len(keys), dtype=np.intp)
-    some[chunk] = np.arange(len(occurrences))
-    distinct = list(map(occurrences.__getitem__, some.tolist()))
-
+    n = len(lengths)
+    row = np.repeat(np.arange(n), lengths)
     table = np.frombuffer(b"".join(map(itemgetter(3), distinct)), dtype=np.int64).reshape(-1, 7)
     abusive_tokens = np.fromiter((sum(map(is_abusive, base)) for base in map(itemgetter(0), distinct)),
                                  dtype=np.int64, count=len(distinct))
@@ -290,24 +314,111 @@ def _tweet_block(vectors, vocab: Vocabulary):
     score_rows = np.repeat(row, n_scores[chunk])
     score_values = np.fromiter(chain.from_iterable(scores), dtype=np.float64,
                                count=int(n_scores.sum()))
-    emoji = _ratio(_row_sums(score_rows, _spread(score_values, n_scores, chunk), n),
+    emoji = _ratio(_row_sums(score_rows, score_values[_spread(n_scores, chunk)], n),
                    np.bincount(score_rows, minlength=n))
-    dense = np.column_stack([urls, mentions, _lengths(list(map(attrgetter("raw_text"), tweets))),
-                             puncts, words, _ratio(word_letters, words), _ratio(uppers, letters),
-                             abusive, emoji])
+    dense = np.column_stack([urls, mentions, text_lengths, puncts, words,
+                             _ratio(word_letters, words), _ratio(uppers, letters), abusive, emoji])
 
     finals = list(map(itemgetter(1), distinct))
     n_finals = _lengths(finals)
-    final_ids = _ids(chain.from_iterable(finals), int(n_finals.sum()), vocab)
-    gram_rows = [r for r, v in enumerate(vectors) if v.ngram_max > 1]
-    grams = [expand_ngrams(tokens, vectors[r].ngram_max)[len(tokens):]
-             for r in gram_rows for tokens in [tweets[r].tokens]]
+    final_ids = term_ids(chain.from_iterable(finals), int(n_finals.sum()))
+    gram_rows = [r for r in range(n) if ngram_max[r] > 1]
+    occurrences = chunk.tolist() if gram_rows else []
+    bounds = [0, *np.cumsum(lengths).tolist()]
+    grams = [expand_ngrams(tokens, ngram_max[r])[len(tokens):] for r in gram_rows
+             for tokens in [tuple(chain.from_iterable(
+                 map(finals.__getitem__, occurrences[bounds[r]:bounds[r + 1]])))]]
     n_grams = _lengths(grams)
     rows = np.concatenate([np.repeat(row, n_finals[chunk]),
                            np.repeat(np.array(gram_rows, dtype=np.int64), n_grams)])
-    ids = np.concatenate([_spread(final_ids, n_finals, chunk),
-                          _ids(chain.from_iterable(grams), int(n_grams.sum()), vocab)])
+    ids = np.concatenate([final_ids[_spread(n_finals, chunk)],
+                          term_ids(chain.from_iterable(grams), int(n_grams.sum()))])
     return rows, ids, dense
+
+
+def _tweet_block(vectors, vocab: Vocabulary):
+    """Row and vocabulary index (-1 out of vocabulary) of every term, and
+    the surface block, of FeatureVectors (`_block`).  Each distinct chunk
+    is found once, by `id`: the vectors hold every chunk, so no two
+    distinct chunks share one, even across memos.  The block counts abusive
+    tokens with one lexicon, so its vectors must share it."""
+    lexicons = set(map(WordSet, {id(v.abusive): v.abusive for v in vectors}.values()))
+    if len(lexicons) > 1:
+        raise ValidationError("the vectors of one block must share one abusive lexicon")
+    tweets = list(map(attrgetter("tweet"), vectors))
+    per_row = list(map(attrgetter("chunks"), tweets))
+    occurrences = list(chain.from_iterable(per_row))
+    keys, chunk = np.unique(np.fromiter(map(id, occurrences), dtype=np.uintp,
+                                        count=len(occurrences)), return_inverse=True)
+    # Any occurrence of a chunk is that chunk.
+    some = np.empty(len(keys), dtype=np.intp)
+    some[chunk] = np.arange(len(occurrences))
+    return _block(list(map(occurrences.__getitem__, some.tolist())), chunk, _lengths(per_row),
+                  _lengths(list(map(attrgetter("raw_text"), tweets))),
+                  list(map(attrgetter("ngram_max"), vectors)),
+                  lambda terms, n_terms: _ids(terms, n_terms, vocab),
+                  (lexicons.pop() if lexicons else WordSet()).__contains__)
+
+
+def fit_rows(texts, chunks, abusive, ngram_max: int, min_df: int):
+    """Fit a vocabulary on texts and return it with the entries of their
+    (n, len(vocab) + 9) feature matrix, as `feature_rows` gives them.
+
+    `chunks` maps every raw whitespace chunk of texts to its Chunk, as a
+    filled `textprep.TextMemo` does.  The texts' distinct raw chunks are
+    numbered in order of first occurrence, and each distinct final token
+    and n-gram gets a term id (`_block`).  The final tokens of the distinct
+    chunks, scanned in that order, meet each token first where the texts
+    do, so their ids number them as `fit_vocabulary` orders terms; n-grams
+    are numbered after every token, so with them the ids are renumbered by
+    their first occurrence in the texts' terms, each text's tokens before
+    its n-grams.  The vocabulary then comes from the term ids (`_vocabulary`),
+    and one array index maps each term id to its vocabulary index.
+    """
+    n = len(texts)
+    lengths = np.fromiter(map(len, map(str.split, texts)), dtype=np.int64, count=n)
+    # The texts are split again rather than kept split, which would hold
+    # every chunk occurrence's string at once.
+    chunk, raws = _numbers(chain.from_iterable(map(str.split, texts)), int(lengths.sum()))
+    term = defaultdict(count().__next__)
+    rows, ids, surface = _block(list(map(chunks.__getitem__, raws)), chunk, lengths,
+                                _lengths(texts), [ngram_max] * n,
+                                lambda terms, n_terms: np.fromiter(map(term.__getitem__, terms),
+                                                                   dtype=np.int64, count=n_terms),
+                                WordSet(abusive).__contains__)
+    # Freed before the vocabulary and TF-IDF stages, so that their arrays
+    # do not stack on the occurrence table.
+    del chunk, raws
+    terms = list(term)
+    if ngram_max > 1:
+        # A text's terms are its tokens, then its n-grams (`expand_ngrams`).
+        _, first = np.unique(ids[np.argsort(rows, kind="stable")], return_index=True)
+        by_first = np.argsort(first)
+        renumber = np.empty_like(by_first)
+        renumber[by_first] = np.arange(len(by_first))
+        ids = renumber[ids]
+        terms = list(map(terms.__getitem__, by_first.tolist()))
+    vocab, index = _vocabulary(terms, rows, ids, n, min_df)
+    return vocab, _entries(rows, index[ids], surface, vocab)
+
+
+def _entries(rows, ids, surface, vocab: Vocabulary):
+    """The entries (rows, cols, values, shape) of the feature matrix of
+    rows whose terms are (rows, ids), vocabulary indices with -1 out of
+    vocabulary, and whose surface block is `surface`: the TF-IDF of all
+    the rows at once (`_weights`), then each row's nonzero surface values
+    at columns len(vocab)..len(vocab) + 8, in (row, column) order."""
+    n = len(surface)
+    width = len(vocab)
+    rows, ids, weights = _weights(rows, ids, n, vocab)
+    surface_rows, surface_cols = np.nonzero(surface)
+    # Both parts are in (row, column) order, so a stable sort by row puts
+    # each row's TF-IDF entries, then its surface entries.
+    rows = np.concatenate([rows, surface_rows])
+    order = np.argsort(rows, kind="stable")
+    return (rows[order], np.concatenate([ids, surface_cols + width])[order],
+            np.concatenate([weights, surface[surface_rows, surface_cols]])[order],
+            (n, width + N_SURFACE))
 
 
 def feature_rows(vectors, vocab: Vocabulary):
@@ -321,18 +432,7 @@ def feature_rows(vectors, vocab: Vocabulary):
     its nonzero surface values at columns len(vocab)..len(vocab) + 8, so
     the entries are in (row, column) order.
     """
-    n = len(vectors)
-    width = len(vocab)
-    rows, ids, surface = _tweet_block(vectors, vocab)
-    rows, ids, weights = _weights(rows, ids, n, vocab)
-    surface_rows, surface_cols = np.nonzero(surface)
-    # Both parts are in (row, column) order, so a stable sort by row puts
-    # each row's TF-IDF entries, then its surface entries.
-    rows = np.concatenate([rows, surface_rows])
-    order = np.argsort(rows, kind="stable")
-    return (rows[order], np.concatenate([ids, surface_cols + width])[order],
-            np.concatenate([weights, surface[surface_rows, surface_cols]])[order],
-            (n, width + N_SURFACE))
+    return _entries(*_tweet_block(vectors, vocab), vocab)
 
 
 def feature_matrix(vectors, vocab: Vocabulary) -> np.ndarray:

@@ -18,9 +18,11 @@ seven integer counts behind the surface features.  A tweet keeps only its
 raw text and its chunks' memo entries.  Its tokens, base tokens and mean
 emoji score are its chunks' values concatenated, joined on each read, and
 the mean sums the concatenated scores left to right, as a whole-text pass
-does; `features.feature_matrix` computes the same values for a whole block
-of tweets from their chunks, without joining them.  That is exact because
-every step acts within one chunk:
+does.  `features` computes the same values for a whole block of texts from
+their chunks, without joining them: `features.fit_rows` reads a run's
+texts and its memo, with no tweet objects, and `features.feature_matrix`
+reads preprocessed tweets.  That is exact because every step acts within
+one chunk:
 
 * hashtag splitting splits one chunk into words;
 * a run that elongation reduces is either all whitespace, which `str.split`
@@ -33,11 +35,14 @@ every step acts within one chunk:
   letters, no whitespace character is punctuation or a letter, and the
   counts are integer sums.
 
-One code path computes chunks: `TextMemo.fill` takes a batch of new
-chunks at a time (a lookup of a missing chunk is a batch of one), and
-`cli.Pipeline`, `emolex` and a memo-less `preprocess` fill their memo
-before they preprocess tweet by tweet.  Some steps run once over the whole
-batch, joined by "\\n", and give each chunk what the step alone gives it:
+One code path computes chunks: `TextMemo.fill` finds the distinct raw
+chunks of its texts with one `dict.fromkeys`, tests each against the memo
+once and computes the new ones a batch at a time (a lookup of a missing
+chunk is a batch of one).  `cli.Pipeline`, `emolex` and a memo-less
+`preprocess` fill their memo before they read it; `Pipeline.fit_transform`
+then hands it to `features.fit_rows`, the others preprocess tweet by
+tweet.  Some steps run once over the whole batch, joined by "\\n", and
+give each chunk what the step alone gives it:
 
 * elongation reduction runs one substitution over the joined works (a
   work is a chunk after hashtag splitting).  No work holds "\\n", since a
@@ -60,7 +65,8 @@ work is skipped too, each time with the same output:
 
 * each character is classified once, into its class code, in one
   process-wide table that the character set bounds; `tokenize`, the
-  punctuation strip and the surface counts all read it;
+  punctuation strip and the surface counts all read it, each with one
+  `str.translate` of a chunk, a token or a batch;
 * the emoji scan is skipped on an ASCII work, and `tokenize`'s emoji scan
   on an ASCII core, since every emoji unit and stray modifier is
   non-ASCII;
@@ -97,7 +103,7 @@ import re
 import unicodedata
 from dataclasses import dataclass, fields
 from functools import reduce
-from itertools import accumulate, chain
+from itertools import accumulate, chain, compress
 from operator import add, itemgetter
 from typing import NamedTuple
 
@@ -135,10 +141,6 @@ class _CharClasses(dict):
 
 
 _CHAR_CLASSES = _CharClasses()
-
-
-def _is_punct(ch: str) -> bool:
-    return _CHAR_CLASSES[ord(ch)] == "\1"
 
 
 # The emoji unit grammar of the module docstring; group 1 is a unit with a
@@ -207,13 +209,14 @@ def tokenize(text: str) -> list[str]:
     """
     tokens: list[str] = []
     for chunk in text.split():
+        codes = chunk.translate(_CHAR_CLASSES)
         i, j = 0, len(chunk)
-        while i < j and _is_punct(chunk[i]) and not _EMOJI_CHAR.match(chunk[i]):
+        while i < j and codes[i] == "\1" and not _EMOJI_CHAR.match(chunk[i]):
             i += 1
         # Leave a mention/hashtag sigil attached to its word.
-        if 0 < i <= j and chunk[i - 1] in "@#" and i < j and not _is_punct(chunk[i]):
+        if 0 < i <= j and chunk[i - 1] in "@#" and i < j and codes[i] != "\1":
             i -= 1
-        while j > i and _is_punct(chunk[j - 1]) and not _EMOJI_CHAR.match(chunk[j - 1]):
+        while j > i and codes[j - 1] == "\1" and not _EMOJI_CHAR.match(chunk[j - 1]):
             j -= 1
         if i == j:  # pure punctuation chunk
             tokens.append(chunk)
@@ -323,7 +326,7 @@ def _final_token(token: str, cfg: PrepConfig, stops: WordSet, stems: dict) -> st
     if cfg.lowercase:
         token = token.lower()
     if cfg.strip_punct and not token.isalnum() and not is_placeholder(token):
-        token = "".join(ch for ch in token if not _is_punct(ch))
+        token = "".join(compress(token, map("\1".__ne__, token.translate(_CHAR_CLASSES))))
     if is_placeholder(token):
         return token
     if cfg.remove_stopwords and token.lower() in stops:
@@ -408,15 +411,10 @@ class TextMemo(dict):
     def fill(self, texts) -> None:
         """Compute every raw whitespace chunk of texts that the memo lacks,
         each once, in batches of at most _FILL_CHUNKS in text order."""
-        batch = {}
-        for raw in chain.from_iterable(map(str.split, texts)):
-            if raw not in self:
-                batch[raw] = None
-                if len(batch) == _FILL_CHUNKS:
-                    self._add(list(batch))
-                    batch.clear()
-        if batch:
-            self._add(list(batch))
+        new = [raw for raw in dict.fromkeys(chain.from_iterable(map(str.split, texts)))
+               if raw not in self]
+        for start in range(0, len(new), _FILL_CHUNKS):
+            self._add(new[start:start + _FILL_CHUNKS])
 
     def _add(self, raws: list[str]) -> None:
         """Compute the Chunks of distinct raw whitespace chunks, the

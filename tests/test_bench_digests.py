@@ -10,7 +10,8 @@ trees on the `train-A` corpus pins its model and its predictions on that
 corpus.  A change meant to keep the
 outputs byte-identical that does not fails here, not only in a full
 benchmark run.  Fitting the CV features inside each fold (ROADMAP item 2)
-will change the `cv-C` and grid search pins on purpose.
+will change the `cv-C` and grid search pins on purpose.  The seed-1 model
+that `tools/output_digests.py` reports for `train-A` is pinned too.
 """
 
 import hashlib
@@ -22,6 +23,7 @@ import pytest
 from offlang.cli import main
 
 BENCH_DIR = Path(__file__).resolve().parent.parent / "perfbench"
+TOOLS_DIR = BENCH_DIR.parent / "tools"
 
 # Per workload, its primary output first, then any other pinned outputs.
 PINS = {
@@ -100,3 +102,13 @@ def test_seed_1_deep_forest_on_the_train_corpus_is_pinned(monkeypatch, tmp_path,
     assert main(["predict", "model.bin", "train.tsv", "--out", "pred.tsv"]) == 0
     capsys.readouterr()
     assert _digests(tmp_path, DEEP_PINS) == DEEP_PINS
+
+
+def test_output_digests_reports_the_pinned_seed_1_train_model(monkeypatch, tmp_path):
+    # The tool runs train in a fresh process on the corpus perfbench builds.
+    # sys.path, which the tool extends with perfbench, is restored afterwards.
+    monkeypatch.syspath_prepend(str(TOOLS_DIR))
+    tool = importlib.import_module("output_digests")
+    lines = tool.workload_lines(1, "train-A", tmp_path)
+    assert f"{PINS['train-A']['model.bin']}  1/train-A/model.bin" in lines
+    assert lines[-1].endswith("  1/train-A/stdout exit 0")

@@ -359,6 +359,7 @@ def test_feature_matrix_norm_is_linear_in_a_long_row():
     docs.insert(500, long_row)
     vocab = fit_vocabulary(docs, min_df=1)
     memo = TextMemo(_IDENTITY)
+    memo.fill(" ".join(d) for d in docs)
     vectors = [featurize(preprocess(" ".join(d), memo=memo), vocab, ()) for d in docs]
     t0 = time.perf_counter()
     mat = feature_matrix(vectors, vocab)

@@ -15,8 +15,8 @@ from offlang.cli import Pipeline
 from offlang.errors import ValidationError
 from offlang.features import (N_SURFACE, SURFACE_FIELDS, expand_ngrams, feature_matrix,
                               featurize, fit_vocabulary)
-from offlang.textprep import (_EMOJI_CHAR, PrepConfig, TextMemo, TokenizedTweet, WordSet,
-                              _is_punct, emoji_spans, extract_emoji_sentiment,
+from offlang.textprep import (_CHAR_CLASSES, _EMOJI_CHAR, PrepConfig, TextMemo, TokenizedTweet,
+                              WordSet, emoji_spans, extract_emoji_sentiment,
                               is_placeholder, preprocess, reduce_elongation,
                               split_hashtag, tokenize)
 
@@ -25,6 +25,7 @@ from emoji_oracle import _is_emoji_char, oracle_emoji_spans
 from prep_oracle import oracle_preprocess, view
 from surface_oracle import oracle_counts, oracle_surface
 from tfidf_oracle import oracle_tfidf_exact
+from vocab_oracle import oracle_fit_vocabulary
 
 
 # ---------------------------------------------------------------------------
@@ -296,7 +297,7 @@ def test_fast_path_facts_hold_on_every_code_point():
     # Unicode database.
     punct = [chr(cp) for cp in range(0x110000) if unicodedata.category(chr(cp)).startswith("P")]
     assert [ch for ch in punct if ch.isalnum()] == []
-    assert all(_is_punct(ch) for ch in punct)
+    assert "".join(punct).translate(_CHAR_CLASSES) == "\1" * len(punct)
     ascii_text = "".join(map(chr, range(128)))
     assert [ch for ch in ascii_text if _EMOJI_CHAR.match(ch) or _is_emoji_char(ch)] == []
     assert emoji_spans(ascii_text) == oracle_emoji_spans(ascii_text) == []
@@ -503,10 +504,10 @@ def _pipeline(lowercase: bool) -> Pipeline:
 
 
 def _oracle_vocabulary(pipe: Pipeline, texts):
-    """The vocabulary fitted on texts from the memo-free oracle alone."""
-    return fit_vocabulary((expand_ngrams(list(oracle_preprocess(t, pipe.prep, pipe.stopwords,
-                                                                pipe.emoji).tokens),
-                                         pipe.ngram_max) for t in texts), min_df=pipe.min_df)
+    """The vocabulary fitted on texts from the memo-free oracles alone."""
+    return oracle_fit_vocabulary(
+        (expand_ngrams(list(oracle_preprocess(t, pipe.prep, pipe.stopwords, pipe.emoji).tokens),
+                       pipe.ngram_max) for t in texts), min_df=pipe.min_df)
 
 
 def _oracle_rows(pipe: Pipeline, texts, vocab):
@@ -552,29 +553,38 @@ _CHUNK_PARTS = [
 _CHUNK_LEXICON = {"👍": 0.1, "😀": 0.2, "❤": 0.3, "😂": -0.7}
 
 
-def _chunk_pipeline(cfg: PrepConfig, abusive, ngram_max: int) -> Pipeline:
+def _chunk_pipeline(cfg: PrepConfig, abusive, ngram_max: int, min_df: int = 1) -> Pipeline:
     return Pipeline(level="A", prep=cfg, stopwords=_STOPLIST, abusive=abusive,
-                    emoji=_CHUNK_LEXICON, min_df=1, ngram_max=ngram_max)
+                    emoji=_CHUNK_LEXICON, min_df=min_df, ngram_max=ngram_max)
 
 
 @settings(max_examples=200, deadline=None)
 @given(st.lists(st.lists(st.sampled_from(_CHUNK_PARTS), max_size=10).map("".join),
                 min_size=1, max_size=6),
-       st.sampled_from(_CONFIGS))
+       st.sampled_from(_CONFIGS), st.sampled_from((1, 2)))
 # Summing each chunk's scores first gives 0.1 + (0.2 + 0.3), not
 # (0.1 + 0.2) + 0.3, so another mean.
-@example(["a👍 b😀❤"], PrepConfig())
+@example(["a👍 b😀❤"], PrepConfig(), 1)
 # Chunks that differ only in case have their own entries.
-@example(["URL url", "Idiot\tidiot"], PrepConfig())
-def test_pipelines_on_text_memos_match_the_memo_free_oracles(texts, cfg):
+@example(["URL url", "Idiot\tidiot"], PrepConfig(), 2)
+# Whitespace-only tweets, beside a tweet with terms and alone.
+@example([" ", "idiot The", "\t\u3000"], PrepConfig(), 1)
+@example([" \x85", "\u2028"], PrepConfig(), 2)
+# No term at all: only punctuation and stopwords.
+@example(["!! The", "' !!", "the"], PrepConfig(), 1)
+# Every term below min_df.
+@example(["idiot Running", "URL a👍"], PrepConfig(), 2)
+# A tweet repeated verbatim.
+@example(["Running idiot😂 URL", "Running idiot😂 URL"], PrepConfig(), 2)
+def test_pipelines_on_text_memos_match_the_memo_free_oracles(texts, cfg, min_df):
     # Two pipelines that differ only in their abusive list fit one after the
     # other, then transform the texts in turn, one text at a time; every
-    # matrix is the one prep_oracle, tfidf_oracle and surface_oracle give.
-    # The n-grams of a tweet span its raw chunks.
+    # matrix is the one prep_oracle, vocab_oracle, tfidf_oracle and
+    # surface_oracle give.  The n-grams of a tweet span its raw chunks.
     for ngram_max in (1, 2, 3):
         fitted = []
         for abusive in (["idiot"], ["url", "the"]):
-            pipe, cols = _chunk_pipeline(cfg, abusive, ngram_max).fit_transform(texts)
+            pipe, cols = _chunk_pipeline(cfg, abusive, ngram_max, min_df).fit_transform(texts)
             assert pipe.vocabulary == _oracle_vocabulary(pipe, texts)
             assert np.array_equal(scatter(cols), _oracle_rows(pipe, texts, pipe.vocabulary))
             fitted.append(pipe)
