@@ -109,9 +109,10 @@ class Pipeline:
 
     `fit_transform` returns the features of `train`, `cv` and
     `gridsearch` as the forest's `Columns`, built with the vocabulary from
-    one run-level table of the texts' distinct raw chunks
-    (`features.fit_rows`); `transform` preprocesses and featurizes tweet
-    by tweet and returns a dense matrix, for `predict`'s bounded blocks.
+    one run-level table of the texts' distinct raw chunks, which one walk
+    over the texts finds and the text memo computes (`features.fit_rows`);
+    `transform` preprocesses and featurizes tweet by tweet and returns a
+    dense matrix, for `predict`'s bounded blocks.
     Its JSON form is the `.meta.json` sidecar written next to a model,
     from which `predict` rebuilds the featurization the model was trained
     on.
@@ -148,13 +149,13 @@ class Pipeline:
 
     def fit_transform(self, texts) -> tuple["Pipeline", Columns]:
         """Fit the vocabulary on texts; returns the fitted pipeline and the
-        features of texts as Columns.  The text memo computes the texts'
-        new raw chunks in batches; then `fit_rows` builds the vocabulary
-        and the Columns' entries from one table of the texts' distinct raw
-        chunks, with no object per text."""
-        texts = list(texts)
-        self._memo.fill(texts)
-        vocab, entries = fit_rows(texts, self._memo, self.abusive, self.ngram_max, self.min_df)
+        features of texts as Columns.  `fit_rows` splits each text once,
+        numbering its raw chunks among the distinct ones, has the text
+        memo compute the new ones in batches, and builds the vocabulary and
+        the Columns' entries from one table of the distinct chunks, with no
+        object per text."""
+        vocab, entries = fit_rows(list(texts), self._memo, self.abusive, self.ngram_max,
+                                  self.min_df)
         return replace(self, vocabulary=vocab), Columns.from_entries(*entries)
 
     def transform(self, texts) -> np.ndarray:

@@ -132,7 +132,10 @@ def check_unique_ids(ids, message: str) -> None:
 
 def read_text(source) -> str:
     """The text of source (bytes, a path, or a file object), which must be
-    UTF-8; otherwise ParseError, naming the file when source has a name."""
+    UTF-8 without a byte-order mark; otherwise ParseError, naming the file
+    when source has a name.  A byte-order mark would be read as the first
+    character of the first line, and a stopword or a config key that
+    starts with it never matches."""
     name = _source_name(source)
     if isinstance(source, bytes):
         data = source
@@ -140,14 +143,16 @@ def read_text(source) -> str:
         data = Path(source).read_bytes()
     elif hasattr(source, "read"):
         data = source.read()
-        if isinstance(data, str):
-            return data
     else:
         raise TypeError(f"unsupported text source {type(source).__name__}")
     try:
-        return data.decode("utf-8")
+        text = data if isinstance(data, str) else data.decode("utf-8")
     except UnicodeDecodeError as exc:
         raise ParseError(f"{name or 'input'} is not valid UTF-8: {exc}") from None
+    if text.startswith("\ufeff"):
+        raise ParseError(f"{name or 'input'} starts with a UTF-8 byte-order mark; "
+                         "save it as UTF-8 without one")
+    return text
 
 
 def read_lines(source) -> list[str]:

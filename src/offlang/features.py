@@ -31,15 +31,17 @@ abusive tokens, emoji scores and final tokens' term ids.  A row's counts
 are then integer sums over its chunks, its emoji scores are added left to
 right as `textprep._mean` adds them, and its tokens are its chunks' tokens
 in turn; textprep's module docstring says why these equal what the whole
-text gives.  A block counts abusive tokens with one lexicon.  The table
-has two callers:
+text gives.  A block counts abusive tokens with one lexicon: one
+membership test of every distinct chunk's base tokens, one `bincount` by
+chunk.  The table has two callers:
 
-* `fit_rows`, for `train`, `cv` and `gridsearch`, reads a run's texts and
-  its filled `textprep.TextMemo`.  It numbers the texts' distinct raw
-  chunks with one dict and gives each distinct term a run-local id.  The
-  vocabulary comes from those ids (`_vocabulary`, the rule that
-  `fit_vocabulary` applies to token lists too), and one array index maps
-  them to vocabulary indices.  No object is made per text.
+* `fit_rows`, for `train`, `cv` and `gridsearch`, walks a run's texts
+  once: it splits each text, numbers the chunk occurrences with one dict
+  in order of first occurrence, and has the run's `textprep.TextMemo`
+  compute the distinct chunks it lacks.  It gives each distinct term a
+  run-local id.  The vocabulary comes from those ids (`_vocabulary`, the
+  rule that `fit_vocabulary` applies to token lists too), and one array
+  index maps them to vocabulary indices.  No object is made per text.
 * `feature_rows` reads FeatureVectors: `featurize` keeps a preprocessed
   tweet whole, with its vocabulary, n-gram length and abusive lexicon.
   Their chunks are found by `id`, since vectors may come from several
@@ -143,9 +145,10 @@ def _vocabulary(terms, rows, ids, n_docs: int, min_df: int) -> tuple[Vocabulary,
     return vocab, index
 
 
-def _numbers(keys, n_keys: int) -> tuple[np.ndarray, list]:
-    """The number of each of n_keys keys among the distinct keys, numbered
-    in order of first occurrence, and the distinct keys in that order."""
+def _numbers(keys, n_keys: int = -1) -> tuple[np.ndarray, list]:
+    """The number of each of n_keys keys (-1 if unknown) among the distinct
+    keys, numbered in order of first occurrence, and the distinct keys in
+    that order."""
     number = defaultdict(count().__next__)
     return np.fromiter(map(number.__getitem__, keys), dtype=np.int64, count=n_keys), list(number)
 
@@ -304,8 +307,12 @@ def _block(distinct, chunk, lengths, text_lengths, ngram_max, term_ids, is_abusi
     n = len(lengths)
     row = np.repeat(np.arange(n), lengths)
     table = np.frombuffer(b"".join(map(itemgetter(3), distinct)), dtype=np.int64).reshape(-1, 7)
-    abusive_tokens = np.fromiter((sum(map(is_abusive, base)) for base in map(itemgetter(0), distinct)),
-                                 dtype=np.int64, count=len(distinct))
+    bases = list(map(itemgetter(0), distinct))
+    n_bases = _lengths(bases)
+    hits = np.fromiter(map(is_abusive, chain.from_iterable(bases)), dtype=bool,
+                       count=int(n_bases.sum()))
+    abusive_tokens = np.bincount(np.repeat(np.arange(len(distinct)), n_bases)[hits],
+                                 minlength=len(distinct))
     urls, mentions, puncts, letters, uppers, words, word_letters, abusive = (
         np.bincount(row, weights=column[chunk], minlength=n)
         for column in (*table.T, abusive_tokens))
@@ -360,28 +367,36 @@ def _tweet_block(vectors, vocab: Vocabulary):
                   (lexicons.pop() if lexicons else WordSet()).__contains__)
 
 
-def fit_rows(texts, chunks, abusive, ngram_max: int, min_df: int):
+def fit_rows(texts, memo, abusive, ngram_max: int, min_df: int):
     """Fit a vocabulary on texts and return it with the entries of their
     (n, len(vocab) + 9) feature matrix, as `feature_rows` gives them.
 
-    `chunks` maps every raw whitespace chunk of texts to its Chunk, as a
-    filled `textprep.TextMemo` does.  The texts' distinct raw chunks are
-    numbered in order of first occurrence, and each distinct final token
-    and n-gram gets a term id (`_block`).  The final tokens of the distinct
-    chunks, scanned in that order, meet each token first where the texts
-    do, so their ids number them as `fit_vocabulary` orders terms; n-grams
-    are numbered after every token, so with them the ids are renumbered by
-    their first occurrence in the texts' terms, each text's tokens before
-    its n-grams.  The vocabulary then comes from the term ids (`_vocabulary`),
-    and one array index maps each term id to its vocabulary index.
+    Each text is split once, and its raw whitespace chunks are numbered
+    among the texts' distinct chunks, in order of first occurrence; only
+    the numbers are kept, not every occurrence's string.  `memo`, a
+    `textprep.TextMemo`, computes the distinct chunks it lacks, and each
+    distinct final token and n-gram gets a term id (`_block`).  The final
+    tokens of the distinct chunks, scanned in that order, meet each token
+    first where the texts do, so their ids number them as `fit_vocabulary`
+    orders terms; n-grams are numbered after every token, so with them the
+    ids are renumbered by their first occurrence in the texts' terms, each
+    text's tokens before its n-grams.  The vocabulary then comes from the
+    term ids (`_vocabulary`), and one array index maps each term id to its
+    vocabulary index.
     """
     n = len(texts)
-    lengths = np.fromiter(map(len, map(str.split, texts)), dtype=np.int64, count=n)
-    # The texts are split again rather than kept split, which would hold
-    # every chunk occurrence's string at once.
-    chunk, raws = _numbers(chain.from_iterable(map(str.split, texts)), int(lengths.sum()))
+    lengths = []
+
+    def split(text):
+        raw = text.split()
+        lengths.append(len(raw))
+        return raw
+
+    chunk, raws = _numbers(chain.from_iterable(map(split, texts)))
+    memo.fill_chunks(raws)
     term = defaultdict(count().__next__)
-    rows, ids, surface = _block(list(map(chunks.__getitem__, raws)), chunk, lengths,
+    rows, ids, surface = _block(list(map(memo.__getitem__, raws)), chunk,
+                                np.array(lengths, dtype=np.int64),
                                 _lengths(texts), [ngram_max] * n,
                                 lambda terms, n_terms: np.fromiter(map(term.__getitem__, terms),
                                                                    dtype=np.int64, count=n_terms),

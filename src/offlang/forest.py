@@ -272,22 +272,28 @@ def _best_splits(cols: Columns, y, nodes, n_classes, min_leaf):
     run_seg, run_value = seg[run], value[run]
     run_counts = np.bincount(label * n_runs + run_id, weights=w, minlength=n_classes * n_runs)
 
-    # One zero run per segment that has zeros in its node, inserted after
-    # its negative runs; the runs sort by (segment, sign).  A segment with
-    # no runs shares its insertion point with the next one, and np.insert
-    # keeps equal indices in the given order, which zs ascends in.  The
-    # counts take one flat insert into their class-major layout, so class
-    # c's trailing zero run also lands before class c + 1's leading one.
+    # One zero run per segment that has zeros in its node, placed after its
+    # negative runs; the runs sort by (segment, sign).  A segment with no
+    # runs shares its insertion point with the next one, and zs ascends, so
+    # the k-th zero run lands at its insertion point + k and the other runs
+    # fill the rest in order.  The counts take them through the mask
+    # broadcast to every class, in their class-major order.
     seg_total = total[seg_node].T
     nonzero = np.bincount(label * n_segs + seg, weights=w, minlength=n_classes * n_segs)
     zero = seg_total - nonzero.astype(np.int64).reshape(n_classes, n_segs)
     zs = np.nonzero(zero.any(axis=0))[0]
-    zero_at = np.searchsorted(2 * run_seg + (run_value > 0), 2 * zs + 1)
-    seg = np.insert(run_seg, zero_at, zs)
-    value = np.insert(run_value, zero_at, 0.0)
-    counts = np.insert(run_counts.astype(np.int64),
-                       (zero_at + n_runs * np.arange(n_classes)[:, None]).ravel(),
-                       zero[:, zs].ravel()).reshape(n_classes, -1)
+    at = np.searchsorted(2 * run_seg + (run_value > 0), 2 * zs + 1) + np.arange(len(zs))
+    size = n_runs + len(zs)
+    is_run = np.ones(size, dtype=bool)
+    is_run[at] = False
+    seg = np.empty(size, dtype=run_seg.dtype)
+    seg[at] = zs
+    seg[is_run] = run_seg
+    value = np.zeros(size)
+    value[is_run] = run_value
+    counts = np.empty((n_classes, size), dtype=np.int64)
+    counts[:, at] = zero[:, zs]
+    counts[np.broadcast_to(is_run, counts.shape)] = run_counts
     # Every segment has a run, since a node has rows, and its runs sum to
     # its node's totals, so subtracting the previous segment's totals at
     # each segment's first run leaves the cumulative sum cumulative within

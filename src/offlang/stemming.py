@@ -97,27 +97,40 @@ def danish_stem(word: str) -> str:
 # English
 
 
+class _EnClasses(dict):
+    """Code point -> "v" for a, e, i, o and u, "c" for any other character,
+    a y included; filled on first lookup, so bounded by the character
+    set."""
+
+    def __missing__(self, point: int) -> str:
+        value = self[point] = "v" if chr(point) in "aeiou" else "c"
+        return value
+
+
+_EN_CLASSES = _EnClasses()
+
+
 def _en_cv(word: str) -> str:
     """word with each letter written as v (vowel) or c (consonant): a, e, i,
     o and u are vowels, y is a vowel exactly when the letter before it is a
     consonant (toy -> consonant y, happy -> vowel y), and every other
-    letter, a leading y included, is a consonant."""
-    cv = []
-    prev = "v"
-    for ch in word:
-        prev = "v" if ch in "aeiou" or (ch == "y" and prev == "c") else "c"
-        cv.append(prev)
-    return "".join(cv)
+    letter, a leading y included, is a consonant.  A letter's class depends
+    only on the letters before it, so the pattern of a prefix of word is
+    that prefix of word's pattern."""
+    cv = word.translate(_EN_CLASSES)
+    if "y" not in word:
+        return cv
+    letters = list(cv)
+    for i in range(1, len(word)):
+        if word[i] == "y" and letters[i - 1] == "c":
+            letters[i] = "v"
+    return "".join(letters)
 
 
-def _en_measure(stem: str) -> int:
-    """Number of vowel-consonant alternations: [C](VC)^m[V]."""
-    return _en_cv(stem).count("vc")
-
-
-def _en_cvc(stem: str) -> bool:
-    """Ends consonant-vowel-consonant, final consonant not w, x or y."""
-    return _en_cv(stem).endswith("cvc") and stem[-1] not in "wxy"
+def _en_cvc(stem: str, cv: str) -> bool:
+    """stem, whose pattern is cv, ends consonant-vowel-consonant, its final
+    consonant not w, x or y."""
+    return cv.endswith("cvc") and stem[-1] not in "wxy"
 
 
 # (suffix, replacement) pairs; within a step only the longest matching suffix
@@ -151,6 +164,19 @@ _EN_STEP4 = sorted(
 )
 
 
+def _en_table(rules, measure: int):
+    """Steps 2 to 4 as lookup tables: suffix -> (replacement, its pattern)
+    for (suffix, replacement) rules, the suffix lengths, longest first, and
+    the measure the stem must exceed.  No replacement holds a y, so its
+    pattern is the same whatever precedes it."""
+    table = {sfx: (rep, _en_cv(rep)) for sfx, rep in rules}
+    return table, sorted(set(map(len, table)), reverse=True), measure
+
+
+_EN_TABLES = (_en_table(_EN_STEP2, 0), _en_table(_EN_STEP3, 0),
+              _en_table(((sfx, "") for sfx in _EN_STEP4), 1))
+
+
 def english_stem(word: str) -> str:
     if len(word) <= 2:
         return word
@@ -165,52 +191,53 @@ def english_stem(word: str) -> str:
     elif word.endswith("s"):
         word = word[:-1]
 
+    # The word's c/v pattern, kept in step with each rewrite below.  The
+    # measure m of a prefix, the number of vowel-consonant alternations in
+    # [C](VC)^m[V], is the count of "vc" in the prefix of the pattern.
+    cv = _en_cv(word)
+
     # Step 1b: -eed / -ed / -ing.
     if word.endswith("eed"):
-        if _en_measure(word[:-3]) > 0:
-            word = word[:-1]
+        if cv[:-3].count("vc") > 0:
+            word, cv = word[:-1], cv[:-1]
     elif word.endswith(("ed", "ing")):
-        stem = word[:-2] if word.endswith("ed") else word[:-3]
-        if "v" in _en_cv(stem):
-            word = stem
+        cut = 2 if word.endswith("ed") else 3
+        if "v" in cv[:-cut]:
+            word, cv = word[:-cut], cv[:-cut]
             if word.endswith(("at", "bl", "iz")):
-                word += "e"
-            elif (word[-2:] == word[-1] * 2 and word[-1] not in "lsz"
-                  and _en_cv(word)[-1] == "c"):
-                word = word[:-1]
-            elif _en_measure(word) == 1 and _en_cvc(word):
-                word += "e"
+                word, cv = word + "e", cv + "v"
+            elif word[-2:] == word[-1] * 2 and word[-1] not in "lsz" and cv[-1] == "c":
+                word, cv = word[:-1], cv[:-1]
+            elif cv.count("vc") == 1 and _en_cvc(word, cv):
+                word, cv = word + "e", cv + "v"
 
     # Step 1c: terminal y -> i after a stem containing a vowel.
-    if word.endswith("y") and "v" in _en_cv(word[:-1]):
-        word = word[:-1] + "i"
+    if word.endswith("y") and "v" in cv[:-1]:
+        word, cv = word[:-1] + "i", cv[:-1] + "v"
 
-    # Steps 2 and 3: derivational suffix rewrites, measure > 0.
-    for rules in (_EN_STEP2, _EN_STEP3):
-        for sfx, rep in rules:
-            if word.endswith(sfx):
-                stem = word[: -len(sfx)]
-                if _en_measure(stem) > 0:
-                    word = stem + rep
+    # Steps 2 and 3: derivational suffix rewrites, measure > 0; step 4:
+    # drop residual suffixes when measure > 1 (only step 4 has "ion").
+    # The first of a step's suffix lengths whose ending is in its table
+    # gives the longest rule; a word shorter than k is its own last k
+    # letters, and then no longer rule can match.
+    for table, lengths, measure in _EN_TABLES:
+        for k in lengths:
+            sfx = word[-k:]
+            if sfx in table:
+                keep = len(word) - len(sfx)
+                if cv[:keep].count("vc") > measure and (sfx != "ion" or word[keep - 1] in "st"):
+                    rep, rep_cv = table[sfx]
+                    word, cv = word[:keep] + rep, cv[:keep] + rep_cv
                 break
-
-    # Step 4: drop residual suffixes when measure > 1.
-    for sfx in _EN_STEP4:
-        if word.endswith(sfx):
-            stem = word[: -len(sfx)]
-            if _en_measure(stem) > 1 and (sfx != "ion" or stem.endswith(("s", "t"))):
-                word = stem
-            break
 
     # Step 5a: tidy a final e.
     if word.endswith("e"):
-        stem = word[:-1]
-        m = _en_measure(stem)
-        if m > 1 or (m == 1 and not _en_cvc(stem)):
-            word = stem
+        m = cv[:-1].count("vc")
+        if m > 1 or (m == 1 and not _en_cvc(word[:-1], cv[:-1])):
+            word, cv = word[:-1], cv[:-1]
 
     # Step 5b: undouble a final ll.
-    if word.endswith("ll") and _en_measure(word) > 1:
+    if word.endswith("ll") and cv.count("vc") > 1:
         word = word[:-1]
     return word
 

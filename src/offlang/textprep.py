@@ -35,14 +35,15 @@ one chunk:
   letters, no whitespace character is punctuation or a letter, and the
   counts are integer sums.
 
-One code path computes chunks: `TextMemo.fill` finds the distinct raw
-chunks of its texts with one `dict.fromkeys`, tests each against the memo
-once and computes the new ones a batch at a time (a lookup of a missing
-chunk is a batch of one).  `cli.Pipeline`, `emolex` and a memo-less
-`preprocess` fill their memo before they read it; `Pipeline.fit_transform`
-then hands it to `features.fit_rows`, the others preprocess tweet by
-tweet.  Some steps run once over the whole batch, joined by "\\n", and
-give each chunk what the step alone gives it:
+One code path computes chunks: `TextMemo.fill_chunks` tests distinct raw
+chunks against the memo once each and computes the new ones a batch at a
+time (a lookup of a missing chunk is a batch of one).  `features.fit_rows`
+(for `cli.Pipeline.fit_transform`) hands it the distinct chunks that its
+one walk over a run's texts numbers; `TextMemo.fill`, which
+`Pipeline.transform`, `emolex` and a memo-less `preprocess` call before
+they preprocess tweet by tweet, finds them with one `dict.fromkeys`.  Some
+steps run once over the whole batch, joined by "\\n", and give each chunk
+what the step alone gives it:
 
 * elongation reduction runs one substitution over the joined works (a
   work is a chunk after hashtag splitting).  No work holds "\\n", since a
@@ -70,10 +71,10 @@ work is skipped too, each time with the same output:
 * the emoji scan is skipped on an ASCII work, and `tokenize`'s emoji scan
   on an ASCII core, since every emoji unit and stray modifier is
   non-ASCII;
-* `tokenize` is skipped on an ASCII alphanumeric work, its only piece,
-  since no ASCII alphanumeric character is punctuation or emoji (an
-  alphanumeric test alone would not do: U+2776 is numeric and an emoji
-  base);
+* an ASCII alphanumeric work is its only piece, since no ASCII
+  alphanumeric character is punctuation or emoji (an alphanumeric test
+  alone would not do: U+2776 is numeric and an emoji base), so `tokenize`
+  is skipped and its base token and word counts are read off the work;
 * the punctuation strip is skipped on an alphanumeric token, since no
   alphanumeric character is punctuation.
 
@@ -102,7 +103,7 @@ token and one lexicon lookup; a stray run is removed and never scored.
 import re
 import unicodedata
 from dataclasses import dataclass, fields
-from functools import reduce
+from functools import partial, reduce
 from itertools import accumulate, chain, compress
 from operator import add, itemgetter
 from typing import NamedTuple
@@ -390,29 +391,46 @@ _COUNTS_BYTES = 7 * 8
 _FILL_CHUNKS = 1 << 10
 
 
+class _Lazy(dict):
+    """key -> fn(key), computed on the key's first lookup."""
+
+    def __init__(self, fn):
+        super().__init__()
+        self.fn = fn
+
+    def __missing__(self, key):
+        value = self[key] = self.fn(key)
+        return value
+
+
 class TextMemo(dict):
     """Raw whitespace chunk -> its Chunk under one PrepConfig, stoplist and
     emoji lexicon, with a piece -> final token memo and a word -> stem memo
-    that fill as chunks are computed.  `fill` computes chunks in batches; a
-    lookup of a missing chunk computes it as a batch of one."""
+    that fill as chunks are computed.  `fill_chunks` and `fill` compute
+    chunks in batches; a lookup of a missing chunk computes it as a batch
+    of one."""
 
     def __init__(self, cfg: PrepConfig, stoplist=frozenset(), emoji_lexicon=None):
         super().__init__()
         self.cfg = cfg
         self.stops = WordSet(stoplist)
         self.emoji = emoji_lexicon or {}
-        self.finals: dict[str, str] = {}
         self.stems: dict[str, str] = {}
+        self.finals = _Lazy(partial(_final_token, cfg=cfg, stops=self.stops, stems=self.stems))
 
     def __missing__(self, raw: str) -> Chunk:
         self._add([raw])
         return self[raw]
 
     def fill(self, texts) -> None:
-        """Compute every raw whitespace chunk of texts that the memo lacks,
-        each once, in batches of at most _FILL_CHUNKS in text order."""
-        new = [raw for raw in dict.fromkeys(chain.from_iterable(map(str.split, texts)))
-               if raw not in self]
+        """`fill_chunks` of the distinct raw whitespace chunks of texts, in
+        text order."""
+        self.fill_chunks(dict.fromkeys(chain.from_iterable(map(str.split, texts))))
+
+    def fill_chunks(self, raws) -> None:
+        """Compute each of the distinct raw whitespace chunks raws that the
+        memo lacks, in batches of at most _FILL_CHUNKS in their order."""
+        new = [raw for raw in raws if raw not in self]
         for start in range(0, len(new), _FILL_CHUNKS):
             self._add(new[start:start + _FILL_CHUNKS])
 
@@ -439,19 +457,22 @@ class TextMemo(dict):
         counts[:, :5] = _char_counts(raws)
         values, word_counts = [], []
         for work, found in zip(works, scores):
-            # An ASCII alphanumeric work is its only piece.
-            pieces = [work] if work.isascii() and work.isalnum() else tokenize(work)
-            kept = []
-            for piece in pieces if cfg.strip_punct else work.split():
-                token = finals.get(piece)
-                if token is None:
-                    token = finals[piece] = _final_token(piece, cfg, self.stops, self.stems)
-                if token:
-                    kept.append(token)
+            if work.isascii() and work.isalnum():
+                # The work is its only piece, and a word unless it holds a
+                # digit or is a placeholder.
+                token = finals[work]
+                base = work.lower()
+                word_counts.append((1, len(base)) if base.isalpha() and base not in PLACEHOLDERS
+                                   else (0, 0))
+                values.append(((base,), (token,) if token else (), found))
+                continue
+            pieces = tokenize(work)
+            kept = tuple(filter(None, map(finals.__getitem__,
+                                          pieces if cfg.strip_punct else work.split())))
             base = tuple(map(str.lower, pieces))
             words = [t for t in base if t.isalpha() and t not in PLACEHOLDERS]
             word_counts.append((len(words), sum(map(len, words))))
-            values.append((base, tuple(kept), found))
+            values.append((base, kept, found))
         counts[:, 5:] = word_counts
         packed = counts.tobytes()
         for i, (raw, value) in enumerate(zip(raws, values)):

@@ -538,6 +538,42 @@ def test_parse_error_names_file_and_line(env, capsys, tmp_path, argv, text, wher
     assert err.startswith(f"error: {bad}: {where}")
 
 
+def _data_file(name):
+    return lambda env: (DATA_DIR / name).read_text(encoding="utf-8")
+
+
+@pytest.mark.parametrize("argv, text", [
+    pytest.param(lambda env, bad, tmp_path: ["train", str(bad)],
+                 lambda env: (env / "train.conf").read_text(encoding="utf-8"), id="config"),
+    pytest.param(_train_with_lexicon("stopwords_en.txt"), _data_file("stopwords_en.txt"),
+                 id="stopwords"),
+    pytest.param(_train_with_lexicon("abusive_en.txt"), _data_file("abusive_en.txt"),
+                 id="abusive"),
+    pytest.param(_train_with_lexicon("emoji_sentiment.csv"), _data_file("emoji_sentiment.csv"),
+                 id="emoji-lexicon"),
+    pytest.param(lambda env, bad, tmp_path: ["emostats", str(env / "corpus.tsv"), str(bad)],
+                 _data_file("emotion_lexicon_sample.tsv"), id="emotion-lexicon"),
+    pytest.param(lambda env, bad, tmp_path: ["evaluate", str(env / "corpus.tsv"), str(bad)],
+                 lambda env: "t0\tOFF\n", id="predictions"),
+    pytest.param(_balance_with_weak_labels, lambda env: "t0\t0.5\t0\n", id="weak-labels"),
+    pytest.param(lambda env, bad, tmp_path: ["validate", "--schema", "olid_labeled", str(bad)],
+                 lambda env: (env / "corpus.tsv").read_text(encoding="utf-8"), id="corpus"),
+    pytest.param(lambda env, bad, tmp_path: ["validate", str(bad)],
+                 lambda env: (env / "corpus.tsv").read_text(encoding="utf-8"),
+                 id="sniffed-corpus"),
+])
+def test_byte_order_mark_exits_2_naming_file(env, capsys, tmp_path, argv, text):
+    # A byte-order mark was once read as text: a word list's first word and
+    # the emoji lexicon's first emoji silently never matched, and a config
+    # or corpus failed on a key or header that looked right.
+    bad = tmp_path / "bom.txt"
+    bad.write_bytes(b"\xef\xbb\xbf" + text(env).encode("utf-8"))
+    code, out, err = run(capsys, *argv(env, bad, tmp_path))
+    assert code == 2
+    assert out == ""
+    assert err == f"error: {bad} starts with a UTF-8 byte-order mark; save it as UTF-8 without one\n"
+
+
 # ---------------------------------------------------------------------------
 # predict / evaluate
 

@@ -9,6 +9,7 @@ then strip, so e.g. electriciti ends at electr, not electric).
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from offlang import stemming
 from offlang.errors import ValidationError
 from offlang.stemming import (danish_stem, english_stem, identity_stem, stem,
                               supported_languages)
@@ -223,6 +224,18 @@ _EN_PIECES = [
 @example("happyness")
 def test_english_stem_matches_oracle(word):
     assert english_stem(word) == oracle_english_stem(word)
+
+
+@pytest.mark.parametrize("suffix", sorted({*(sfx for sfx, _ in stemming._EN_STEP2 + stemming._EN_STEP3),
+                                            *stemming._EN_STEP4}))
+def test_english_stem_matches_oracle_on_every_table_suffix(suffix):
+    # Each step 2-4 suffix after stems of measure 0 to 2, one with a y
+    # after a vowel and one that ends in a double consonant, then before
+    # the endings that step 1 strips or rewrites.
+    for stem_ in ("", "b", "y", "toy", "rat", "conform", "hopp"):
+        for ending in ("", "s", "ed", "ing", "y"):
+            word = stem_ + suffix + ending
+            assert english_stem(word) == oracle_english_stem(word), word
 
 
 def test_english_stem_of_a_long_y_run_returns():

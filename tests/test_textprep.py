@@ -576,6 +576,9 @@ def _chunk_pipeline(cfg: PrepConfig, abusive, ngram_max: int, min_df: int = 1) -
 @example(["idiot Running", "URL a👍"], PrepConfig(), 2)
 # A tweet repeated verbatim.
 @example(["Running idiot😂 URL", "Running idiot😂 URL"], PrepConfig(), 2)
+# A one-piece chunk that elongation changes, and a chunk that is a
+# placeholder alone.
+@example(["sooooo URL", "URL sooooo Sooooo"], PrepConfig(), 1)
 def test_pipelines_on_text_memos_match_the_memo_free_oracles(texts, cfg, min_df):
     # Two pipelines that differ only in their abusive list fit one after the
     # other, then transform the texts in turn, one text at a time; every
@@ -594,6 +597,29 @@ def test_pipelines_on_text_memos_match_the_memo_free_oracles(texts, cfg, min_df)
                 out.append(pipe.transform([text]))
         for pipe, out in zip(fitted, rows):
             assert np.array_equal(np.vstack(out), _oracle_rows(pipe, texts, pipe.vocabulary))
+
+
+def test_fit_transform_computes_each_new_chunk_once_in_bounded_batches(monkeypatch):
+    # The texts' one walk hands the memo its new raw chunks in first
+    # occurrence order, a bounded batch at a time; a chunk computed on its
+    # own lookup would show as a batch of one.
+    texts = ["a b c a", "d #GoHome b e!!! URL", "f g a \U0001F602 h"]
+    expected = [scatter(_chunk_pipeline(PrepConfig(), ["idiot"], ngram_max).fit_transform(
+        texts)[1]) for ngram_max in (1, 2)]
+    batches = []
+    add = TextMemo._add
+    monkeypatch.setattr(textprep, "_FILL_CHUNKS", 2)
+    monkeypatch.setattr(TextMemo, "_add", lambda memo, raws: batches.append(raws) or add(memo, raws))
+    for ngram_max, matrix in zip((1, 2), expected):
+        batches.clear()
+        pipe = _chunk_pipeline(PrepConfig(), ["idiot"], ngram_max)
+        pipe.fit_transform(texts[:1])
+        assert np.array_equal(scatter(pipe.fit_transform(texts)[1]), matrix)
+        assert batches == [["a", "b"], ["c"], ["d", "#GoHome"], ["e!!!", "URL"], ["f", "g"],
+                           ["\U0001F602", "h"]]
+        whole = TextMemo(PrepConfig(), _STOPLIST, _CHUNK_LEXICON)
+        whole.fill(texts)
+        assert pipe._memo == whole
 
 
 @settings(max_examples=100, deadline=None)
