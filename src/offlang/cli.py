@@ -25,9 +25,11 @@ import numpy as np
 from . import __version__, manifest
 from .balance import BalancePlan, apply_plan
 from .config import ExperimentConfig, parse_bool
-from .corpus import (HEADER_LABELED, HEADER_TEXT_ONLY, check_unique_ids, classes_for,
-                     class_distribution, LEVELS, load_corpus, load_weak_labels,
-                     names_file, read_lines, read_text, serialize_corpus)
+# load_corpus is not called here, but perfbench's traced pass wraps it here
+# by name (tests/test_bench_hooks.py).
+from .corpus import (check_unique_ids, classes_for, class_distribution, LEVELS,  # noqa: F401
+                     load_corpus, load_weak_labels, names_file, read_columns, read_lines,
+                     read_text, serialize_corpus)
 from .emolex import BASES, emotion_counts, emotion_report, load_emotion_lexicon
 from .errors import OfflangError, ParseError, ValidationError
 # fit_vocabulary is not called here, but perfbench's traced pass wraps it
@@ -52,23 +54,9 @@ def _require_file(path) -> Path:
     return p
 
 
-@names_file
-def _sniff_schema(path) -> str:
-    text = read_text(path)
-    if not text:
-        raise ParseError("empty file, expected a header row", 1)
-    first = text.partition("\n")[0].rstrip("\r")
-    if first == HEADER_LABELED:
-        return "olid_labeled"
-    if first == HEADER_TEXT_ONLY:
-        return "text_only"
-    raise ParseError(f"unrecognized corpus header {first!r}", 1)
-
-
 def _load_corpus_file(path, schema: str | None = None):
-    p = _require_file(path)
-    schema = schema or _sniff_schema(p)
-    return load_corpus(p, schema=schema), schema
+    columns = read_columns(_require_file(path), schema)
+    return columns.corpus(), columns.schema
 
 
 def _read_wordlist(path) -> list[str]:
@@ -303,12 +291,16 @@ def _read_experiment(args, keys=_TRAIN_KEYS, forest=_forest_params_from):
 
 
 def _training_rows(cfg: ExperimentConfig, level: str):
-    """The training corpus's path, its rows labeled at level, and their labels."""
+    """The training corpus's path, and the texts and labels of its rows
+    labeled at level, in file order."""
     corpus_path = _require_file(cfg.require("corpus.train"))
-    rows = load_corpus(corpus_path).labeled_at(level)
-    if len(rows) == 0:
+    columns = read_columns(corpus_path, "olid_labeled")
+    labels = columns.labels[level]
+    # A label is a class name or None, so compress and filter keep the labeled rows.
+    texts, y = tuple(itertools.compress(columns.texts, labels)), tuple(filter(None, labels))
+    if not y:
         raise ValidationError(f"no rows labeled at level {level} in {corpus_path}")
-    return corpus_path, rows, [t.label_at(level) for t in rows]
+    return corpus_path, texts, y
 
 
 def _config_inputs(cfg: ExperimentConfig, corpus_path) -> dict:
@@ -398,8 +390,8 @@ def cmd_train(args) -> int:
     out_model = Path(cfg.require("out.model"))
     manifest_path = Path(cfg.get("out.manifest") or str(out_model) + ".manifest.json")
     level, classes = pipeline.level, classes_for(pipeline.level)
-    corpus_path, rows, y = _training_rows(cfg, level)
-    pipeline, X = pipeline.fit_transform(t.text for t in rows)
+    corpus_path, texts, y = _training_rows(cfg, level)
+    pipeline, X = pipeline.fit_transform(texts)
     model = train_forest(X, y, params, classes=classes)
 
     train_scores = scores(confusion(y, forest_predict(model, X), classes), classes)
@@ -413,7 +405,7 @@ def cmd_train(args) -> int:
         inputs=_config_inputs(cfg, corpus_path),
         outputs={"model": out_model, "meta": meta_path},
         extra={"training": {
-            "rows": len(rows), "level": level,
+            "rows": len(texts), "level": level,
             "vocabulary_size": len(pipeline.vocabulary),
             "params": params.to_jsonable(),
             "training_accuracy": train_scores.accuracy,
@@ -421,7 +413,7 @@ def cmd_train(args) -> int:
         }})
     manifest.write(manifest_path, payload)
 
-    print(f"trained on {len(rows)} rows at level {level}; "
+    print(f"trained on {len(texts)} rows at level {level}; "
           f"vocabulary {len(pipeline.vocabulary)} terms")
     print(f"training accuracy {train_scores.accuracy:.4f}  "
           f"macro-F1 {train_scores.macro_f1:.4f}")
@@ -433,12 +425,12 @@ def cmd_cv(args) -> int:
     cfg, seed, params, pipeline = _read_experiment(args)
     out_manifest = cfg.get("out.manifest")
     level = pipeline.level
-    corpus_path, rows, y = _training_rows(cfg, level)
+    corpus_path, texts, y = _training_rows(cfg, level)
     # Rebound so that the unfitted pipeline's text memo is freed before the forests grow.
-    pipeline, X = pipeline.fit_transform(t.text for t in rows)
+    pipeline, X = pipeline.fit_transform(texts)
     result = cross_validate(X, y, params, k=args.k, seed=seed, classes=classes_for(level))
 
-    print(f"{args.k}-fold cross-validation on {len(rows)} rows (level {level})")
+    print(f"{args.k}-fold cross-validation on {len(texts)} rows (level {level})")
     print("fold  macro_f1")
     for i, score in enumerate(result.fold_scores, start=1):
         print(f"{i:>4}  {score:.4f}")
@@ -447,7 +439,7 @@ def cmd_cv(args) -> int:
     if out_manifest:
         payload = manifest.build(
             "cv", cfg.values, seed, inputs=_config_inputs(cfg, corpus_path),
-            extra={"cv": {"k": args.k, "rows": len(rows), "level": level,
+            extra={"cv": {"k": args.k, "rows": len(texts), "level": level,
                           "params": params.to_jsonable(),
                           "fold_macro_f1": list(result.fold_scores),
                           "mean_macro_f1": result.mean,
@@ -483,13 +475,13 @@ def cmd_gridsearch(args) -> int:
     out_best = Path(cfg.get("out.best") or str(cfg.path) + ".best.conf")
     manifest_path = Path(cfg.get("out.manifest") or str(out_best) + ".manifest.json")
     level = pipeline.level
-    corpus_path, rows, y = _training_rows(cfg, level)
+    corpus_path, texts, y = _training_rows(cfg, level)
     # Rebound so that the unfitted pipeline's text memo is freed before the forests grow.
-    pipeline, X = pipeline.fit_transform(t.text for t in rows)
+    pipeline, X = pipeline.fit_transform(texts)
     result = grid_search(grid, X, y, k=args.k, seed=seed, classes=classes_for(level))
 
     print(f"grid search over {len(grid)} settings, {args.k}-fold CV, "
-          f"{len(rows)} rows (level {level})")
+          f"{len(texts)} rows (level {level})")
     print("rank  n_trees  max_depth  min_leaf  max_features  mean_f1     std")
     ranked = sorted(result.results, key=lambda pair: -pair[1].mean)
     for rank, (params, cv) in enumerate(ranked, start=1):
@@ -506,7 +498,7 @@ def cmd_gridsearch(args) -> int:
         "gridsearch", cfg.values, seed, inputs=_config_inputs(cfg, corpus_path),
         outputs={"best": out_best},
         extra={"gridsearch": {
-            "k": args.k, "rows": len(rows), "level": level,
+            "k": args.k, "rows": len(texts), "level": level,
             "results": [{"params": p.to_jsonable(),
                          "fold_macro_f1": list(cv.fold_scores),
                          "mean_macro_f1": cv.mean, "std_macro_f1": cv.std}
@@ -548,19 +540,18 @@ def cmd_predict(args) -> int:
                                   f"the model has {model.n_features}")
     except (ValueError, ValidationError) as exc:
         raise ValidationError(f"malformed model sidecar {sidecar}: {exc}") from None
-    corpus, _ = _load_corpus_file(args.corpus, None)
+    columns = read_columns(_require_file(args.corpus))
     # Each block's tweets, vectors and matrix are freed before the next
     # block; a row's label does not depend on the other rows of its block.
     block = max(1, _PREDICT_BLOCK_CELLS // model.n_features)
     labels = []
-    for start in range(0, len(corpus), block):
-        texts = (t.text for t in corpus.tweets[start:start + block])
-        labels += forest_predict(model, pipeline.transform(texts))
+    for start in range(0, len(columns.texts), block):
+        labels += forest_predict(model, pipeline.transform(columns.texts[start:start + block]))
 
-    body = "".join(f"{t.id}\t{label}\n" for t, label in zip(corpus, labels))
+    body = "".join(f"{tid}\t{label}\n" for tid, label in zip(columns.ids, labels))
     if args.out:
         Path(args.out).write_text(body, encoding="utf-8")
-        print(f"wrote {len(corpus)} predictions to {args.out}")
+        print(f"wrote {len(columns.ids)} predictions to {args.out}")
     else:
         sys.stdout.write(body)
     if args.manifest:

@@ -10,10 +10,24 @@ Absent labels are stored as None and written as the literal string NULL.
 Files are UTF-8 TSV with LF line endings; `serialize_corpus` inverts
 `load_corpus` byte-for-byte on such files.  Ids are opaque strings and are
 never interpreted.
+
+`read_columns` reads a file as columns (`CorpusColumns`: the ids, the texts
+and per level the labels, one tuple each).  After the tabs of each line are
+counted, the rows are split into fields once, as one string, and each
+column is checked whole: the ids for an empty one and, by a set's length,
+for duplicates, each label column by comparing its set of values with the
+level's, and the hierarchy by the set of (A, B, C) label triples.  Only
+when a row's field count, id or label is wrong are the rows walked one by
+one, each checked field by field (count, id, then labels A, B and C), so
+the error names the first bad line, as a line-by-line reader would.
+`load_corpus` builds a `Corpus` of `Tweet`s from the columns for the
+commands that report through it; `train`, `cv`, `gridsearch` and `predict`
+read the columns and make no `Tweet`.
 """
 
 import functools
 import io
+import itertools
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -158,70 +172,107 @@ def read_text(source) -> str:
 def read_lines(source) -> list[str]:
     """The lines of read_text(source) without their LF or CRLF endings; a
     final newline ends the last line and starts no empty one."""
-    lines = read_text(source).split("\n")
+    text = read_text(source)
+    lines = text.split("\n")
     if lines[-1] == "":
         lines.pop()
-    return [line.rstrip("\r") for line in lines]
+    return [line.rstrip("\r") for line in lines] if "\r" in text else lines
 
 
-def _parse_label(raw: str, level: str, line: int) -> str | None:
-    if raw == NULL:
-        return None
-    if raw not in LEVELS[level]:
-        raise ParseError(
-            f"invalid level-{level} label {raw!r}, expected one of "
-            f"{', '.join(LEVELS[level])} or {NULL}", line)
-    return raw
+_HEADERS = {"olid_labeled": HEADER_LABELED, "text_only": HEADER_TEXT_ONLY}
+# Each level's label as written in a file, mapped to its stored value.
+_LABEL_VALUES = {level: {NULL: None, **{c: c for c in classes}}
+                 for level, classes in LEVELS.items()}
+# The (A, B, C) label triples that Tweet.hierarchy_ok accepts.
+_HIERARCHY_OK = frozenset(
+    labels for labels in itertools.product(*([None, *classes] for classes in LEVELS.values()))
+    if Tweet("", "", *labels).hierarchy_ok())
+
+
+@dataclass(frozen=True)
+class CorpusColumns:
+    """A corpus file as columns, one tuple each, in file order: the ids,
+    the texts and per level (A, B, C) the labels, None where absent (every
+    label in the text-only schema)."""
+    schema: str
+    ids: tuple[str, ...]
+    texts: tuple[str, ...]
+    labels: dict[str, tuple[str | None, ...]]
+
+    def corpus(self) -> Corpus:
+        return Corpus(tuple(map(Tweet, self.ids, self.texts, *self.labels.values())))
+
+
+def _raise_first_bad_line(body, n_cols: int) -> None:
+    """Raise the ParseError of the first malformed row of body (line 2 on),
+    checking each row's field count, then its id, then its A, B and C
+    labels."""
+    for lineno, raw in enumerate(body, start=2):
+        fields = raw.split("\t")
+        if len(fields) != n_cols:
+            raise ParseError(f"expected {n_cols} tab-separated fields, got {len(fields)}", lineno)
+        if fields[0] == "":
+            raise ParseError("empty id", lineno)
+        for (level, classes), label in zip(LEVELS.items(), fields[2:]):
+            if label not in _LABEL_VALUES[level]:
+                raise ParseError(f"invalid level-{level} label {label!r}, expected one of "
+                                 f"{', '.join(classes)} or {NULL}", lineno)
 
 
 @names_file
-def load_corpus(source, schema: str = "olid_labeled") -> Corpus:
-    """Parse a TSV corpus file.
+def read_columns(source, schema: str | None = None) -> CorpusColumns:
+    """Parse a TSV corpus file into columns.
 
-    `source` may be bytes, a path, or a binary file object.  Raises
-    ParseError (with the 1-based line number) on malformed rows and
-    ValidationError (listing ids) on duplicate ids or label-hierarchy
-    violations.
+    `source` may be bytes, a path, or a binary file object; with no
+    `schema` the header row names it.  Raises ParseError (with the 1-based
+    line number) on malformed rows and ValidationError (listing ids) on
+    duplicate ids or label-hierarchy violations.
     """
-    if schema not in SCHEMAS:
+    if schema is not None and schema not in SCHEMAS:
         raise ValidationError(f"unknown schema {schema!r}, expected one of {', '.join(SCHEMAS)}")
     lines = read_lines(source)
     if not lines:
         raise ParseError("empty file, expected a header row", 1)
-
-    expected_header = HEADER_LABELED if schema == "olid_labeled" else HEADER_TEXT_ONLY
-    header = lines[0]
+    header, body = lines[0], lines[1:]
+    if schema is None:
+        schema = next((s for s, h in _HEADERS.items() if h == header), None)
+        if schema is None:
+            raise ParseError(f"unrecognized corpus header {header!r}", 1)
+    expected_header = _HEADERS[schema]
     if header != expected_header:
         raise ParseError(
             f"bad header for schema {schema!r}: expected {expected_header!r}, got {header!r}", 1)
-    n_cols = len(expected_header.split("\t"))
+    n_cols = expected_header.count("\t") + 1
 
-    tweets = []
-    for lineno, raw in enumerate(lines[1:], start=2):
-        fields = raw.split("\t")
-        if len(fields) != n_cols:
-            raise ParseError(f"expected {n_cols} tab-separated fields, got {len(fields)}", lineno)
-        tid = fields[0]
-        if tid == "":
-            raise ParseError("empty id", lineno)
-        if schema == "olid_labeled":
-            tweets.append(Tweet(
-                id=tid, text=fields[1],
-                label_a=_parse_label(fields[2], "A", lineno),
-                label_b=_parse_label(fields[3], "B", lineno),
-                label_c=_parse_label(fields[4], "C", lineno),
-            ))
-        else:
-            tweets.append(Tweet(id=tid, text=fields[1]))
+    # Every row is checked column by column; only a file with a malformed
+    # row is walked row by row, so that its first bad line is reported.
+    fields = "\t".join(body).split("\t") if body else []
+    ids = tuple(fields[0::n_cols])
+    raw_labels = dict(zip(LEVELS, (fields[i::n_cols] for i in range(2, n_cols))))
+    if (any(map((n_cols - 1).__ne__, map(str.count, body, itertools.repeat("\t"))))
+            or "" in ids
+            or any(not set(col) <= _LABEL_VALUES[level].keys()
+                   for level, col in raw_labels.items())):
+        _raise_first_bad_line(body, n_cols)
+    if schema == "olid_labeled":
+        labels = {level: tuple(map(_LABEL_VALUES[level].__getitem__, col))
+                  for level, col in raw_labels.items()}
+    else:
+        labels = dict.fromkeys(LEVELS, (None,) * len(ids))
 
-    check_unique_ids((t.id for t in tweets), "duplicate tweet ids")
-
-    bad = [t.id for t in tweets if not t.hierarchy_ok()]
-    if bad:
+    if len(set(ids)) != len(ids):
+        check_unique_ids(ids, "duplicate tweet ids")
+    if not set(zip(*labels.values())) <= _HIERARCHY_OK:
         raise ValidationError(
-            "label hierarchy violations (level B requires OFF, level C requires TIN)", bad)
+            "label hierarchy violations (level B requires OFF, level C requires TIN)",
+            [tid for tid, row in zip(ids, zip(*labels.values())) if row not in _HIERARCHY_OK])
 
-    return Corpus(tuple(tweets))
+    return CorpusColumns(schema, ids, tuple(fields[1::n_cols]), labels)
+
+
+def load_corpus(source, schema: str = "olid_labeled") -> Corpus:
+    """Parse a TSV corpus file into a Corpus of Tweets; see read_columns."""
+    return read_columns(source, schema).corpus()
 
 
 def serialize_corpus(corpus: Corpus, schema: str = "olid_labeled") -> bytes:

@@ -29,14 +29,19 @@ def confusion(gold, pred, classes) -> np.ndarray:
     if not gold:
         raise ValidationError("empty evaluation: no instances to score")
     index = {c: i for i, c in enumerate(classes)}
-    mat = np.zeros((len(classes), len(classes)), dtype=np.int64)
-    for g, p in zip(gold, pred):
-        if g not in index:
-            raise ValidationError(f"gold label {g!r} not in class list {classes}")
-        if p not in index:
-            raise ValidationError(f"predicted label {p!r} not in class list {classes}")
-        mat[index[g], index[p]] += 1
-    return mat
+    k = len(classes)
+    try:
+        codes = np.fromiter(map(index.__getitem__, gold), np.int64, len(gold)) * k
+        codes += np.fromiter(map(index.__getitem__, pred), np.int64, len(pred))
+    except KeyError:
+        # The first pair with an unknown label, its gold label checked first.
+        for g, p in zip(gold, pred):
+            if g not in index:
+                raise ValidationError(f"gold label {g!r} not in class list {classes}") from None
+            if p not in index:
+                raise ValidationError(
+                    f"predicted label {p!r} not in class list {classes}") from None
+    return np.bincount(codes, minlength=k * k).astype(np.int64).reshape(k, k)
 
 
 @dataclass(frozen=True)

@@ -19,6 +19,7 @@ from hypothesis import example, given, settings, strategies as st
 from offlang import cli
 from offlang.cli import _grid_from_config, _load_predictions, main
 from offlang.config import ExperimentConfig
+from offlang.corpus import Tweet
 from offlang.features import feature_matrix
 from offlang.forest import load_model, save_model
 from offlang.manifest import file_digest
@@ -362,10 +363,10 @@ _BAD_TRAINING_CONFIGS = {
 ])
 def test_bad_training_config_fails_before_the_corpus_is_read(env, capsys, tmp_path,
                                                              monkeypatch, command, case):
-    def load_corpus(*args, **kwargs):
+    def read_columns(*args, **kwargs):
         raise AssertionError("a corpus was read before the config was checked")
 
-    monkeypatch.setattr(cli, "load_corpus", load_corpus)
+    monkeypatch.setattr(cli, "read_columns", read_columns)
     edit, want_code, message = _BAD_TRAINING_CONFIGS[case]
     conf = tmp_path / "bad.conf"
     conf.write_text(edit((env / "train.conf").read_text(encoding="utf-8"), tmp_path),
@@ -619,6 +620,31 @@ def test_predict_writes_one_line_per_row(env, capsys, tmp_path, n_rows):
     assert code == 0
     assert f"wrote {n_rows} predictions" in out
     assert _load_predictions(preds) == {r[0]: r[2] for r in rows}
+
+
+def test_training_and_predict_build_no_tweet(env, capsys, tmp_path, monkeypatch):
+    # train, cv, gridsearch and predict read the corpus as columns;
+    # validate, which reports through the Corpus API, builds one per row.
+    built = []
+
+    class CountedTweet(Tweet):
+        def __init__(self, *args, **kwargs):
+            built.append(args[0] if args else kwargs["id"])
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr("offlang.corpus.Tweet", CountedTweet)
+    conf, grid = tmp_path / "train.conf", tmp_path / "grid.conf"
+    conf.write_text((env / "train.conf").read_text(encoding="utf-8")
+                    .replace("forest.n_trees=20", "forest.n_trees=3")
+                    .replace(str(env / "model.bin"), str(tmp_path / "model.bin")),
+                    encoding="utf-8")
+    grid.write_text(conf.read_text(encoding="utf-8") + "grid.n_trees=2\n", encoding="utf-8")
+    for argv in (["train", conf], ["cv", conf, "--k", "2"], ["gridsearch", grid, "--k", "2"],
+                 ["predict", tmp_path / "model.bin", env / "corpus.tsv"]):
+        assert run(capsys, *map(str, argv))[0] == 0
+    assert built == []
+    assert run(capsys, "validate", str(env / "corpus.tsv"))[0] == 0
+    assert len(built) == 40
 
 
 def test_predict_missing_sidecar_exits_1(env, capsys, tmp_path):
@@ -1133,7 +1159,7 @@ def test_bad_balance_config_fails_before_any_corpus_is_read(env, capsys, tmp_pat
     def read(*args, **kwargs):
         raise AssertionError("an input file was read before the config was checked")
 
-    monkeypatch.setattr(cli, "load_corpus", read)
+    monkeypatch.setattr(cli, "read_columns", read)
     monkeypatch.setattr(cli, "load_weak_labels", read)
     (tmp_path / "weak.tsv").write_text("t0\t0.9\t0.1\n", encoding="utf-8")
     conf = tmp_path / "balance.conf"

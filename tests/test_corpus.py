@@ -3,10 +3,11 @@
 import io
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from offlang.corpus import (classes_for, class_distribution, Corpus,
-                            level_of_label, load_corpus, load_weak_labels,
+from corpus_oracle import oracle_load_corpus, oracle_sniff_schema
+from offlang.corpus import (classes_for, class_distribution, Corpus, HEADER_TEXT_ONLY,
+                            level_of_label, load_corpus, load_weak_labels, read_columns,
                             serialize_corpus, Tweet, WeakLabel)
 from offlang.errors import ParseError, ValidationError
 
@@ -183,3 +184,120 @@ def test_serialize_load_round_trip(items):
     again = load_corpus(serialize_corpus(corpus, "olid_labeled"),
                         schema="olid_labeled")
     assert again.tweets == tweets
+
+
+# ---------------------------------------------------------------------------
+# read_columns against the line-by-line loader it replaced (corpus_oracle)
+
+_GOOD_LABELS = ["NOT\tNULL\tNULL", "OFF\tNULL\tNULL", "OFF\tUNT\tNULL", "OFF\tTIN\tNULL",
+                "OFF\tTIN\tIND", "OFF\tTIN\tGRP", "OFF\tTIN\tOTH", "NULL\tNULL\tNULL"]
+_BAD_LABELS = ["", "MAYBE", "off", "null", "NULL ", "TIN", "NOT", "GRP", "OFF"]
+_HIERARCHY_VIOLATIONS = ["NOT\tTIN\tNULL", "NOT\tUNT\tNULL", "NULL\tTIN\tNULL",
+                         "OFF\tNULL\tIND", "OFF\tUNT\tGRP", "NOT\tNULL\tOTH", "NULL\tNULL\tGRP"]
+_FAULTS = ["fields+", "fields-", "empty id", "bad label", "duplicate id", "hierarchy", "header"]
+# Field text: no tab or newline, but a carriage return and other line
+# separators are allowed.
+_ANY_TEXT = st.text(st.sampled_from("ab \r\x1c\x85\u2028\u00e9\U0001F600"), max_size=6)
+
+
+@st.composite
+def _corpus_files(draw, max_faults):
+    """The bytes of a corpus file of either schema with LF, CRLF or mixed
+    line endings, with or without a final newline, and with up to
+    max_faults faults injected at drawn rows."""
+    labeled = draw(st.booleans())
+    header = HEADER if labeled else HEADER_TEXT_ONLY
+    n = draw(st.integers(0, 12))
+    rows = [[f"t{i}{draw(_ANY_TEXT)}", draw(_ANY_TEXT)] for i in range(n)]
+    if labeled:
+        for row in rows:
+            row += draw(st.sampled_from(_GOOD_LABELS)).split("\t")
+    lines = [header] + ["\t".join(row) for row in rows]
+    for fault in draw(st.lists(st.sampled_from(_FAULTS), max_size=max_faults)):
+        if fault == "header":
+            lines[0] = draw(st.sampled_from(["", "id\ttext", HEADER + "\t", HEADER_TEXT_ONLY,
+                                              HEADER, header.upper()]))
+            continue
+        if len(lines) == 1:
+            lines.append("\t".join(["x", "y"] + (["NOT", "NULL", "NULL"] if labeled else [])))
+        at = draw(st.integers(1, len(lines) - 1))
+        fields = lines[at].split("\t")
+        if fault == "fields+":
+            fields.append(draw(_ANY_TEXT))
+        elif fault == "fields-":
+            fields.pop()
+        elif fault == "empty id":
+            fields[0] = ""
+        elif fault == "duplicate id":
+            fields[0] = lines[draw(st.integers(1, len(lines) - 1))].split("\t")[0]
+        elif labeled and fault == "bad label" and len(fields) >= 5:
+            fields[draw(st.integers(2, 4))] = draw(st.sampled_from(_BAD_LABELS))
+        elif labeled and fault == "hierarchy" and len(fields) >= 5:
+            fields[2:5] = draw(st.sampled_from(_HIERARCHY_VIOLATIONS)).split("\t")
+        lines[at] = "\t".join(fields)
+    style = draw(st.sampled_from(["\n", "\r\n", "mixed"]))
+    endings = [draw(st.sampled_from(["\n", "\r\n", "\r\r\n"])) if style == "mixed" else style
+               for _ in lines]
+    if not draw(st.booleans()):
+        endings[-1] = ""
+    return "".join(line + end for line, end in zip(lines, endings)).encode()
+
+
+def _outcome(read, data):
+    """What read(source) returns, or the type, message, line and ids of
+    what it raises, for a file object named corpus.tsv over data."""
+    source = io.BytesIO(data)
+    source.name = "corpus.tsv"
+    try:
+        return read(source)
+    except (ParseError, ValidationError) as exc:
+        return type(exc), str(exc), getattr(exc, "line", None), getattr(exc, "ids", None)
+
+
+def _read_as_commands_do(source):
+    columns = read_columns(source)
+    return columns.schema, columns.corpus()
+
+
+def _oracle_read_as_commands_did(source):
+    schema = oracle_sniff_schema(source)
+    source.seek(0)
+    return schema, oracle_load_corpus(source, schema)
+
+
+def _assert_reads_as_oracle(data):
+    assert _outcome(_read_as_commands_do, data) == _outcome(_oracle_read_as_commands_did, data)
+    for schema in ("olid_labeled", "text_only"):
+        assert (_outcome(lambda src: load_corpus(src, schema), data)
+                == _outcome(lambda src: oracle_load_corpus(src, schema), data))
+
+
+@settings(max_examples=300)
+@given(_corpus_files(max_faults=0))
+def test_valid_corpus_reads_as_oracle(data):
+    read_columns(data)  # raises on a file it finds invalid
+    _assert_reads_as_oracle(data)
+
+
+_LAST_LINE_FAULT = make(("1", "a", "NOT", "NULL", "NULL"), ("2", "b", "OFF", "TIN", "IND"),
+                        ("3", "c", "OFF", "TIN", "BAD"))[:-1]
+# The columns are checked by kind, field counts before labels, but the
+# error must name the earliest bad line.
+_LABEL_ON_3_COUNT_ON_9 = make(*[(str(i), "x", "NOT", "NULL", "NULL") for i in range(1, 8)],
+                              ("8", "x", "NOT", "NULL")).replace(b"2\tx\tNOT", b"2\tx\tMAYBE")
+_DUPLICATE_AND_HIERARCHY = make(("1", "a", "NOT", "TIN", "NULL"), ("1", "b", "NOT", "NULL", "NULL"))
+
+
+@settings(max_examples=500)
+@given(_corpus_files(max_faults=3))
+@example(_LAST_LINE_FAULT).via("a fault on the last line")
+@example(_LABEL_ON_3_COUNT_ON_9).via("a bad label on line 3, a wrong field count on line 9")
+@example(b"id\ttweet\tsubtask_a\tsubtask_b\tsubtask_c\r\n1\ta\rb\tNOT\tNULL\tNULL\r\n"
+         b"2\tends in CR\r\r\n").via("a carriage return inside a text, then a short row")
+@example(b"id\ttweet\n1\ta\rb\r\n2\tends in CR\r\r\n").via("carriage returns in texts")
+@example(HEADER.encode()).via("a header-only file")
+@example(b"").via("an empty file")
+@example(b"id\ttweet\n").via("a header-only text-only file")
+@example(_DUPLICATE_AND_HIERARCHY).via("a duplicate id and a hierarchy violation")
+def test_faulty_corpus_fails_as_oracle(data):
+    _assert_reads_as_oracle(data)

@@ -131,3 +131,38 @@ def test_scores_match_direct_recount(gold_pred):
             2 * sc.precision * sc.recall / pr if pr else 0.0)
     assert s.macro_f1 == pytest.approx(
         sum(s.per_class[c].f1 for c in classes) / 3)
+
+
+def _loop_confusion(gold, pred, classes):
+    """confusion as one Python loop over the pairs, the reference for its
+    one bincount: an unknown label raises at the first pair that has one,
+    the gold label checked before the predicted one."""
+    index = {c: i for i, c in enumerate(classes)}
+    mat = np.zeros((len(classes), len(classes)), dtype=np.int64)
+    for g, p in zip(gold, pred):
+        if g not in index:
+            raise ValidationError(f"gold label {g!r} not in class list {list(classes)}")
+        if p not in index:
+            raise ValidationError(f"predicted label {p!r} not in class list {list(classes)}")
+        mat[index[g], index[p]] += 1
+    return mat
+
+
+_PAIRS = st.lists(st.tuples(*[st.sampled_from(["a", "b", "c", "x", "y"])] * 2), min_size=1,
+                  max_size=30)
+
+
+@given(_PAIRS)
+def test_confusion_matches_pair_loop(pairs):
+    gold, pred = map(list, zip(*pairs))
+    classes = ("a", "b", "c")
+    try:
+        want = _loop_confusion(gold, pred, classes)
+    except ValidationError as exc:
+        with pytest.raises(ValidationError) as got:
+            confusion(gold, pred, classes)
+        assert str(got.value) == str(exc)
+    else:
+        got = confusion(gold, pred, classes)
+        assert got.dtype == np.int64
+        assert got.tolist() == want.tolist()
